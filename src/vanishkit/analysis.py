@@ -81,6 +81,8 @@ def _annulus_bounds(radii: Sequence[float]) -> list[tuple[float, float]]:
     rs = [float(r) for r in radii]
     if len(rs) == 0:
         raise InvalidArgument("radii must be nonempty")
+    if not all(np.isfinite(rs)):
+        raise InvalidArgument(f"radii must be finite, got {rs}")
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise InvalidArgument("radii must be strictly increasing")
     if rs[0] < 0:
@@ -109,13 +111,13 @@ def decay_profile(
     function's own step; the reported lip_margin says how far the true
     sup can sit above the grid sup.
     """
-    if not (epsilon > 0):
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+    if not (0 < epsilon < np.inf):
+        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
+    bounds = _annulus_bounds(radii)
     if annulus_step is None:
         annulus_step = f.step / 2.0
-    if not (annulus_step > 0):
-        raise InvalidArgument(f"annulus_step must be positive, got {annulus_step}")
-    bounds = _annulus_bounds(radii)
+    if not (0 < annulus_step < np.inf):
+        raise InvalidArgument(f"annulus_step must be positive and finite, got {annulus_step}")
     entries: list[tuple[float, float]] = []
     for lo, hi in bounds:
         xs = _annulus_grid(lo, hi, annulus_step)
@@ -126,10 +128,11 @@ def decay_profile(
             sup = max(sup, float(np.max(np.abs(convolve_grid(mu, f, neg)))))
         entries.append((lo, sup))
     outer = bounds[-1][1]
-    # |mu*f| is Lipschitz with constant Lip(f) * sup_x |mu|(x + supp f)
-    mass_bound = sup_norm_K(
-        mu, Window(f.lo, f.hi), Window(-outer, outer), step=max(1.0, annulus_step)
-    )
+    # |mu*f| is Lipschitz with constant Lip(f) * sup_x |mu|(x - supp f).
+    # The sup runs over every x, not only the query points x_j, so each
+    # query window [x_j - f.hi, x_{j+1} - f.lo] reaches the next point.
+    step = max(1.0, annulus_step)
+    mass_bound = sup_norm_K(mu, Window(-f.hi, step - f.lo), Window(-outer, outer), step=step)
     lip_margin = 0.5 * annulus_step * f.lipschitz * mass_bound
     sups = [s for _, s in entries]
     if sups[-1] < epsilon:
@@ -219,8 +222,8 @@ def coefficients_vanishing(src: AtomSource, epsilon: float, r_max: float = 1000.
     fires when the quarter of scanned atoms with the largest |position|
     still contains a violating weight.
     """
-    if not (epsilon > 0):
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+    if not (0 < epsilon < np.inf):
+        raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
     pos, wts = src.enumerate_window(Window(-r_max, r_max))
     n = pos.size
     if n == 0:

@@ -18,8 +18,9 @@ Conventions used throughout:
 
 Convolution against a piecewise-linear test function is exact (to
 rounding) whenever a density declares its own piecewise-affine structure
-through ``knots``; genuinely smooth densities fall back to per-cell
-Gauss-Legendre quadrature with refinement-based error control.
+through ``knots``; genuinely smooth densities fall back to Gauss-Legendre
+quadrature on the panels between the kinks of the test function, with
+refinement-based error control.
 
 Affine cells are always tracked as (value at cell center, slope).  A
 global intercept would lose all precision on steep narrow cells far from
@@ -564,49 +565,63 @@ def _cell_contribution_steep(x: float, cell: _Cell, f: TestFunction) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _smooth_nodes(f: TestFunction, splits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """GL4 nodes/weights in u over the knot cells of f, each split 2**splits
-    ways; also returns the cell edge array (length n_cells + 1)."""
+def _panel_nodes(edges: np.ndarray, splits: int) -> tuple[np.ndarray, np.ndarray]:
+    """GL4 nodes and weights in u on the panels between consecutive edges,
+    each panel split 2**splits ways."""
     sub = 2**splits
-    n_cells = (f.samples.size - 1) * sub
-    edges = f.lo + (f.step / sub) * np.arange(n_cells + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
+    width = np.diff(edges) / sub
+    mid = (edges[:-1, None] + width[:, None] * (np.arange(sub) + 0.5)[None, :]).ravel()
+    half = np.repeat(0.5 * width, sub)
     nodes = (mid[:, None] + half[:, None] * _GL4_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL4_WEIGHTS[None, :]).ravel()
-    return nodes, weights, edges
+    return nodes, weights
 
 
-def _masked_smooth_nodes(
-    f: TestFunction, splits: int, u_lo: float, u_hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights for integrating over the sub-range [u_lo, u_hi].
+def _smooth_convolution(
+    piece: TransformedDensity, f: TestFunction, xs: np.ndarray, u_lo: float, u_hi: float, tol: float
+) -> np.ndarray:
+    """Integral of f(u) * density(x - u) over [u_lo, u_hi], for each x in xs.
 
-    Whole cells inside the limits keep their GL4 rule; boundary cells are
-    re-gaussed on the clipped fragment so nothing is dropped or counted
-    twice.
+    GL4 on panels whose edges are u_lo, the kinks of f strictly inside,
+    and u_hi.  f is affine on each panel, so the rule converges as fast as
+    the density allows.  A kink is a knot where the slope of f jumps by
+    more than rounding: rounded samples move a slope by a few ulps of
+    max|f| / step, and max|f| is at most max|slope| times half the support.
+    Every panel is split 2**s ways for s = 0, 1, ... until two levels agree
+    to tol at every x.  The deepest level is 6 + ceil(log2(widest panel /
+    f.step)), which splits every panel into pieces no wider than f.step / 64.
     """
-    nodes, weights, edges = _smooth_nodes(f, splits)
-    full = np.repeat((edges[:-1] >= u_lo) & (edges[1:] <= u_hi), _GL4_NODES.size)
-    keep_nodes = [nodes[full]]
-    keep_weights = [weights[full]]
-    partial = np.nonzero(
-        (edges[1:] > u_lo) & (edges[:-1] < u_hi) & ~((edges[:-1] >= u_lo) & (edges[1:] <= u_hi))
-    )[0]
-    for i in partial:
-        lo = max(float(edges[i]), u_lo)
-        hi = min(float(edges[i + 1]), u_hi)
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        keep_nodes.append(mid + half * _GL4_NODES)
-        keep_weights.append(half * _GL4_WEIGHTS)
-    return np.concatenate(keep_nodes), np.concatenate(keep_weights)
+    slopes = np.diff(f.samples) / f.step
+    threshold = 4.0 * np.finfo(float).eps * f.samples.size * float(np.max(np.abs(slopes)))
+    kinks = f.knots[1:-1][np.abs(np.diff(slopes)) > threshold]
+    edges = np.concatenate(([u_lo], kinks[(kinks > u_lo) & (kinks < u_hi)], [u_hi]))
+    # knot-to-knot panels span a whole number of cells up to rounding
+    cells = int(np.ceil(float(np.max(np.diff(edges))) / f.step - 1e-9))
+    depth = 6 + max(0, cells - 1).bit_length()
+
+    def values(splits: int) -> np.ndarray:
+        nodes, weights = _panel_nodes(edges, splits)
+        wf = weights * f.values(nodes)
+        acc = np.empty(xs.size, dtype=np.complex128)
+        chunk = max(1, int(2_000_000 // max(nodes.size, 1)))
+        for start in range(0, xs.size, chunk):
+            part = xs[start : start + chunk]
+            acc[start : start + chunk] = (piece.evalv(part[:, None] - nodes[None, :]) * wf).sum(axis=1)
+        return acc
+
+    prev = values(0)
+    for splits in range(1, depth + 1):
+        cur = values(splits)
+        delta = float(np.max(np.abs(cur - prev)))
+        if delta <= tol:
+            return cur
+        prev = cur
+    raise QuadratureError("density quadrature did not converge", delta)
 
 
 def _integrate_smooth_piece(piece: TransformedDensity, f: TestFunction, x: float, tol: float) -> complex:
-    """Quadrature for undeclared densities: GL4 per f-knot cell, refined."""
+    """Quadrature for undeclared densities at one point x; the ends of the
+    density's support inside the reach of f are panel edges."""
     clip_w = Window(x - f.hi, x - f.lo)
     sup = piece.support
     if sup is not None:
@@ -614,21 +629,7 @@ def _integrate_smooth_piece(piece: TransformedDensity, f: TestFunction, x: float
         if inter is None:
             return 0.0j
         clip_w = inter
-    u_lo, u_hi = x - clip_w.hi, x - clip_w.lo
-
-    def value(splits: int) -> complex:
-        un, uw = _masked_smooth_nodes(f, splits, u_lo, u_hi)
-        if un.size == 0:
-            return 0.0j
-        return complex(np.sum(uw * f.values(un) * piece.evalv(x - un)))
-
-    prev = value(0)
-    for splits in range(1, 7):
-        cur = value(splits)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError("density quadrature did not converge", abs(cur - prev))
+    return complex(_smooth_convolution(piece, f, np.array([x]), x - clip_w.hi, x - clip_w.lo, tol)[0])
 
 
 def _piece_into_grid(
@@ -661,29 +662,8 @@ def _piece_into_grid(
     # Smooth path.  When the support covers every shifted window, the
     # integral is sum_j W_j * rho(x - u_j) with x-independent nodes.
     if sup is None or (sup.lo <= hull.lo and hull.hi <= sup.hi):
-
-        def values(splits: int) -> np.ndarray:
-            nodes, weights, _ = _smooth_nodes(f, splits)
-            wf = weights * f.values(nodes)
-            acc = np.empty(grid.size, dtype=np.complex128)
-            chunk = max(1, int(2_000_000 // max(nodes.size, 1)))
-            for start in range(0, grid.size, chunk):
-                xs = grid[start : start + chunk]
-                acc[start : start + chunk] = (
-                    piece.evalv(xs[:, None] - nodes[None, :]) * wf
-                ).sum(axis=1)
-            return acc
-
-        prev = values(0)
-        delta = np.inf
-        for splits in range(1, 7):
-            cur = values(splits)
-            delta = float(np.max(np.abs(cur - prev)))
-            if delta <= tol:
-                out += cur
-                return
-            prev = cur
-        raise QuadratureError("density quadrature did not converge on grid", delta)
+        out += _smooth_convolution(piece, f, grid, f.lo, f.hi, tol)
+        return
     # Bounded smooth support that the hull sticks out of: point by point.
     i0 = np.searchsorted(grid, clip.lo + f.lo, side="left")
     i1 = np.searchsorted(grid, clip.hi + f.hi, side="right")

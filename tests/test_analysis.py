@@ -15,6 +15,7 @@ from vanishkit.analysis import (
     vanishing_verdict,
 )
 from vanishkit.constructions import build_example
+from vanishkit.errors import InvalidArgument
 from vanishkit.measures import (
     FiniteAtoms,
     LatticeComb,
@@ -54,6 +55,38 @@ def test_decay_profile_comb_plateau():
     assert prof.sups[0] == pytest.approx(1.0, abs=1e-9)
     assert prof.verdict == NOT_VANISHING
     assert prof.k_eps_estimate is None
+
+
+def test_lip_margin_covers_points_between_queries():
+    # The mass bound behind lip_margin is queried at points one apart; the
+    # windows [x - 0.25, x + 0.25] around integers miss every atom of a
+    # half-integer comb.  The true margin is 0.5 * 0.3 * Lip(f) 4 * mass 1.
+    comb = PurePoint(LatticeComb(1.0, 0.5))
+    prof = decay_profile(comb, HAT, [1.0, 2.0], epsilon=0.05, annulus_step=0.3)
+    assert prof.lip_margin >= 0.6
+    # off-center f: the slope of mu*f at x depends on |mu|(x - supp f)
+    atom = PurePoint(FiniteAtoms([(-3.0, 1.0)]))
+    prof = decay_profile(atom, tf_hat(5.0, 0.25, 1.0), [1.0, 2.0], epsilon=0.05, annulus_step=0.3)
+    assert prof.lip_margin >= 0.6
+
+
+@pytest.mark.parametrize(
+    "radii, epsilon",
+    [
+        ([float("nan"), 10.0], 0.05),
+        ([5.0, float("inf")], 0.05),
+        ([5.0, 10.0], float("inf")),
+        ([5.0, 10.0], float("nan")),
+    ],
+)
+def test_decay_profile_rejects_non_finite_inputs(radii, epsilon):
+    with pytest.raises(InvalidArgument):
+        decay_profile(PurePoint(LatticeComb(1.0)), HAT, radii, epsilon=epsilon)
+
+
+def test_coefficients_rejects_non_finite_epsilon():
+    with pytest.raises(InvalidArgument):
+        coefficients_vanishing(LatticeComb(1.0), float("inf"))
 
 
 def test_decay_profile_scans_negative_axis():

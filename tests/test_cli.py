@@ -158,6 +158,14 @@ def test_usage_errors_exit_one():
     assert code == 1
 
 
+@pytest.mark.parametrize("extra", [["--radii", "nan,100"], ["--epsilon", "inf", "--format", "json"]])
+def test_decay_non_finite_input_exits_one(extra):
+    code, out, err = run(["decay", "--spec", EX_A] + extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_spec_file_not_found_exits_one():
     code, _, err = run(["decay", "--spec", "/no/such/file.json", "--radii", "10"])
     assert code == 1

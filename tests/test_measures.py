@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanishkit.errors import InvalidArgument
+from vanishkit.constructions import build_example
+from vanishkit.errors import InvalidArgument, QuadratureError
+from vanishkit.fourier import bessel_j0_vec
 from vanishkit.measures import (
     AbsCont,
     ConstantDensity,
     FiniteAtoms,
+    FunctionDensity,
     IndicatorDensity,
     LatticeComb,
     PurePoint,
@@ -24,7 +27,7 @@ from vanishkit.measures import (
     sup_norm_K,
     variation_on,
 )
-from vanishkit.testfunctions import Window, tf_hat, tf_indicator
+from vanishkit.testfunctions import Window, tf_convolve, tf_hat, tf_indicator, tf_reflect_conj
 
 
 def test_finite_atoms_window_selection():
@@ -182,3 +185,91 @@ def test_variation_additive_at_atom_free_cuts(split):
     total = variation_on(mu, Window(0.0, 5.0))
     parts = variation_on(mu, Window(0.0, split)) + variation_on(mu, Window(split, 5.0))
     assert parts == pytest.approx(total, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Smooth (undeclared) densities: kink-panel quadrature
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a", [50.0, 1e3, 1e4, 1e5])
+def test_smooth_density_cosine_closed_form(a):
+    # cos(a x) * hat(0, w) = cos(a x) * 2 (1 - cos(a w)) / (a^2 w).  At
+    # a = 1e3 and above, the panels must be refined past 2^6 sub-panels.
+    w = 0.25
+    mu = AbsCont(FunctionDensity(lambda x: np.cos(a * x), label=f"cos({a} x)"))
+    f = tf_hat(0.0, w, 1.0)
+    xs = np.array([-3.7, -0.1, 0.0, 0.4, 12.3])
+    exact = np.cos(a * xs) * 2.0 * (1.0 - np.cos(a * w)) / (a * a * w)
+    assert np.max(np.abs(convolve_grid(mu, f, xs) - exact)) <= 1e-10
+    single = np.array([convolve(mu, f, float(x)) for x in xs])
+    assert np.max(np.abs(single - exact)) <= 1e-10
+
+
+def test_smooth_density_bounded_support_pointwise_path():
+    # The hull sticks out of the support, so each grid point is integrated
+    # on its own, with the support ends as panel edges.
+    smooth = AbsCont(FunctionDensity(lambda x: np.full(x.shape, 2.0), support=Window(-1.0, 2.0)))
+    exact = AbsCont(IndicatorDensity(-1.0, 2.0, 2.0))
+    f = tf_hat(0.3, 0.25, 1.0)
+    xs = np.linspace(-2.0, 3.5, 111)
+    grid = convolve_grid(smooth, f, xs)
+    single = np.array([convolve(smooth, f, float(x)) for x in xs])
+    assert np.array_equal(grid, single)
+    assert np.max(np.abs(grid - convolve_grid(exact, f, xs))) <= 1e-12
+
+
+def test_smooth_density_jump_raises_quadrature_error():
+    # A jump inside a panel leaves an O(width) error at every level.
+    mu = AbsCont(FunctionDensity(np.sign, label="sign"))
+    with pytest.raises(QuadratureError):
+        convolve_grid(mu, tf_hat(0.0, 0.25, 1.0), np.array([-0.1, 0.05]))
+    with pytest.raises(QuadratureError):
+        convolve(mu, tf_hat(0.0, 0.25, 1.0), 0.05)
+
+
+def test_j0_radial_against_scipy_quad():
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
+    mu = build_example("j0_radial")
+    f = tf_hat(0.0, 0.25, 1.0)
+    xs = np.array([-7.3, 0.12, 41.05])
+
+    def oracle(x):
+        def g(s):
+            return max(0.0, 1.0 - abs(x - s) / 0.25) * 2.0 * np.pi * special.j0(2.0 * np.pi * abs(s))
+
+        val, _ = integrate.quad(g, x - 0.25, x + 0.25, points=[x], epsabs=1e-13, epsrel=1e-13)
+        return val
+
+    expected = np.array([oracle(x) for x in xs])
+    assert np.max(np.abs(convolve_grid(mu, f, xs) - expected)) <= 1e-10
+
+
+class _CountingJ0:
+    """2 pi J0(2 pi |x|) that counts the points it is asked for."""
+
+    def __init__(self):
+        self.points = 0
+
+    def __call__(self, xs):
+        self.points += np.size(xs)
+        return 2.0 * np.pi * bessel_j0_vec(2.0 * np.pi * np.abs(xs))
+
+
+@pytest.mark.parametrize(
+    "autocorr, ceiling",
+    [
+        (False, 64),  # two panels of the hat; 6,144 with one panel per sample cell
+        (True, 147_456),  # every knot of the autocorrelation is a kink
+    ],
+)
+def test_smooth_density_work_ceiling(autocorr, ceiling):
+    j0 = _CountingJ0()
+    mu = AbsCont(FunctionDensity(j0, label="counting j0"))
+    f = tf_hat(0.0, 0.25, 1.0)
+    if autocorr:
+        f = tf_convolve(f, tf_reflect_conj(f))
+    xs = np.linspace(-2.0, 2.0, 5)
+    convolve_grid(mu, f, xs)
+    assert j0.points <= ceiling * xs.size
