@@ -31,7 +31,7 @@ from .analysis import (
     decay_profile,
     mean_abs,
 )
-from .constructions import build_example, generate_block_sum, validate_block_sum
+from .constructions import build_example, generate_block_sum
 from .errors import (
     HypothesesNotSatisfied,
     InvalidArgument,
@@ -87,10 +87,18 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidArgument("--grid expects lo:hi:step")
-    lo, hi, step = (float(p) for p in parts)
+    try:
+        lo, hi, step = (float(p) for p in parts)
+    except ValueError:
+        raise InvalidArgument("--grid expects numbers lo:hi:step")
+    if not all(np.isfinite((lo, hi, step))):
+        raise InvalidArgument("--grid expects finite lo, hi and step")
     if step <= 0.0 or hi < lo:
         raise InvalidArgument("--grid expects lo <= hi and step > 0")
-    n = int(np.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step
+    if not np.isfinite(span):
+        raise InvalidArgument("--grid spans too many points")
+    n = int(np.floor(span + 1e-9))
     return lo + step * np.arange(n + 1)
 
 
@@ -290,10 +298,10 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     if not args.spec:
         raise InvalidArgument("--spec is required for this command")
     inp = specio.parse_block_spec(_load_spec_text(args.spec))
-    report = validate_block_sum(inp)
+    generated = generate_block_sum(inp, override=True)
+    report = generated.report
     payload = specio.block_report_dict(report)
     if report.overall:
-        generated = generate_block_sum(inp)
         payload["covered"] = [generated.covered.lo, generated.covered.hi]
         payload["n_parts"] = generated.n_parts
     if args.format == "json":

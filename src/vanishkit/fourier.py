@@ -13,7 +13,6 @@ unit tent of halfwidth ``step`` at x_j transforms to
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -260,21 +259,22 @@ def bessel_j0(x: float) -> float:
                 break
             m += 1
         return float(total)
-    return _j0_hankel_scalar(x)
+    return float(_j0_hankel(np.array([x]))[0])
 
 
-def _j0_hankel_scalar(x: float) -> float:
-    p_sum = 0.0
-    q_sum = 0.0
-    u = 1.0
+def _j0_hankel(xa: np.ndarray) -> np.ndarray:
+    """J0 on an array of arguments above _J0_SERIES_LIMIT (Hankel expansion)."""
+    p_sum = np.zeros_like(xa)
+    q_sum = np.zeros_like(xa)
+    u = np.ones_like(xa)
     for m in range(_J0_HANKEL_TERMS):
         if m % 2 == 0:
             p_sum += (-1.0) ** (m // 2) * u
         else:
             q_sum += (-1.0) ** ((m + 1) // 2) * u
-        u = u * (2 * m + 1) ** 2 / (8.0 * (m + 1) * x)
-    omega = x - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cos(omega) * p_sum - math.sin(omega) * q_sum)
+        u = u * (2 * m + 1) ** 2 / (8.0 * (m + 1) * xa)
+    omega = xa - 0.25 * np.pi
+    return np.sqrt(2.0 / (np.pi * xa)) * (np.cos(omega) * p_sum - np.sin(omega) * q_sum)
 
 
 def bessel_j0_vec(xs: np.ndarray) -> np.ndarray:
@@ -297,18 +297,7 @@ def bessel_j0_vec(xs: np.ndarray) -> np.ndarray:
             total += term
         out[small] = total
     if np.any(~small):
-        xa = xs[~small]
-        p_sum = np.zeros_like(xa)
-        q_sum = np.zeros_like(xa)
-        u = np.ones_like(xa)
-        for m in range(_J0_HANKEL_TERMS):
-            if m % 2 == 0:
-                p_sum += (-1.0) ** (m // 2) * u
-            else:
-                q_sum += (-1.0) ** ((m + 1) // 2) * u
-            u = u * (2 * m + 1) ** 2 / (8.0 * (m + 1) * xa)
-        omega = xa - 0.25 * np.pi
-        out[~small] = np.sqrt(2.0 / (np.pi * xa)) * (np.cos(omega) * p_sum - np.sin(omega) * q_sum)
+        out[~small] = _j0_hankel(xs[~small])
     return out
 
 

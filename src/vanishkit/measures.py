@@ -100,10 +100,6 @@ class AtomSource(abc.ABC):
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         """Return (positions, weights) arrays for atoms with position in w."""
 
-    @property
-    def descriptor(self) -> str:
-        return repr(self)
-
 
 class FiniteAtoms(AtomSource):
     """An explicit finite atom list; coincident positions merge at build time."""
@@ -181,15 +177,6 @@ class DensitySource(abc.ABC):
     def knots(self, w: Window) -> np.ndarray | None:
         return None
 
-    def local_bound(self, w: Window) -> float:
-        """Upper bound for sup |density| on w; default samples 513 points."""
-        xs = np.linspace(w.lo, w.hi, 513)
-        return float(np.max(np.abs(self.evalv(xs))))
-
-    @property
-    def descriptor(self) -> str:
-        return repr(self)
-
 
 class ConstantDensity(DensitySource):
     """A constant density, by default Lebesgue measure itself."""
@@ -203,9 +190,6 @@ class ConstantDensity(DensitySource):
 
     def knots(self, w: Window) -> np.ndarray:
         return np.empty(0)
-
-    def local_bound(self, w: Window) -> float:
-        return abs(self.value)
 
     def __repr__(self) -> str:
         return f"ConstantDensity(value={self.value}, support={self.support})"
@@ -227,9 +211,6 @@ class IndicatorDensity(DensitySource):
 
     def knots(self, w: Window) -> np.ndarray:
         return np.empty(0)
-
-    def local_bound(self, w: Window) -> float:
-        return abs(self.value)
 
     def __repr__(self) -> str:
         return f"IndicatorDensity([{self.support.lo}, {self.support.hi}], value={self.value})"
@@ -255,9 +236,6 @@ class TriangleDensity(DensitySource):
         k = np.array([self.center])
         return k[(k > w.lo) & (k < w.hi)]
 
-    def local_bound(self, w: Window) -> float:
-        return abs(self.height)
-
     def __repr__(self) -> str:
         return f"TriangleDensity(center={self.center}, halfwidth={self.halfwidth})"
 
@@ -269,21 +247,14 @@ class FunctionDensity(DensitySource):
         self,
         fn: Callable[[np.ndarray], np.ndarray],
         support: Window | None = None,
-        bound: float | None = None,
         label: str = "function",
     ) -> None:
         self._fn = fn
         self.support = support
-        self._bound = bound
         self.label = label
 
     def evalv(self, xs: np.ndarray) -> np.ndarray:
         return np.asarray(self._fn(np.asarray(xs, dtype=float)), dtype=np.complex128)
-
-    def local_bound(self, w: Window) -> float:
-        if self._bound is not None:
-            return self._bound
-        return super().local_bound(w)
 
     def __repr__(self) -> str:
         return f"FunctionDensity({self.label})"
@@ -377,9 +348,6 @@ class TransformedDensity:
             return None
         mapped = self.sign * base + self.shift
         return np.sort(mapped)
-
-    def local_bound(self, w: Window) -> float:
-        return abs(self.scale) * self.base.local_bound(self._pre_window(w))
 
     def __repr__(self) -> str:
         return (
@@ -619,19 +587,6 @@ def _smooth_convolution(
     raise QuadratureError("density quadrature did not converge", delta)
 
 
-def _integrate_smooth_piece(piece: TransformedDensity, f: TestFunction, x: float, tol: float) -> complex:
-    """Quadrature for undeclared densities at one point x; the ends of the
-    density's support inside the reach of f are panel edges."""
-    clip_w = Window(x - f.hi, x - f.lo)
-    sup = piece.support
-    if sup is not None:
-        inter = clip_w.intersect(sup)
-        if inter is None:
-            return 0.0j
-        clip_w = inter
-    return complex(_smooth_convolution(piece, f, np.array([x]), x - clip_w.hi, x - clip_w.lo, tol)[0])
-
-
 def _piece_into_grid(
     piece: TransformedDensity,
     f: TestFunction,
@@ -664,11 +619,59 @@ def _piece_into_grid(
     if sup is None or (sup.lo <= hull.lo and hull.hi <= sup.hi):
         out += _smooth_convolution(piece, f, grid, f.lo, f.hi, tol)
         return
-    # Bounded smooth support that the hull sticks out of: point by point.
+    # Bounded smooth support that the hull sticks out of: point by point,
+    # with the ends of the support inside the reach of f as panel edges.
     i0 = np.searchsorted(grid, clip.lo + f.lo, side="left")
     i1 = np.searchsorted(grid, clip.hi + f.hi, side="right")
     for j in range(i0, i1):
-        out[j] += _integrate_smooth_piece(piece, f, float(grid[j]), tol)
+        x = float(grid[j])
+        w = Window(x - f.hi, x - f.lo).intersect(sup)
+        if w is not None:
+            out[j] += _smooth_convolution(piece, f, np.array([x]), x - w.hi, x - w.lo, tol)[0]
+
+
+# ---------------------------------------------------------------------------
+# Atom scatter
+# ---------------------------------------------------------------------------
+
+
+# Upper bound on the (atom, grid point) pairs one scatter chunk expands, so
+# its temporaries stay near a megabyte whatever the atom count and grid size
+# (a single atom reaching more grid points is one chunk of its own).
+_SCATTER_CHUNK = 1 << 16
+
+
+def _scatter_atoms(
+    pos: np.ndarray, wts: np.ndarray, f: TestFunction, grid: np.ndarray, out: np.ndarray
+) -> None:
+    """Add sum over atoms of w * f(x - p) onto out (over grid).
+
+    Atom p reaches the grid points in [p + f.lo, p + f.hi], a range found by
+    searchsorted.  The (atom, grid point) pairs of consecutive atoms are
+    expanded with np.repeat and summed with np.bincount over the span of grid
+    points the chunk reaches; positions ascend, so that span runs from the
+    first atom's first point to the last atom's last.  Each grid point sums
+    its atoms in position order.
+    """
+    i0 = np.searchsorted(grid, pos + f.lo, side="left")
+    i1 = np.searchsorted(grid, pos + f.hi, side="right")
+    reach = i1 > i0
+    pos, wts, i0, i1 = pos[reach], wts[reach], i0[reach], i1[reach]
+    count = i1 - i0
+    end = np.cumsum(count)
+    shift = i0 - (end - count)  # grid index minus pair index, per atom
+    a = 0
+    while a < pos.size:
+        start = int(end[a] - count[a])
+        b = max(a + 1, int(np.searchsorted(end, start + _SCATTER_CHUNK, side="right")))
+        owner = np.repeat(np.arange(a, b), count[a:b])
+        idx = np.arange(start, int(end[b - 1])) + shift[owner]
+        vals = wts[owner] * f.values(grid[idx] - pos[owner])
+        lo, hi = int(i0[a]), int(i1[b - 1])
+        local = idx - lo
+        out.real[lo:hi] += np.bincount(local, vals.real, hi - lo)
+        out.imag[lo:hi] += np.bincount(local, vals.imag, hi - lo)
+        a = b
 
 
 # ---------------------------------------------------------------------------
@@ -678,30 +681,15 @@ def _piece_into_grid(
 
 def convolve(mu: MeasureExpr, f: TestFunction, x: float, tol: float = 1e-8) -> complex:
     """Value of (mu * f)(x) = integral of f(x - t) dmu(t)."""
-    window = Window(x - f.hi, x - f.lo)
-    res = resolve_window(mu, window)
-    total = 0.0j
-    if res.positions.size:
-        total += complex(np.sum(res.weights * f.values(x - res.positions)))
-    for piece in res.pieces:
-        sup = piece.support
-        clip = window if sup is None else window.intersect(sup)
-        if clip is None:
-            continue
-        cells = _affine_cells(piece, clip)
-        if cells is None:
-            total += _integrate_smooth_piece(piece, f, x, tol)
-            continue
-        for cell in cells:
-            if _cell_is_steep(cell, f):
-                total += _cell_contribution_steep(x, cell, f)
-            else:
-                total += complex(_cell_contribution_vec(np.array([x]), cell, f)[0])
-    return total
+    return convolve_grid(mu, f, np.array([x]), tol)[0]
 
 
 def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Values of (mu * f) on an ascending grid; matches convolve pointwise."""
+    """Values of (mu * f) on an ascending grid; convolve is its one-point case.
+
+    Atoms are scattered in chunks of (atom, grid point) pairs; each density
+    piece adds exact affine-cell terms or smooth quadrature.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidArgument("grid must be a nonempty 1-d array")
@@ -710,11 +698,7 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
     res = resolve_window(mu, hull)
     out = np.zeros(grid.size, dtype=np.complex128)
-    for p, wgt in zip(res.positions, res.weights):
-        i0 = np.searchsorted(grid, p + f.lo, side="left")
-        i1 = np.searchsorted(grid, p + f.hi, side="right")
-        if i1 > i0:
-            out[i0:i1] += wgt * f.values(grid[i0:i1] - p)
+    _scatter_atoms(res.positions, res.weights, f, grid, out)
     for piece in res.pieces:
         _piece_into_grid(piece, f, grid, out, tol)
     return out

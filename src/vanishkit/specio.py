@@ -203,9 +203,9 @@ def parse_measure_spec(spec: str | dict) -> MeasureExpr:
 # ---------------------------------------------------------------------------
 
 _BLOCK_RECIPES = {
-    "ex_a": (ex_a_block_input, "t alternates +n, -n"),
-    "ex_nu": (nu_block_input, "t[n] = n"),
-    "ex_b": (ex_b_block_input, "t alternates +n, -n with a merged middle"),
+    "ex_a": ex_a_block_input,
+    "ex_nu": nu_block_input,
+    "ex_b": ex_b_block_input,
 }
 
 
@@ -215,8 +215,8 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
     Recipe form: {"recipe": "ex_a"|"ex_nu"|"ex_b", "n": int}.  Explicit
     form: {"window": [lo, hi], "parts": [{"shift": t, "atoms": [[p, re,
     im], ...], "densities": [{"builder": "indicator", "interval": [a, b],
-    "weight": [re, im]}, ...]}, ...]} with optional gap_floor, pairing_tol,
-    translate_rule.
+    "weight": [re, im]}, ...]}, ...]} with optional gap_floor and
+    pairing_tol.
     """
     d = json.loads(spec) if isinstance(spec, str) else spec
     if not isinstance(d, dict):
@@ -226,10 +226,8 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
         name = d["recipe"]
         if name not in _BLOCK_RECIPES:
             raise InvalidArgument(f"unknown block recipe {name!r}")
-        return _BLOCK_RECIPES[name][0](int(_require(d, "n", "block spec")))
-    _reject_unknown(
-        d, {"window", "parts", "gap_floor", "pairing_tol", "translate_rule"}, "block spec"
-    )
+        return _BLOCK_RECIPES[name](int(_require(d, "n", "block spec")))
+    _reject_unknown(d, {"window", "parts", "gap_floor", "pairing_tol"}, "block spec")
     iv = _require(d, "window", "block spec")
     window = Window(_as_float(iv[0], "window"), _as_float(iv[1], "window"))
     parts = []
@@ -264,7 +262,7 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
     return BlockSumInput(tuple(parts), window, **kwargs)
 
 
-def block_input_to_dict(inp: BlockSumInput, translate_rule: str = "") -> dict:
+def block_input_to_dict(inp: BlockSumInput) -> dict:
     """Serialize a block-sum input with explicit atom/density lists.
 
     Only pure-atom and indicator-density parts round-trip; anything else
@@ -308,15 +306,12 @@ def block_input_to_dict(inp: BlockSumInput, translate_rule: str = "") -> dict:
         if part.label:
             entry["label"] = part.label
         parts_out.append(entry)
-    out: dict[str, Any] = {
+    return {
         "window": [inp.window.lo, inp.window.hi],
         "parts": parts_out,
         "gap_floor": inp.gap_floor,
         "pairing_tol": inp.pairing_tol,
     }
-    if translate_rule:
-        out["translate_rule"] = translate_rule
-    return out
 
 
 # ---------------------------------------------------------------------------

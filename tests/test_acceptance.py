@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from vanishkit import acceptance, constructions
 from vanishkit.acceptance import run_all
 from vanishkit.analysis import VANISHING, decay_profile
 from vanishkit.constructions import build_example
@@ -89,6 +90,22 @@ def test_criterion_8_block_sum_machinery(results):
     assert r.passed
     assert "20/20" in r.detail
     assert r.seconds < 30.0
+
+
+def test_criterion_8_validates_each_input_once(monkeypatch):
+    calls = []
+    real = constructions.validate_block_sum
+
+    def counted(inp, probes=None):
+        calls.append(len(inp.parts))
+        return real(inp, probes)
+
+    monkeypatch.setattr(constructions, "validate_block_sum", counted)
+    monkeypatch.setattr(acceptance, "validate_block_sum", counted)
+    (result,) = run_all(only=[8])
+    assert result.passed
+    # the 16,000-part offset-pair input and the 400-part Riemann-comb input
+    assert sorted(calls) == [400, 16000]
 
 
 def test_criterion_9_autocorrelation_verdicts(results):

@@ -6,6 +6,7 @@ import contextlib
 
 import pytest
 
+from vanishkit import cli, constructions
 from vanishkit.cli import main
 
 EX_A = '{"expr": {"kind": "pp", "builder": "ex_a"}}'
@@ -126,7 +127,17 @@ def test_blocks_validation_failure_exits_two():
     assert report["h_support"] is True
 
 
-def test_blocks_pass_reports_coverage():
+def test_blocks_pass_reports_coverage(monkeypatch):
+    calls = []
+    real = constructions.validate_block_sum
+
+    def counted(inp, probes=None):
+        calls.append(inp)
+        return real(inp, probes)
+
+    monkeypatch.setattr(constructions, "validate_block_sum", counted)
+    # also counts a direct call, should the CLI import the validator again
+    monkeypatch.setattr(cli, "validate_block_sum", counted, raising=False)
     parts = [
         {"shift": float(n), "atoms": [[0.0, 2.0 ** -n, 0.0]]} for n in range(1, 41)
     ]
@@ -137,6 +148,16 @@ def test_blocks_pass_reports_coverage():
     assert report["overall"] is True
     assert report["n_parts"] == 40
     assert report["covered"][1] >= 40.0
+    assert len(calls) == 1  # validated once, not again to generate
+
+
+def test_blocks_rejects_translate_rule_key():
+    parts = [{"shift": 1.0, "atoms": [[0.0, 1.0, 0.0]]}]
+    spec = json.dumps({"window": [-0.5, 0.5], "parts": parts, "translate_rule": "t[n] = n"})
+    code, out, err = run(["blocks", "--spec", spec])
+    assert code == 1
+    assert out == ""
+    assert "unknown key(s)" in err and err.count("\n") == 1
 
 
 def test_malformed_json_exits_one_with_position(tmp_path):
@@ -164,6 +185,24 @@ def test_decay_non_finite_input_exits_one(extra):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--spec", EX_A, "--grid", "0:inf:1"],
+        ["bessel", "--grid", "0:inf:1"],
+        ["convolve", "--spec", EX_A, "--grid", "nan:1:0.5"],
+        ["fourier", "--grid", "0:1:nan"],
+        ["convolve", "--spec", EX_A, "--grid", "0:one:0.5"],
+        ["convolve", "--spec", EX_A, "--grid", "-1e308:1e308:1"],
+    ],
+)
+def test_bad_grid_exits_one(argv):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --grid") and err.count("\n") == 1
 
 
 def test_spec_file_not_found_exits_one():

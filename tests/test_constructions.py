@@ -118,6 +118,14 @@ def test_block_validation_passes_for_shrinking_pairs():
     assert report.worst_pairing <= 1e-3
 
 
+def test_block_validation_single_part():
+    inp = BlockSumInput((BlockPart(PurePoint(FiniteAtoms([(0.0, 1.0)])), 1.0),), Window(-0.5, 0.5))
+    rep = validate_block_sum(inp)
+    assert rep.h_support and rep.h_udiscrete
+    assert rep.worst_pairing == pytest.approx(1.0)
+    assert not rep.h_vague_null
+
+
 def test_block_validation_riemann_comb_fails_only_vague_null():
     report = validate_block_sum(nu_block_input(60))
     assert report.h_support and report.h_bounded and report.h_udiscrete

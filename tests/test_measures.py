@@ -8,6 +8,7 @@ from vanishkit.constructions import build_example
 from vanishkit.errors import InvalidArgument, QuadratureError
 from vanishkit.fourier import bessel_j0_vec
 from vanishkit.measures import (
+    _SCATTER_CHUNK,
     AbsCont,
     ConstantDensity,
     FiniteAtoms,
@@ -88,6 +89,34 @@ def test_convolve_grid_matches_pointwise():
     grid = convolve_grid(mu, f, xs)
     single = np.array([convolve(mu, f, float(x)) for x in xs])
     assert np.allclose(grid, single, atol=1e-10)
+
+
+def test_convolve_grid_atom_scatter_against_double_sum():
+    # An off-center complex hat over a grid with a gap: the atoms between
+    # -4.7 and 4.7 are inside the hull but reach no grid point, and the
+    # atoms that do reach it make several scatter chunks of pairs.
+    rng = np.random.default_rng(7)
+    pos = rng.uniform(-25.0, 25.0, 4000)
+    wts = rng.normal(size=4000) + 1j * rng.normal(size=4000)
+    mu = PurePoint(FiniteAtoms(list(zip(pos.tolist(), wts.tolist()))))
+    center, half, height = 0.05, 0.25, 1.0 - 0.5j
+    f = tf_hat(center, half, height)
+    side = 5.0 + 0.004 * np.arange(3751)
+    grid = np.concatenate((-side[::-1], side))
+    got = convolve_grid(mu, f, grid)
+
+    want = np.empty(grid.size, dtype=np.complex128)
+    pairs = 0
+    for start in range(0, grid.size, 500):
+        u = grid[start : start + 500, None] - pos[None, :]
+        hat = height * np.maximum(0.0, 1.0 - np.abs(u - center) / half)
+        want[start : start + 500] = hat @ wts
+        pairs += int(np.count_nonzero(np.abs(u - center) <= half))
+    assert pairs >= 3 * _SCATTER_CHUNK
+    lo, hi = grid[0] - (center + half), grid[-1] - (center - half)
+    silent = (pos > lo) & (pos < hi) & (np.abs(pos + center) < 5.0 - half)
+    assert np.count_nonzero(silent) > 100
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_variation_constant_density():
