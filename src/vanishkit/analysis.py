@@ -318,6 +318,8 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
         raise InvalidArgument("n_list must be strictly increasing positive integers")
     big = ns[-1]
     h = f.step
+    if 2 * big >= np.iinfo(np.intp).max * h:
+        raise InvalidArgument(f"horizon {big} needs too many grid points at step {h}")
     k_max = int(round(2 * big / h))
     grid = -big + h * np.arange(k_max + 1)
     vals = np.abs(convolve_grid(mu, f, grid))

@@ -96,7 +96,7 @@ def _parse_grid(text: str) -> np.ndarray:
     if step <= 0.0 or hi < lo:
         raise InvalidArgument("--grid expects lo <= hi and step > 0")
     span = (hi - lo) / step
-    if not np.isfinite(span):
+    if not span < np.iinfo(np.intp).max:
         raise InvalidArgument("--grid spans too many points")
     n = int(np.floor(span + 1e-9))
     return lo + step * np.arange(n + 1)
@@ -107,6 +107,16 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise InvalidArgument(f"{flag} expects comma-separated numbers")
+    if not values:
+        raise InvalidArgument(f"{flag} expects at least one value")
+    return values
+
+
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise InvalidArgument(f"{flag} expects comma-separated integers")
     if not values:
         raise InvalidArgument(f"{flag} expects at least one value")
     return values
@@ -184,7 +194,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_mean(args: argparse.Namespace) -> int:
     mu = _load_measure(args)
     f = _test_function(args)
-    n_list = [int(v) for v in _parse_floats(args.nlist, "--nlist")]
+    n_list = _parse_ints(args.nlist, "--nlist")
     trace = mean_abs(mu, f, n_list)
     if args.format == "json":
         _emit(args, _json_text(specio.mean_report_dict(trace)))
@@ -320,7 +330,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     only = None
     if args.only:
-        only = [int(v) for v in _parse_floats(args.only, "--only")]
+        only = _parse_ints(args.only, "--only")
     results = run_all(only=only)
     passed = sum(1 for r in results if r.passed)
     text = format_results(results)

@@ -84,6 +84,7 @@ def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
     karr = np.atleast_1d(np.asarray(k, dtype=float))
     piece = TransformedDensity(d, 1, 0.0, 0, 1.0 + 0.0j)
     cells = _affine_cells(piece, sup)
+    spans = [(sup.lo, sup.hi)] if cells is None else list(zip(cells[0].tolist(), cells[1].tolist()))
     kmax = float(np.max(np.abs(karr))) if karr.size else 0.0
     # panels short enough that each sees at most ~half an oscillation
     per_unit = max(2.0 * kmax, 4.0 / max(sup.width, 1e-12))
@@ -91,10 +92,6 @@ def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
     glx, glw = np.polynomial.legendre.leggauss(8)
 
     def quad(scale: float) -> np.ndarray:
-        if cells is not None:
-            spans = [(c.a, c.b) for c in cells]
-        else:
-            spans = [(sup.lo, sup.hi)]
         total = np.zeros(karr.size, dtype=np.complex128)
         for a, b in spans:
             n_panels = max(1, int(np.ceil((b - a) * per_unit * scale)))

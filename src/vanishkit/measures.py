@@ -441,91 +441,36 @@ def atoms_in(mu: MeasureExpr, w: Window) -> list[Atom]:
 # ---------------------------------------------------------------------------
 
 
-class _Cell(NamedTuple):
-    """One affine cell: density(s) = vc + beta * (s - center) on [a, b]."""
-
-    a: float
-    b: float
-    vc: complex
-    beta: complex
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.a + self.b)
+# Affine cells as arrays (a, b, vc, beta): density vc + beta * (s - center)
+# on [a, b], center being the cell midpoint.
+_Cells = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _affine_cells(piece: TransformedDensity, clip: Window) -> list[_Cell] | None:
+def _affine_cells(piece: TransformedDensity, clip: Window) -> _Cells | None:
     """Split the clipped window into affine cells.
 
     Returns None when the density does not declare structure.  Cells where
-    the density vanishes identically are dropped.
+    the density vanishes identically are dropped.  One evalv call samples
+    every cell at its two interior third-points.
     """
     knots = piece.knots(clip)
     if knots is None:
         return None
     inner = knots[(knots > clip.lo) & (knots < clip.hi)]
     edges = np.concatenate(([clip.lo], inner, [clip.hi]))
-    cells: list[_Cell] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        width = b - a
-        if width <= 0.0:
-            continue
-        s1 = a + width / 3.0
-        s2 = b - width / 3.0
-        g1, g2 = piece.evalv(np.array([s1, s2]))
-        # Sub-ulp cells collapse the sample points; treat them as flat.
-        beta = (g2 - g1) / (s2 - s1) if s2 > s1 else 0.0
-        vc = 0.5 * (g1 + g2)  # midpoint of s1, s2 is the cell center
-        if vc == 0 and beta == 0:
-            continue
-        cells.append(_Cell(float(a), float(b), complex(vc), complex(beta)))
-    return cells
-
-
-# A cell is "steep" when its slope times the reach of the test function
-# dwarfs the cell values; there the antiderivative-difference path would
-# amplify the rounding of the global antiderivative, so an exact
-# knot-aligned Gauss rule is used instead.
-_STEEP_FACTOR = 1e5
-
-
-def _cell_is_steep(cell: _Cell, f: TestFunction) -> bool:
-    reach = (f.hi - f.lo) + (cell.b - cell.a)
-    cell_sup = abs(cell.vc) + abs(cell.beta) * 0.5 * (cell.b - cell.a)
-    return abs(cell.beta) * reach > _STEEP_FACTOR * max(1.0, cell_sup)
-
-
-def _cell_contribution_vec(xs: np.ndarray, cell: _Cell, f: TestFunction) -> np.ndarray:
-    """Integral of f(x - s) * density(s) over the cell, for each x in xs."""
-    dF = f.integral_to(xs - cell.a) - f.integral_to(xs - cell.b)
-    if cell.beta == 0:
-        return cell.vc * dF
-    dM = f.moment_to(xs - cell.a) - f.moment_to(xs - cell.b)
-    # substitute u = x - s: density = vc + beta*((x - center) - u)
-    return cell.vc * dF + cell.beta * ((xs - cell.center) * dF - dM)
-
-
-def _cell_contribution_steep(x: float, cell: _Cell, f: TestFunction) -> complex:
-    """Same integral, assembled from knot-aligned GL2 sub-cells.
-
-    Exact for affine cells of any steepness: on each sub-cell both factors
-    are affine, so the integrand is a quadratic polynomial.
-    """
-    u_lo, u_hi = x - cell.b, x - cell.a
-    k_lo = np.searchsorted(f.knots, u_lo, side="right")
-    k_hi = np.searchsorted(f.knots, u_hi, side="left")
-    edges = np.concatenate(([u_lo], f.knots[k_lo:k_hi], [u_hi]))
-    widths = np.diff(edges)
-    good = widths > 0
-    if not np.any(good):
-        return 0.0j
-    mid = (0.5 * (edges[:-1] + edges[1:]))[good]
-    half = (0.5 * widths)[good]
-    u_nodes = np.concatenate([mid + _GL2[0] * half, mid + _GL2[1] * half])
-    dens = cell.vc + cell.beta * ((x - cell.center) - u_nodes)
-    vals = f.values(u_nodes) * dens
-    n = half.size
-    return complex(np.sum(half * (vals[:n] + vals[n:])))
+    a, b = edges[:-1], edges[1:]
+    width = b - a
+    s1 = a + width / 3.0
+    s2 = b - width / 3.0
+    g = piece.evalv(np.concatenate((s1, s2)))
+    g1, g2 = g[: a.size], g[a.size :]
+    # Sub-ulp cells collapse the sample points; treat them as flat.
+    sloped = s2 > s1
+    beta = np.zeros(a.size, dtype=np.complex128)
+    np.divide(g2 - g1, s2 - s1, out=beta, where=sloped)
+    vc = 0.5 * (g1 + g2)  # midpoint of s1, s2 is the cell center
+    live = (width > 0.0) & ((vc != 0) | (beta != 0))
+    return a[live], b[live], vc[live], beta[live]
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +547,7 @@ def _piece_into_grid(
         return
     cells = _affine_cells(piece, clip)
     if cells is not None:
-        for cell in cells:
-            i0 = np.searchsorted(grid, cell.a + f.lo, side="left")
-            i1 = np.searchsorted(grid, cell.b + f.hi, side="right")
-            if i1 <= i0:
-                continue
-            xs = grid[i0:i1]
-            if _cell_is_steep(cell, f):
-                for j in range(xs.size):
-                    out[i0 + j] += _cell_contribution_steep(float(xs[j]), cell, f)
-            else:
-                out[i0:i1] += _cell_contribution_vec(xs, cell, f)
+        _scatter_cells(cells, f, grid, out)
         return
     # Smooth path.  When the support covers every shifted window, the
     # integral is sum_j W_j * rho(x - u_j) with x-independent nodes.
@@ -631,47 +566,122 @@ def _piece_into_grid(
 
 
 # ---------------------------------------------------------------------------
-# Atom scatter
+# Pair scatter: atoms and affine cells
 # ---------------------------------------------------------------------------
 
 
-# Upper bound on the (atom, grid point) pairs one scatter chunk expands, so
-# its temporaries stay near a megabyte whatever the atom count and grid size
-# (a single atom reaching more grid points is one chunk of its own).
-_SCATTER_CHUNK = 1 << 16
+# Upper bound on the (source, grid point) pairs one scatter chunk expands,
+# a steep cell's pairs counting once per f-knot sub-cell, so its temporaries
+# stay near 256 kB whatever the source count and grid size (a single source
+# reaching more grid points is one chunk of its own).  On a Xeon with 2 MB of
+# L2 per core, chunks of 2^16 pairs made convolve_grid about 30 % slower.
+_SCATTER_CHUNK = 1 << 14
 
 
-def _scatter_atoms(
-    pos: np.ndarray, wts: np.ndarray, f: TestFunction, grid: np.ndarray, out: np.ndarray
+def _scatter_pairs(
+    i0: np.ndarray, i1: np.ndarray, pair_values: Callable, out: np.ndarray, cost: np.ndarray | None = None
 ) -> None:
-    """Add sum over atoms of w * f(x - p) onto out (over grid).
+    """Add pair_values(source, idx) onto out[idx] for every (source, grid point) pair.
 
-    Atom p reaches the grid points in [p + f.lo, p + f.hi], a range found by
-    searchsorted.  The (atom, grid point) pairs of consecutive atoms are
-    expanded with np.repeat and summed with np.bincount over the span of grid
-    points the chunk reaches; positions ascend, so that span runs from the
-    first atom's first point to the last atom's last.  Each grid point sums
-    its atoms in position order.
+    Source s reaches the grid points i0[s] <= idx < i1[s].  The pairs of
+    consecutive sources are expanded with np.repeat, in chunks of at most
+    _SCATTER_CHUNK pairs, each pair of source s counting cost[s] (default 1),
+    and pair_values gets each chunk's source and grid index arrays.  np.add.at
+    adds the pairs in order, so each grid point sums its sources in order.
     """
-    i0 = np.searchsorted(grid, pos + f.lo, side="left")
-    i1 = np.searchsorted(grid, pos + f.hi, side="right")
-    reach = i1 > i0
-    pos, wts, i0, i1 = pos[reach], wts[reach], i0[reach], i1[reach]
-    count = i1 - i0
-    end = np.cumsum(count)
-    shift = i0 - (end - count)  # grid index minus pair index, per atom
+    src = (i1 > i0).nonzero()[0]
+    count = i1[src] - i0[src]
+    end = count.cumsum()
+    shift = i0[src] - (end - count)  # grid index minus pair index, per source
+    load = end if cost is None else (count * cost[src]).cumsum()
     a = 0
-    while a < pos.size:
-        start = int(end[a] - count[a])
-        b = max(a + 1, int(np.searchsorted(end, start + _SCATTER_CHUNK, side="right")))
-        owner = np.repeat(np.arange(a, b), count[a:b])
-        idx = np.arange(start, int(end[b - 1])) + shift[owner]
-        vals = wts[owner] * f.values(grid[idx] - pos[owner])
-        lo, hi = int(i0[a]), int(i1[b - 1])
-        local = idx - lo
-        out.real[lo:hi] += np.bincount(local, vals.real, hi - lo)
-        out.imag[lo:hi] += np.bincount(local, vals.imag, hi - lo)
+    while a < src.size:
+        done = int(load[a - 1]) if a else 0
+        b = max(a + 1, int(load.searchsorted(done + _SCATTER_CHUNK, side="right")))
+        owner = np.arange(a, b).repeat(count[a:b])
+        idx = np.arange(end[a] - count[a], end[b - 1]) + shift[owner]
+        np.add.at(out, idx, pair_values(src[owner], idx))
         a = b
+
+
+_STEEP_FACTOR = 1e5  # slope * reach over cell size above which a cell is steep
+
+
+def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.ndarray) -> None:
+    """Add the integral of f(x - s) * density(s) over each affine cell onto out.
+
+    Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi].  A pair
+    (cell, x) adds vc*dF + beta*((x - center)*dF - dM), with dF and dM the
+    differences of the antiderivative and first moment of f between x - b
+    and x - a.  On a steep cell, whose slope times that reach dwarfs its
+    values, those differences would amplify the rounding of the global
+    antiderivative; its pair sums GL2 over the sub-cells that the knots of f
+    cut [x - b, x - a] into instead, exact because both factors are affine
+    on each.
+    """
+    a, b, vc, beta = cells
+    center = 0.5 * (a + b)
+    width = b - a
+    slope = np.abs(beta)
+    cell_sup = np.abs(vc) + slope * 0.5 * width
+    steep = slope * ((f.hi - f.lo) + width) > _STEEP_FACTOR * np.maximum(1.0, cell_sup)
+    cost = None
+    if np.count_nonzero(steep):
+        # at most width / f.step + 1 knots fall strictly inside [x - b, x - a]
+        cost = np.ones(a.size, dtype=np.intp)
+        cost[steep] = 3 + (width[steep] // f.step).astype(np.intp)
+        knots = np.concatenate(([-np.inf], f.knots, [np.inf]))
+
+    def antiderivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        dF = f.integral_to(x - a[s]) - f.integral_to(x - b[s])
+        vals = vc[s] * dF
+        sloped = beta[s] != 0
+        if np.count_nonzero(sloped):
+            s, x, dF = s[sloped], x[sloped], dF[sloped]
+            dM = f.moment_to(x - a[s]) - f.moment_to(x - b[s])
+            vals[sloped] += beta[s] * ((x - center[s]) * dF - dM)
+        return vals
+
+    def gauss(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        u_lo, u_hi = x - b[s], x - a[s]
+        k_lo = knots.searchsorted(u_lo, side="right") - 1  # knots[k_lo] <= u_lo
+        inside = np.maximum(knots.searchsorted(u_hi, side="left") - 1 - k_lo, 0)
+        pair = np.arange(s.size).repeat(inside + 1)
+        k = k_lo[pair] + np.arange(pair.size) - ((inside + 1).cumsum() - (inside + 1))[pair]
+        # sub-cell j of a pair runs between its knots j and j + 1, cut to [u_lo, u_hi]
+        left = np.maximum(u_lo[pair], knots[k])
+        right = np.minimum(u_hi[pair], knots[k + 1])
+        good = right > left
+        pair, left, right = pair[good], left[good], right[good]
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        u1, u2 = mid + _GL2[0] * half, mid + _GL2[1] * half
+        c = s[pair]
+        rel = x[pair] - center[c]
+        fu = f.values(np.concatenate((u1, u2)))
+        n = half.size
+        # substitute u = x - s: density = vc + beta*((x - center) - u)
+        term = half * (
+            fu[:n] * (vc[c] + beta[c] * (rel - u1)) + fu[n:] * (vc[c] + beta[c] * (rel - u2))
+        )
+        total = np.empty(s.size, dtype=np.complex128)
+        total.real = np.bincount(pair, term.real, s.size)
+        total.imag = np.bincount(pair, term.imag, s.size)
+        return total
+
+    def pair_values(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        x = grid[idx]
+        if cost is None:
+            return antiderivative(s, x)
+        sharp = steep[s]
+        vals = np.empty(s.size, dtype=np.complex128)
+        vals[~sharp] = antiderivative(s[~sharp], x[~sharp])
+        vals[sharp] = gauss(s[sharp], x[sharp])
+        return vals
+
+    i0 = grid.searchsorted(a + f.lo, side="left")
+    i1 = grid.searchsorted(b + f.hi, side="right")
+    _scatter_pairs(i0, i1, pair_values, out, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +697,8 @@ def convolve(mu: MeasureExpr, f: TestFunction, x: float, tol: float = 1e-8) -> c
 def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Values of (mu * f) on an ascending grid; convolve is its one-point case.
 
-    Atoms are scattered in chunks of (atom, grid point) pairs; each density
-    piece adds exact affine-cell terms or smooth quadrature.
+    Atoms and the affine cells of density pieces are scattered in chunks of
+    (source, grid point) pairs; smooth pieces add quadrature.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -698,44 +708,41 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
     res = resolve_window(mu, hull)
     out = np.zeros(grid.size, dtype=np.complex128)
-    _scatter_atoms(res.positions, res.weights, f, grid, out)
+    pos, wts = res.positions, res.weights
+    i0 = grid.searchsorted(pos + f.lo, side="left")
+    i1 = grid.searchsorted(pos + f.hi, side="right")
+    _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
     for piece in res.pieces:
         _piece_into_grid(piece, f, grid, out, tol)
     return out
 
 
-def _integral_abs_affine(cell: _Cell) -> float:
-    """Exact integral of |density| over a real affine cell; complex cells
-    fall back to refined trapezoid on |.| (smooth unless the segment
-    passes through zero)."""
-    width = cell.b - cell.a
-    if cell.vc.imag == 0.0 and cell.beta.imag == 0.0:
-        vc, beta = cell.vc.real, cell.beta.real
-        if beta == 0.0:
-            return abs(vc) * width
-        tau_root = -vc / beta  # offset of the zero from the cell center
-        half = 0.5 * width
-        if tau_root <= -half or tau_root >= half:
-            # sign-stable: integral of |v| = |integral of v| = |vc| * width
-            return abs(vc) * width
-        left_len = tau_root + half
-        right_len = half - tau_root
-        v_left = vc + beta * (0.5 * (tau_root - half))
-        v_right = vc + beta * (0.5 * (tau_root + half))
-        return abs(v_left) * left_len + abs(v_right) * right_len
-    prev = None
-    n = 16
-    c = cell.center
-    cur = 0.0
-    for _ in range(16):
-        ts = np.linspace(cell.a, cell.b, n + 1)
-        vals = np.abs(cell.vc + cell.beta * (ts - c))
-        cur = float(np.trapezoid(vals, ts))
-        if prev is not None and abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    return cur
+def _integral_abs_affine(a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Integral of |density| over each affine cell: exact on real cells;
+    complex cells fall back to refined trapezoid on |.| (smooth unless the
+    segment passes through zero)."""
+    width = b - a
+    out = np.abs(vc) * width  # sign-stable real cells: |integral of v| = |vc| * width
+    real = (vc.imag == 0.0) & (beta.imag == 0.0)
+    v, k = vc.real, beta.real
+    sloped = real & (k != 0.0)
+    tau = np.divide(-v, k, out=np.zeros(a.size), where=sloped)  # zero offset from the center
+    half = 0.5 * width
+    cross = sloped & (tau > -half) & (tau < half)
+    if np.count_nonzero(cross):
+        t, h, v, k = tau[cross], half[cross], v[cross], k[cross]
+        v_left = v + k * (0.5 * (t - h))
+        v_right = v + k * (0.5 * (t + h))
+        out[cross] = np.abs(v_left) * (t + h) + np.abs(v_right) * (h - t)
+    for i in (~real).nonzero()[0]:
+        prev, n, c = None, 16, 0.5 * (a[i] + b[i])
+        for _ in range(16):
+            ts = np.linspace(a[i], b[i], n + 1)
+            out[i] = np.trapezoid(np.abs(vc[i] + beta[i] * (ts - c)), ts)
+            if prev is not None and abs(out[i] - prev) <= 1e-12 * max(1.0, abs(out[i])):
+                break
+            prev, n = out[i], 2 * n
+    return out
 
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
@@ -749,8 +756,8 @@ def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
             continue
         cells = _affine_cells(piece, clip)
         if cells is not None:
-            for cell in cells:
-                total += _integral_abs_affine(cell)
+            for v in _integral_abs_affine(*cells).tolist():  # in cell order, not pairwise
+                total += v
             continue
         prev = None
         n = 128
@@ -789,37 +796,28 @@ class _VariationTable:
             if clip is None or clip.width == 0.0:
                 continue
             cells = _affine_cells(piece, clip)
-            if cells is None or any(c.vc.imag != 0 or c.beta.imag != 0 for c in cells):
+            if cells is None or np.any(cells[2].imag != 0) or np.any(cells[3].imag != 0):
                 self.dense_tables.append(self._dense_table(piece, clip, step_hint))
-                continue
-            # sign-stable segments (a, b, value at own midpoint, beta)
-            segments: list[tuple[float, float, float, float]] = []
-            cursor = clip.lo
-            for cell in cells:
-                if cell.a > cursor:
-                    segments.append((cursor, cell.a, 0.0, 0.0))
-                vc, beta = cell.vc.real, cell.beta.real
-                split_at: float | None = None
-                if beta != 0.0:
-                    root = cell.center - vc / beta
-                    if cell.a < root < cell.b:
-                        split_at = root
-                if split_at is None:
-                    segments.append((cell.a, cell.b, vc, beta))
-                else:
-                    m1 = 0.5 * (cell.a + split_at)
-                    m2 = 0.5 * (split_at + cell.b)
-                    segments.append((cell.a, split_at, vc + beta * (m1 - cell.center), beta))
-                    segments.append((split_at, cell.b, vc + beta * (m2 - cell.center), beta))
-                cursor = cell.b
-            if cursor < clip.hi:
-                segments.append((cursor, clip.hi, 0.0, 0.0))
-            e = np.array([s[0] for s in segments] + [segments[-1][1]])
-            vmid = np.array([s[2] for s in segments])
-            beta_arr = np.array([s[3] for s in segments])
-            seg_int = np.abs(vmid) * np.diff(e)  # sign-stable on each segment
-            cum = np.concatenate(([0.0], np.cumsum(seg_int)))
-            self.affine_tables.append((e, cum, vmid, beta_arr))
+            elif cells[0].size:
+                self.affine_tables.append(self._affine_table(*cells, clip))
+
+    @staticmethod
+    def _affine_table(
+        a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.ndarray, clip: Window
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Sign-stable segments of real affine cells tiling clip: gaps between
+        cells are zero segments, and a cell is split at a zero inside it."""
+        vc, beta = vc.real, beta.real
+        center = 0.5 * (a + b)
+        root = center - np.divide(vc, beta, out=np.zeros(a.size), where=beta != 0.0)
+        split = (beta != 0.0) & (a < root) & (root < b)
+        e = np.unique(np.concatenate(([clip.lo, clip.hi], a, b, root[split])))
+        mid = 0.5 * (e[:-1] + e[1:])
+        i = np.maximum(a.searchsorted(mid, side="right") - 1, 0)
+        inside = (a[i] < mid) & (mid < b[i])
+        vmid = np.where(inside, vc[i] + beta[i] * (mid - center[i]), 0.0)
+        cum = np.concatenate(([0.0], np.cumsum(np.abs(vmid) * np.diff(e))))  # sign-stable
+        return e, cum, vmid, np.where(inside, beta[i], 0.0)
 
     @staticmethod
     def _dense_table(piece: TransformedDensity, clip: Window, step_hint: float) -> tuple[np.ndarray, np.ndarray]:

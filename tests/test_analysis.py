@@ -175,6 +175,11 @@ def test_mean_abs_unit_comb_exact():
         assert avg == pytest.approx(0.25, abs=1e-12)
 
 
+def test_mean_abs_rejects_horizon_beyond_index_range():
+    with pytest.raises(InvalidArgument):
+        mean_abs(PurePoint(LatticeComb(1.0)), HAT, [10, 10**30])
+
+
 def test_mean_abs_offset_pairs_shrinks():
     mu = build_example("ex_a")
     trace = mean_abs(mu, HAT, [100, 1000])

@@ -196,6 +196,8 @@ def test_decay_non_finite_input_exits_one(extra):
         ["fourier", "--grid", "0:1:nan"],
         ["convolve", "--spec", EX_A, "--grid", "0:one:0.5"],
         ["convolve", "--spec", EX_A, "--grid", "-1e308:1e308:1"],
+        # finite span, but more points than an index can count
+        ["convolve", "--spec", EX_A, "--grid", "0:1e30:1"],
     ],
 )
 def test_bad_grid_exits_one(argv):
@@ -203,6 +205,23 @@ def test_bad_grid_exits_one(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: --grid") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5,2", "1e3", "ten"])
+@pytest.mark.parametrize("command, flag", [("mean", "--nlist"), ("suite", "--only")])
+def test_integer_flags_reject_non_integers(command, flag, value):
+    spec = ["--spec", COMB] if command == "mean" else []
+    code, out, err = run([command, *spec, flag, value])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} expects comma-separated integers\n"
+
+
+def test_mean_horizon_with_too_many_points_exits_one():
+    code, out, err = run(["mean", "--spec", COMB, "--nlist", "1" + "0" * 30])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: horizon") and err.count("\n") == 1
 
 
 def test_spec_file_not_found_exits_one():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanishkit.constructions import build_example
+from vanishkit import measures
+from vanishkit.constructions import AlternatingDyadicDensity, build_example
 from vanishkit.errors import InvalidArgument, QuadratureError
 from vanishkit.fourier import bessel_j0_vec
 from vanishkit.measures import (
     _SCATTER_CHUNK,
+    _STEEP_FACTOR,
     AbsCont,
     ConstantDensity,
+    DensitySource,
     FiniteAtoms,
     FunctionDensity,
     IndicatorDensity,
@@ -24,6 +27,7 @@ from vanishkit.measures import (
     atoms_in,
     convolve,
     convolve_grid,
+    resolve_window,
     seminorm_pg,
     sup_norm_K,
     variation_on,
@@ -302,3 +306,202 @@ def test_smooth_density_work_ceiling(autocorr, ceiling):
     xs = np.linspace(-2.0, 2.0, 5)
     convolve_grid(mu, f, xs)
     assert j0.points <= ceiling * xs.size
+
+
+# ---------------------------------------------------------------------------
+# Affine cells: the pair scatter against the per-cell loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_cells(piece, clip):
+    """Affine cells (a, b, vc, beta) built one cell and one evalv call at a time."""
+    knots = piece.knots(clip)
+    inner = knots[(knots > clip.lo) & (knots < clip.hi)]
+    edges = np.concatenate(([clip.lo], inner, [clip.hi]))
+    cells = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        width = b - a
+        if width <= 0.0:
+            continue
+        s1, s2 = a + width / 3.0, b - width / 3.0
+        g1, g2 = piece.evalv(np.array([s1, s2]))
+        beta = (g2 - g1) / (s2 - s1) if s2 > s1 else 0.0
+        vc = 0.5 * (g1 + g2)
+        if vc != 0 or beta != 0:
+            cells.append((float(a), float(b), complex(vc), complex(beta)))
+    return cells
+
+
+def _reference_steep(x, a, b, vc, beta, f):
+    """GL2 on the sub-cells the knots of f cut [x - b, x - a] into, at one x."""
+    u_lo, u_hi = x - b, x - a
+    k_lo = np.searchsorted(f.knots, u_lo, side="right")
+    k_hi = np.searchsorted(f.knots, u_hi, side="left")
+    edges = np.concatenate(([u_lo], f.knots[k_lo:k_hi], [u_hi]))
+    good = np.diff(edges) > 0
+    mid = (0.5 * (edges[:-1] + edges[1:]))[good]
+    half = (0.5 * np.diff(edges))[good]
+    node = 0.5773502691896257
+    u = np.concatenate([mid - node * half, mid + node * half])
+    vals = f.values(u) * (vc + beta * ((x - 0.5 * (a + b)) - u))
+    n = half.size
+    return complex(np.sum(half * (vals[:n] + vals[n:])))
+
+
+def _reference_convolve_grid(mu, f, grid):
+    """mu * f on grid for densities with declared knots: cell by cell, and
+    point by point on steep cells.  Also returns the steep cells' (a, b)."""
+    hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
+    out = np.zeros(grid.size, dtype=np.complex128)
+    steep = []
+    for piece in resolve_window(mu, hull).pieces:
+        sup = piece.support
+        clip = hull if sup is None else hull.intersect(sup)
+        if clip is None:
+            continue
+        for a, b, vc, beta in _reference_cells(piece, clip):
+            i0 = np.searchsorted(grid, a + f.lo, side="left")
+            i1 = np.searchsorted(grid, b + f.hi, side="right")
+            xs = grid[i0:i1]
+            cell_sup = abs(vc) + abs(beta) * 0.5 * (b - a)
+            if abs(beta) * ((f.hi - f.lo) + (b - a)) > _STEEP_FACTOR * max(1.0, cell_sup):
+                steep.append((a, b))
+                for j, x in enumerate(xs):
+                    out[i0 + j] += _reference_steep(float(x), a, b, vc, beta, f)
+            elif beta == 0:
+                out[i0:i1] += vc * (f.integral_to(xs - a) - f.integral_to(xs - b))
+            else:
+                dF = f.integral_to(xs - a) - f.integral_to(xs - b)
+                dM = f.moment_to(xs - a) - f.moment_to(xs - b)
+                out[i0:i1] += vc * dF + beta * ((xs - 0.5 * (a + b)) * dF - dM)
+    return out, steep
+
+
+def _count_chunks(monkeypatch):
+    """Record the pair count of every scatter chunk from here on."""
+    chunks = []
+    scatter = measures._scatter_pairs
+
+    def counted(i0, i1, pair_values, out, cost=None):
+        def values(s, idx):
+            chunks.append(idx.size)
+            return pair_values(s, idx)
+
+        scatter(i0, i1, values, out, cost)
+
+    monkeypatch.setattr(measures, "_scatter_pairs", counted)
+    return chunks
+
+
+def _autocorr_hat():
+    hat = tf_hat(0.0, 1.0, 1.0)
+    return tf_convolve(hat, tf_reflect_conj(hat))
+
+
+def test_pair_scatter_steep_tents_up_to_level_50():
+    mu, f = build_example("ex_tent"), _autocorr_hat()
+    grid = np.linspace(0.0, 52.0, 521)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    # The grid reaches level 50; the deepest tent float64 resolves is at 47
+    # (at 48 and beyond n +- 2^-n rounds to n).
+    assert max(b for a, b in steep) > 47.0
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+
+
+def test_pair_scatter_alternating_dyadic_density(monkeypatch):
+    chunks = _count_chunks(monkeypatch)
+    mu, f = build_example("ex_bf"), tf_hat(0.0, 0.5, 1.0)
+    grid = np.linspace(0.0, 16.0, 321)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert steep == []
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+    assert len(chunks) >= 3 and max(chunks) <= _SCATTER_CHUNK
+
+
+def test_pair_scatter_complex_off_center_triangles():
+    # a wide tent on the antiderivative path and a steep narrow one on GL2
+    mu = Sum((
+        Scale(2.0 - 1.0j, AbsCont(TriangleDensity(0.37, 0.8, 1.0 + 2.0j))),
+        AbsCont(TriangleDensity(2.1, 1e-7, 0.5 - 1.0j)),
+    ))
+    f = tf_hat(0.1, 0.3, 1.0 - 0.5j)
+    grid = np.linspace(-1.5, 3.0, 451)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert len(steep) == 2
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+
+
+def test_pair_scatter_many_chunks_of_mixed_cells(monkeypatch):
+    # Small chunks, so steep and shallow tent cells share chunks and a
+    # steep cell reaching more pairs than a chunk holds is a chunk alone.
+    monkeypatch.setattr(measures, "_SCATTER_CHUNK", 64)
+    chunks = _count_chunks(monkeypatch)
+    mu, f = build_example("ex_tent"), _autocorr_hat()
+    grid = np.linspace(10.0, 22.0, 241)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert steep
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+    assert len(chunks) >= 3
+
+
+def test_pair_scatter_one_point_grid():
+    mu, f = build_example("ex_tent"), _autocorr_hat()
+    grid = np.array([15.3])  # reaches shallow tents (levels 14 and below) and steep ones
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert steep
+    got = convolve_grid(mu, f, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert convolve(mu, f, 15.3) == got[0]
+
+
+class _CountingDensity(DensitySource):
+    """Another density's values and knots, counting the evalv calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.support = base.support
+        self.calls = 0
+
+    def evalv(self, xs):
+        self.calls += 1
+        return self.base.evalv(xs)
+
+    def knots(self, w):
+        return self.base.knots(w)
+
+
+def test_affine_cells_sample_each_piece_once():
+    # ex_bf's density has 32,766 cells on [-0.5, 16.5]; building them one
+    # at a time took an evalv call per cell.
+    dens = _CountingDensity(AlternatingDyadicDensity())
+    mu = AbsCont(dens)
+    convolve_grid(mu, tf_hat(0.0, 0.5, 1.0), np.linspace(0.0, 16.0, 33))
+    assert dens.calls == 1
+    variation_on(mu, Window(0.0, 16.0))
+    assert dens.calls == 2
+    sup_norm_K(mu, Window(0.0, 1.0), Window(0.0, 15.0), 0.5)
+    assert dens.calls == 3
+
+
+def test_steep_cells_evaluate_f_once_per_chunk(monkeypatch):
+    # The per-point loop called f.values once per (steep cell, grid point):
+    # 2,624 calls on this grid.
+    mu, f = build_example("ex_tent"), _autocorr_hat()
+    chunks = _count_chunks(monkeypatch)
+    calls = []
+    values = type(f).values
+
+    def counted(self, xs):
+        calls.append(np.size(xs))
+        return values(self, xs)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    convolve_grid(mu, f, np.linspace(0.0, 52.0, 521))
+    assert 1 <= len(calls) <= len(chunks)
+
+
+def test_integral_and_moment_accept_scalars():
+    f = tf_hat(0.2, 0.5, 1.0 - 1.0j)
+    for u in (-1.0, 0.05, 0.4, 2.0):
+        assert f.integral_to(np.asarray(u)) == f.integral_to(np.array([u]))[0]
+        assert f.moment_to(u) == f.moment_to(np.array([u]))[0]
