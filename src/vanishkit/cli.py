@@ -212,10 +212,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
                 raise InvalidArgument(
                     "fourier on a pure-point spec needs a finite_atoms builder"
                 )
-            atoms = list(
-                zip(mu.source.positions.tolist(), mu.source.weights.tolist())
-            )
-            values = exp_sum(atoms, ks)
+            values = exp_sum(mu.source.positions, mu.source.weights, ks)
         elif isinstance(mu, AbsCont):
             values = ft_compact(mu.density, ks, tol=args.tolerance)
         else:

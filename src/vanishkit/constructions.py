@@ -32,14 +32,15 @@ from .measures import (
     MeasureExpr,
     PurePoint,
     ReflectConj,
+    ResolvedWindow,
     Scale,
     Sum,
     Translate,
     TriangleDensity,
     _merge,
-    convolve,
+    _piece_into_grid,
+    _variation,
     resolve_window,
-    variation_on,
 )
 from .testfunctions import TestFunction, Window, tf_hat, tf_reflect_conj
 
@@ -128,9 +129,10 @@ class RiemannComb(AtomSource):
         return f"RiemannComb(k_start={self.k_start})"
 
 
-# Tents narrower than 2^-50 collapse to their center in float64 (n +- 2^-n
-# rounds to n), so the family is cut there; the omitted mass is 2^-50 total.
-_TENT_CAP = 50
+# From level 48 on, n +- 2^-n rounds to n in float64 (2^-n is at most half
+# an ulp of n), so a tent has no cells to integrate; the family is cut after
+# level 47, the last one float64 resolves, and the omitted mass is 2^-47.
+_TENT_CAP = 47
 
 
 class ShrinkingTentsDensity(DensitySource):
@@ -381,31 +383,23 @@ def default_probes(window: Window) -> list[TestFunction]:
 
 
 def _pairings(
-    part: MeasureExpr,
-    window: Window,
-    probes: Sequence[TestFunction],
-    reflected: Sequence[TestFunction],
+    rw: ResolvedWindow, window: Window, reflected: Sequence[TestFunction], tol: float = 1e-8
 ) -> tuple[float, float]:
-    """(worst |<g, part>| over probes, variation of part on the window).
+    """(worst |pairing| over probes, variation of the part on the window).
 
-    ``reflected`` holds tf_reflect_conj of each probe: a part with densities
-    is paired as (part * g~)(0).
+    ``rw`` resolves the part on a window that covers every probe's support,
+    and ``reflected`` holds g~ = tf_reflect_conj(g) of each probe g.  The
+    pairing is (part * g~)(0), the integral of conj(g) against the part:
+    atoms add weight * g~(-position), density pieces their one-point
+    convolution with g~.
     """
-    rw = resolve_window(part, window)
-    if not rw.pieces:
-        worst = 0.0
-        for g in probes:
-            if rw.positions.size:
-                pair = complex(np.sum(rw.weights * g.values(rw.positions)))
-            else:
-                pair = 0.0
-            worst = max(worst, abs(pair))
-        return worst, float(np.sum(np.abs(rw.weights)))
-    worst = 0.0
-    for g in reflected:
-        pair = convolve(part, g, 0.0)
-        worst = max(worst, abs(pair))
-    return worst, variation_on(part, window)
+    at = -rw.positions
+    pairs = (np.array([g.values(at) for g in reflected]) * rw.weights).sum(axis=1)
+    origin = np.zeros(1)
+    for piece in rw.pieces:
+        for j, g in enumerate(reflected):
+            _piece_into_grid(piece, g, origin, pairs[j : j + 1], tol)
+    return float(np.max(np.abs(pairs))), _variation(rw, window, tol)
 
 
 def validate_block_sum(
@@ -423,7 +417,8 @@ def validate_block_sum(
         raise InvalidArgument("probe family must be nonempty")
     k = inp.window
     pad = 10.0 * max(1.0, k.width)
-    probe_window = Window(k.lo - pad, k.hi + pad)
+    # one resolution per part serves the support check and every probe
+    span = Window(min(k.lo - pad, *(g.lo for g in probes)), max(k.hi + pad, *(g.hi for g in probes)))
     reflected = [tf_reflect_conj(g) for g in probes]
 
     support_ok = True
@@ -431,20 +426,15 @@ def validate_block_sum(
     variations = np.empty(len(inp.parts))
     trace = np.empty(len(inp.parts))
     for i, part in enumerate(inp.parts):
+        rw = resolve_window(part.measure, span)
         if support_ok:
-            rw = resolve_window(part.measure, probe_window)
-            if rw.positions.size and not np.all(
-                (rw.positions >= k.lo) & (rw.positions <= k.hi)
+            pos = rw.positions  # sorted
+            sups = (piece.support for piece in rw.pieces)
+            if (pos.size and (pos[0] < k.lo or pos[-1] > k.hi)) or any(
+                s is None or s.lo < k.lo - 1e-12 or s.hi > k.hi + 1e-12 for s in sups
             ):
-                support_ok = False
-                offender = i
-            for piece in rw.pieces:
-                psup = piece.support
-                if psup is None or psup.lo < k.lo - 1e-12 or psup.hi > k.hi + 1e-12:
-                    support_ok = False
-                    offender = i
-                    break
-        trace[i], variations[i] = _pairings(part.measure, k, probes, reflected)
+                support_ok, offender = False, i
+        trace[i], variations[i] = _pairings(rw, k, reflected)
 
     n = len(inp.parts)
     sup_var = float(np.max(variations))

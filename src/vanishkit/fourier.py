@@ -47,13 +47,14 @@ def sinc(u):
     return np.sinc(np.asarray(u) / np.pi)
 
 
-def exp_sum(atoms: Sequence[tuple[float, complex]], k):
-    """Fourier-Stieltjes transform of a finite atom list: sum w e^{-2 pi i k p}.
+def exp_sum(positions, weights, k):
+    """Fourier-Stieltjes transform of finitely many atoms: sum w e^{-2 pi i k p}.
 
-    ``k`` may be a scalar (returns complex) or an array (returns an array).
+    ``positions`` and ``weights`` are matching 1-d arrays; ``k`` may be a
+    scalar (returns complex) or an array (returns an array).
     """
-    pos = np.array([a[0] for a in atoms], dtype=float)
-    wts = np.array([a[1] for a in atoms], dtype=np.complex128)
+    pos = np.asarray(positions, dtype=float)
+    wts = np.asarray(weights, dtype=np.complex128)
     karr = np.asarray(k, dtype=float)
     phase = np.exp(-2j * np.pi * np.multiply.outer(karr, pos))
     out = phase @ wts if pos.size else np.zeros(karr.shape, dtype=np.complex128)

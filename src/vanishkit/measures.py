@@ -133,8 +133,10 @@ class LatticeComb(AtomSource):
         offset: float = 0.0,
         weight_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
-        if not (spacing > 0):
-            raise InvalidArgument(f"spacing must be positive, got {spacing}")
+        if not (0 < spacing < np.inf):
+            raise InvalidArgument(f"spacing must be positive and finite, got {spacing}")
+        if not np.isfinite(offset):
+            raise InvalidArgument(f"offset must be finite, got {offset}")
         self.spacing = float(spacing)
         self.offset = float(offset)
         self.weight_fn = (
@@ -146,6 +148,8 @@ class LatticeComb(AtomSource):
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         n_lo = int(np.ceil((w.lo - self.offset) / self.spacing - 1e-9))
         n_hi = int(np.floor((w.hi - self.offset) / self.spacing + 1e-9))
+        if n_hi - n_lo >= np.iinfo(np.intp).max:
+            raise InvalidArgument(f"window {w} holds too many lattice points to enumerate")
         n = np.arange(n_lo, n_hi + 1)
         pos = self.offset + self.spacing * n
         keep = (pos >= w.lo) & (pos <= w.hi)
@@ -747,8 +751,14 @@ def _integral_abs_affine(a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
     """Total variation |mu|(w): atom magnitudes plus integral of |density|."""
-    res = resolve_window(mu, w)
-    total = float(np.sum(np.abs(res.weights))) if res.weights.size else 0.0
+    return _variation(resolve_window(mu, w), w, tol)
+
+
+def _variation(res: ResolvedWindow, w: Window, tol: float) -> float:
+    """|mu|(w) from a resolution of mu on any window that contains w."""
+    lo = res.positions.searchsorted(w.lo, side="left")
+    hi = res.positions.searchsorted(w.hi, side="right")
+    total = float(np.sum(np.abs(res.weights[lo:hi])))
     for piece in res.pieces:
         sup = piece.support
         clip = w if sup is None else w.intersect(sup)
@@ -855,20 +865,25 @@ class _VariationTable:
         return cum[idx] + np.abs(v * d)
 
 
+def _search_grid(search: Window, step: float) -> np.ndarray:
+    """search.lo, search.lo + step, ..., closed by search.hi."""
+    if not (step > 0):
+        raise InvalidArgument(f"step must be positive, got {step}")
+    n = int(np.floor(search.width / step))
+    xs = search.lo + step * np.arange(n + 1)
+    if xs.size == 0 or xs[-1] < search.hi:
+        xs = np.append(xs, search.hi)
+    return xs
+
+
 def sup_norm_K(mu: MeasureExpr, k: Window, search: Window, step: float) -> float:
     """sup over grid points x in search of |mu|(x + k).
 
     Exact for atoms and declared real piecewise-affine densities; other
     densities contribute through a dense cumulative table.
     """
-    if not (step > 0):
-        raise InvalidArgument(f"step must be positive, got {step}")
-    hull = Window(search.lo + k.lo, search.hi + k.hi)
-    table = _VariationTable(mu, hull, step)
-    n = int(np.floor(search.width / step))
-    xs = search.lo + step * np.arange(n + 1)
-    if xs.size == 0 or xs[-1] < search.hi:
-        xs = np.append(xs, search.hi)
+    xs = _search_grid(search, step)
+    table = _VariationTable(mu, Window(search.lo + k.lo, search.hi + k.hi), step)
     vals = table.query(xs + k.lo, xs + k.hi)
     return float(np.max(vals))
 
@@ -881,13 +896,6 @@ def seminorm_pg(
     tol: float = 1e-8,
 ) -> float:
     """sup over grid points x in search of |(mu * g)(x)|."""
-    if step is None:
-        step = g.step
-    if not (step > 0):
-        raise InvalidArgument(f"step must be positive, got {step}")
-    n = int(np.floor(search.width / step))
-    xs = search.lo + step * np.arange(n + 1)
-    if xs.size == 0 or xs[-1] < search.hi:
-        xs = np.append(xs, search.hi)
+    xs = _search_grid(search, g.step if step is None else step)
     vals = convolve_grid(mu, g, xs, tol=tol)
     return float(np.max(np.abs(vals)))

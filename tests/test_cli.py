@@ -224,6 +224,21 @@ def test_mean_horizon_with_too_many_points_exits_one():
     assert err.startswith("error: horizon") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec, rmax",
+    [
+        ('{"expr": {"kind": "pp", "builder": "lattice", "offset": 1e999}}', "100"),
+        # a finite window with more lattice indices than an index can count
+        (COMB, "1e300"),
+    ],
+)
+def test_coeffs_lattice_out_of_range_exits_one(spec, rmax):
+    code, out, err = run(["coeffs", "--spec", spec, "--rmax", rmax])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_spec_file_not_found_exits_one():
     code, _, err = run(["decay", "--spec", "/no/such/file.json", "--radii", "10"])
     assert code == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vanishkit import constructions, measures, testfunctions
 from vanishkit.analysis import VANISHING, decay_profile
 from vanishkit.constructions import (
     EXAMPLE_NAMES,
@@ -16,7 +17,19 @@ from vanishkit.constructions import (
     validate_block_sum,
 )
 from vanishkit.errors import HypothesesNotSatisfied, UnknownExample
-from vanishkit.measures import FiniteAtoms, PurePoint, atoms_in, convolve, variation_on
+from vanishkit.measures import (
+    AbsCont,
+    ConstantDensity,
+    FiniteAtoms,
+    IndicatorDensity,
+    PurePoint,
+    Sum,
+    TransformedDensity,
+    _affine_cells,
+    atoms_in,
+    convolve,
+    variation_on,
+)
 from vanishkit.testfunctions import Window, tf_hat
 
 
@@ -97,6 +110,22 @@ def test_alternating_dyadic_blocks():
     assert abs(total) < 1e-9
 
 
+def test_tent_cells_and_values_agree_at_the_last_levels():
+    # n +- 2^-n rounds to n from level 48 on, so the family ends at 47: up to
+    # there a tent has peak 1 and two cells of total mass 2^-n, beyond that
+    # neither values nor cells
+    density = build_example("ex_tent").density
+    piece = TransformedDensity(density, 1, 0.0, 0, 1.0)
+    for n in range(46, 51):
+        resolved = n <= 47
+        w = Window(n - 0.5, n + 0.5)
+        a, b, vc, _ = _affine_cells(piece, w)
+        assert density.evalv(np.array([float(n)]))[0] == (1.0 if resolved else 0.0)
+        assert a.size == (2 if resolved else 0)
+        assert np.sum(vc * (b - a)) == (2.0**-n if resolved else 0.0)
+        assert variation_on(AbsCont(density), w) == (2.0**-n if resolved else 0.0)
+
+
 def test_sinc_series_measure_variation():
     mu = build_example("ex_sinc_series", truncation=20)
     got = variation_on(mu, Window(-1.5, 1.5))
@@ -124,6 +153,72 @@ def test_block_validation_single_part():
     assert rep.h_support and rep.h_udiscrete
     assert rep.worst_pairing == pytest.approx(1.0)
     assert not rep.h_vague_null
+
+
+# a density piece that adds nothing to a pairing
+_NEGLIGIBLE = AbsCont(IndicatorDensity(0.9, 1.0, 1e-300))
+
+
+def _one_part_pairing(measure, probe):
+    inp = BlockSumInput((BlockPart(measure, 0.0),), Window(0.0, 1.0))
+    return validate_block_sum(inp, [probe]).worst_pairing
+
+
+def test_block_pairing_integrates_the_conjugate_probe():
+    # g(0.2) = 1 and g(0.3) = i: the pairing is 1 * 1 + i * conj(i) = 2,
+    # with or without a density piece in the part
+    samples = np.zeros(11, dtype=np.complex128)
+    samples[2], samples[3] = 1.0, 1.0j
+    g = testfunctions.TestFunction(0.0, 0.1, samples)
+    atoms = PurePoint(FiniteAtoms([(0.2, 1.0), (0.3, 1.0j)]))
+    for part in (atoms, Sum((atoms, _NEGLIGIBLE))):
+        assert _one_part_pairing(part, g) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_block_pairing_reaches_past_the_window():
+    # an atom at 1.2 is off the window [0, 1] but inside the probe's support
+    atom = PurePoint(FiniteAtoms([(1.2, 1.0)]))
+    for part in (atom, Sum((atom, _NEGLIGIBLE))):
+        assert _one_part_pairing(part, tf_hat(1.0, 0.5)) == pytest.approx(0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("inp", [ex_b_block_input(6), nu_block_input(8)], ids=["mixed", "pure_point"])
+def test_block_validation_resolves_each_part_once(monkeypatch, inp):
+    resolved = []
+    resolve = measures.resolve_window
+
+    def counted(mu, w):
+        resolved.append(mu)
+        return resolve(mu, w)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("block validation called a whole-measure convolution")
+
+    for module in (measures, constructions):
+        monkeypatch.setattr(module, "resolve_window", counted)
+        for name in ("convolve", "convolve_grid"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    validate_block_sum(inp)
+    assert [id(mu) for mu in resolved] == [id(p.measure) for p in inp.parts]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        PurePoint(FiniteAtoms([(0.5, 1.0), (1.5, 1.0)])),
+        AbsCont(IndicatorDensity(0.5, 1.2)),
+        AbsCont(ConstantDensity(1.0)),
+    ],
+    ids=["atom", "density", "unbounded_density"],
+)
+def test_block_validation_names_the_first_part_off_the_window(bad):
+    parts = (
+        BlockPart(PurePoint(FiniteAtoms([(0.5, 1.0)])), 0.0),
+        BlockPart(bad, 2.0),
+        BlockPart(AbsCont(IndicatorDensity(-1.0, 0.5)), 4.0),
+    )
+    report = validate_block_sum(BlockSumInput(parts, Window(0.0, 1.0)))
+    assert not report.h_support and report.support_offender == 1
 
 
 def test_block_validation_riemann_comb_fails_only_vague_null():

@@ -39,21 +39,23 @@ def test_sinc_basics():
 
 def test_exp_sum_riemann_block():
     # block of three equal atoms at 3, 10/3, 11/3 evaluated at k = 3/2
-    atoms = [(3.0 + k / 3.0, 1.0 / 3.0) for k in range(3)]
-    assert exp_sum(atoms, 1.5) == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    positions = [3.0 + k / 3.0 for k in range(3)]
+    assert exp_sum(positions, [1.0 / 3.0] * 3, 1.5) == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_exp_sum_single_atom_modulus_one():
     ks = np.linspace(-4.0, 4.0, 33)
-    vals = exp_sum([(0.0, 1.0)], ks)
+    vals = exp_sum([0.0], [1.0], ks)
     assert np.allclose(vals, 1.0, atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
 @given(k=st.floats(-10, 10))
 def test_exp_sum_conjugate_symmetry_real_weights(k):
-    atoms = [(0.3, 1.0), (-1.7, 2.5), (4.0, -0.5)]
-    assert exp_sum(atoms, -k) == pytest.approx(np.conj(exp_sum(atoms, k)), abs=1e-13)
+    positions, weights = [0.3, -1.7, 4.0], [1.0, 2.5, -0.5]
+    assert exp_sum(positions, weights, -k) == pytest.approx(
+        np.conj(exp_sum(positions, weights, k)), abs=1e-13
+    )
 
 
 def test_ft_hat_closed_form():
