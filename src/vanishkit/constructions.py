@@ -383,7 +383,7 @@ def default_probes(window: Window) -> list[TestFunction]:
 
 
 def _pairings(
-    rw: ResolvedWindow, window: Window, reflected: Sequence[TestFunction], tol: float = 1e-8
+    rw: ResolvedWindow, window: Window, reflected: Sequence[TestFunction]
 ) -> tuple[float, float]:
     """(worst |pairing| over probes, variation of the part on the window).
 
@@ -393,6 +393,7 @@ def _pairings(
     atoms add weight * g~(-position), density pieces their one-point
     convolution with g~.
     """
+    tol = 1e-8  # the default of convolve and variation_on
     at = -rw.positions
     pairs = (np.array([g.values(at) for g in reflected]) * rw.weights).sum(axis=1)
     origin = np.zeros(1)

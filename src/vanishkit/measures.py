@@ -146,11 +146,11 @@ class LatticeComb(AtomSource):
         )
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        n_lo = int(np.ceil((w.lo - self.offset) / self.spacing - 1e-9))
-        n_hi = int(np.floor((w.hi - self.offset) / self.spacing + 1e-9))
-        if n_hi - n_lo >= np.iinfo(np.intp).max:
-            raise InvalidArgument(f"window {w} holds too many lattice points to enumerate")
-        n = np.arange(n_lo, n_hi + 1)
+        lim = np.iinfo(np.intp).max // 4  # bounds the indices and so their count
+        q_lo, q_hi = ((x - self.offset) / self.spacing for x in (w.lo, w.hi))
+        if not (abs(q_lo) < lim and abs(q_hi) < lim):
+            raise InvalidArgument(f"window {w} holds lattice indices beyond the index range")
+        n = np.arange(int(np.ceil(q_lo - 1e-9)), int(np.floor(q_hi + 1e-9)) + 1)
         pos = self.offset + self.spacing * n
         keep = (pos >= w.lo) & (pos <= w.hi)
         n, pos = n[keep], pos[keep]

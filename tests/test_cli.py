@@ -230,6 +230,9 @@ def test_mean_horizon_with_too_many_points_exits_one():
         ('{"expr": {"kind": "pp", "builder": "lattice", "offset": 1e999}}', "100"),
         # a finite window with more lattice indices than an index can count
         (COMB, "1e300"),
+        # finite inputs whose index quotients overflow to infinity
+        ('{"expr": {"kind": "pp", "builder": "lattice", "spacing": 1e-310}}', "100"),
+        ('{"expr": {"kind": "pp", "builder": "lattice", "offset": 1.7e308}}', "1e308"),
     ],
 )
 def test_coeffs_lattice_out_of_range_exits_one(spec, rmax):

@@ -48,6 +48,14 @@ def test_lattice_comb_offsets_and_weights():
     assert [a.weight for a in got] == [1.0, 0.5, pytest.approx(1.0 / 3.0)]
 
 
+def test_lattice_comb_rejects_indices_beyond_intp():
+    # a narrow window far out: few points, but indices past what intp holds
+    comb = LatticeComb(1.0)
+    with pytest.raises(InvalidArgument):
+        comb.enumerate_window(Window(1e20, 1e20 + 10.0))
+    assert comb.enumerate_window(Window(1e15, 1e15 + 2.0))[0].size == 3
+
+
 def test_translate_reflect_scale_compose():
     base = PurePoint(FiniteAtoms([(1.0, 2.0 + 1.0j)]))
     mu = Scale(2.0j, ReflectConj(Translate(0.5, base)))
