@@ -8,8 +8,8 @@ family with its sinc-squared spectral side, and the radial Bessel density.
 The block-sum machinery assembles a measure as a sum of translated parts
 sharing a common compact carrier window, validates the four hypotheses that
 make such a sum vanish at infinity (support containment, bounded variation,
-vague convergence to zero, uniformly discrete translates), and generates a
-lazily windowed measure when they hold.
+vague convergence to zero, uniformly discrete translates), and generates the
+summed measure when they hold.
 """
 
 from __future__ import annotations
@@ -32,14 +32,15 @@ from .measures import (
     MeasureExpr,
     PurePoint,
     ReflectConj,
-    ResolvedWindow,
     Scale,
     Sum,
     Translate,
     TriangleDensity,
+    _add_density_variation,
+    _affine_cells,
     _merge,
     _piece_into_grid,
-    _variation,
+    _scatter_cells,
     resolve_window,
 )
 from .testfunctions import TestFunction, Window, tf_hat, tf_reflect_conj
@@ -75,18 +76,10 @@ class OffsetPairComb(AtomSource):
     """
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        n_lo = math.floor(w.lo) - 2
-        n_hi = math.ceil(w.hi) + 2
-        ns = [n for n in range(n_lo, n_hi + 1) if n != 0]
-        if not ns:
-            return np.empty(0), np.empty(0, dtype=np.complex128)
-        pos = np.empty(2 * len(ns))
-        wts = np.empty(2 * len(ns), dtype=np.complex128)
-        for i, n in enumerate(ns):
-            pos[2 * i] = float(n)
-            wts[2 * i] = -1.0
-            pos[2 * i + 1] = n + 1.0 / n
-            wts[2 * i + 1] = 1.0
+        n = np.arange(math.floor(w.lo) - 2, math.ceil(w.hi) + 3, dtype=float)
+        n = n[n != 0]
+        pos = np.column_stack((n, n + 1.0 / n)).ravel()  # -1 at n, then +1 at n + 1/n
+        wts = np.tile(np.array([-1.0, 1.0], dtype=np.complex128), n.size)
         pos, wts = _merge(pos, wts)
         keep = (pos >= w.lo) & (pos <= w.hi)
         return pos[keep], wts[keep]
@@ -110,20 +103,12 @@ class RiemannComb(AtomSource):
         self.k_start = k_start
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        n_lo = max(1, math.floor(w.lo) - 1)
-        n_hi = math.floor(w.hi) + 1
-        chunks_p = []
-        chunks_w = []
-        for n in range(n_lo, n_hi + 1):
-            ks = np.arange(self.k_start, n + self.k_start)
-            p = n + ks / n
-            inside = (p >= w.lo) & (p <= w.hi)
-            if np.any(inside):
-                chunks_p.append(p[inside])
-                chunks_w.append(np.full(int(np.sum(inside)), 1.0 / n, dtype=np.complex128))
-        if not chunks_p:
-            return np.empty(0), np.empty(0, dtype=np.complex128)
-        return _merge(np.concatenate(chunks_p), np.concatenate(chunks_w))
+        blocks = np.arange(max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 2)
+        n = np.repeat(blocks, blocks)  # block n holds n atoms
+        ks = np.arange(n.size) - np.repeat(blocks.cumsum() - blocks, blocks) + self.k_start
+        p = n + ks / n
+        inside = (p >= w.lo) & (p <= w.hi)
+        return _merge(p[inside], (1.0 / n[inside]).astype(np.complex128))
 
     def __repr__(self) -> str:
         return f"RiemannComb(k_start={self.k_start})"
@@ -382,35 +367,34 @@ def default_probes(window: Window) -> list[TestFunction]:
     return [tf_hat(float(c), hw, 1.0) for hw in scales for c in centers]
 
 
-def _pairings(
-    rw: ResolvedWindow, window: Window, reflected: Sequence[TestFunction]
-) -> tuple[float, float]:
-    """(worst |pairing| over probes, variation of the part on the window).
-
-    ``rw`` resolves the part on a window that covers every probe's support,
-    and ``reflected`` holds g~ = tf_reflect_conj(g) of each probe g.  The
-    pairing is (part * g~)(0), the integral of conj(g) against the part:
-    atoms add weight * g~(-position), density pieces their one-point
-    convolution with g~.
-    """
-    tol = 1e-8  # the default of convolve and variation_on
-    at = -rw.positions
-    pairs = (np.array([g.values(at) for g in reflected]) * rw.weights).sum(axis=1)
-    origin = np.zeros(1)
-    for piece in rw.pieces:
-        for j, g in enumerate(reflected):
-            _piece_into_grid(piece, g, origin, pairs[j : j + 1], tol)
-    return float(np.max(np.abs(pairs))), _variation(rw, window, tol)
+# the fixed quadrature tolerance of the pairings and variations, the default
+# of convolve and variation_on
+_TOL = 1e-8
 
 
-def validate_block_sum(
-    inp: BlockSumInput, probes: Sequence[TestFunction] | None = None
-) -> HypothesisReport:
-    """Check the four hypotheses on a block-sum input.
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of values, run i counts[i] long; an
+    empty run sums to 0."""
+    out = np.zeros(counts.size, dtype=values.dtype)
+    full = counts > 0
+    if np.any(full):
+        out[full] = np.add.reduceat(values, (counts.cumsum() - counts)[full])
+    return out
 
-    Support containment is probed on a finitely expanded window (content
-    further out is invisible to any finite check); vague convergence is
-    tested against the probe family only, so a pass is evidence, not proof.
+
+def _validate(
+    inp: BlockSumInput, probes: Sequence[TestFunction] | None
+) -> tuple[HypothesisReport, np.ndarray, np.ndarray, np.ndarray]:
+    """The report of validate_block_sum, and the parts' atoms inside the window.
+
+    Each part is resolved once, on a span that covers the window with a
+    margin and every probe's support, and the atoms of all parts are laid
+    out flat, part by part, ascending within a part.  The pairing of a part
+    with a probe g is (part * g~)(0), the integral of conj(g) against the
+    part: one evaluation of g~ = tf_reflect_conj(g) at minus every atom
+    position, summed per part, plus the one-point convolution with g~ of
+    each density piece.  Returns (report, positions, weights, part index)
+    of the atoms inside the window.
     """
     if probes is None:
         probes = default_probes(inp.window)
@@ -418,26 +402,35 @@ def validate_block_sum(
         raise InvalidArgument("probe family must be nonempty")
     k = inp.window
     pad = 10.0 * max(1.0, k.width)
-    # one resolution per part serves the support check and every probe
     span = Window(min(k.lo - pad, *(g.lo for g in probes)), max(k.hi + pad, *(g.hi for g in probes)))
+    resolved = [resolve_window(p.measure, span) for p in inp.parts]
+    n = len(resolved)
+    counts = np.array([rw.positions.size for rw in resolved])
+    part = np.repeat(np.arange(n), counts)
+    pos = np.concatenate([rw.positions for rw in resolved])
+    wts = np.concatenate([rw.weights for rw in resolved])
+    inside = (pos >= k.lo) & (pos <= k.hi)
+
+    offends = np.zeros(n, dtype=bool)  # support: an atom or a piece off the window
+    offends[part[~inside]] = True
     reflected = [tf_reflect_conj(g) for g in probes]
+    pairs = np.array([_segment_sums(g.values(-pos) * wts, counts) for g in reflected])
+    variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
+    origin = np.zeros(1)
+    for i, rw in enumerate(resolved):
+        for piece in rw.pieces:
+            sup = piece.support
+            offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
+            cells = _affine_cells(piece, span if sup is None else span.intersect(sup))
+            for j, g in enumerate(reflected):
+                if cells is None:
+                    _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
+                else:
+                    _scatter_cells(cells, g, origin, pairs[j, i : i + 1])
+        variations[i] = _add_density_variation(variations[i], rw.pieces, k, _TOL)
+    trace = np.max(np.abs(pairs), axis=0)
+    support_ok = not np.any(offends)
 
-    support_ok = True
-    offender: int | None = None
-    variations = np.empty(len(inp.parts))
-    trace = np.empty(len(inp.parts))
-    for i, part in enumerate(inp.parts):
-        rw = resolve_window(part.measure, span)
-        if support_ok:
-            pos = rw.positions  # sorted
-            sups = (piece.support for piece in rw.pieces)
-            if (pos.size and (pos[0] < k.lo or pos[-1] > k.hi)) or any(
-                s is None or s.lo < k.lo - 1e-12 or s.hi > k.hi + 1e-12 for s in sups
-            ):
-                support_ok, offender = False, i
-        trace[i], variations[i] = _pairings(rw, k, reflected)
-
-    n = len(inp.parts)
     sup_var = float(np.max(variations))
     if n >= 4:
         half = n // 2
@@ -456,9 +449,9 @@ def validate_block_sum(
     discrete_ok = min_gap >= inp.gap_floor
 
     overall = support_ok and bounded_ok and vague_ok and discrete_ok
-    return HypothesisReport(
+    report = HypothesisReport(
         h_support=support_ok,
-        support_offender=offender,
+        support_offender=None if support_ok else int(np.argmax(offends)),
         h_bounded=bool(bounded_ok),
         sup_variation=sup_var,
         h_vague_null=bool(vague_ok),
@@ -468,44 +461,19 @@ def validate_block_sum(
         min_shift_gap=min_gap,
         overall=bool(overall),
     )
+    return report, pos[inside], wts[inside], part[inside]
 
 
-class BlockAtomSource(AtomSource):
-    """Lazy atoms of a pure-point block sum, indexed by sorted shifts.
+def validate_block_sum(
+    inp: BlockSumInput, probes: Sequence[TestFunction] | None = None
+) -> HypothesisReport:
+    """Check the four hypotheses on a block-sum input.
 
-    Enumeration touches only parts whose shifted carrier window meets the
-    query window.
+    Support containment is probed on a finitely expanded window (content
+    further out is invisible to any finite check); vague convergence is
+    tested against the probe family only, so a pass is evidence, not proof.
     """
-
-    def __init__(self, parts: Sequence[BlockPart], window: Window) -> None:
-        order = np.argsort([p.shift for p in parts], kind="stable")
-        self._parts = [parts[i] for i in order]
-        self._shifts = np.array([p.shift for p in self._parts], dtype=float)
-        self._window = window
-
-    def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        k = self._window
-        lo = np.searchsorted(self._shifts, w.lo - k.hi, side="left")
-        hi = np.searchsorted(self._shifts, w.hi - k.lo, side="right")
-        chunks_p = []
-        chunks_w = []
-        for i in range(lo, hi):
-            t = self._shifts[i]
-            local = Window(max(k.lo, w.lo - t), min(k.hi, w.hi - t))
-            if local.lo > local.hi:
-                continue
-            rw = resolve_window(self._parts[i].measure, local)
-            if rw.positions.size:
-                chunks_p.append(rw.positions + t)
-                chunks_w.append(rw.weights)
-        if not chunks_p:
-            return np.empty(0), np.empty(0, dtype=np.complex128)
-        pos, wts = _merge(np.concatenate(chunks_p), np.concatenate(chunks_w))
-        keep = (pos >= w.lo) & (pos <= w.hi)
-        return pos[keep], wts[keep]
-
-    def __repr__(self) -> str:
-        return f"BlockAtomSource(n_parts={len(self._parts)})"
+    return _validate(inp, probes)[0]
 
 
 @dataclass(frozen=True)
@@ -544,16 +512,16 @@ def generate_block_sum(
     Raises HypothesesNotSatisfied (carrying the report) when validation
     fails, unless ``override`` is set for counterexample study; with it the
     sum is built whatever the verdict, and ``.report`` holds the one
-    validation run.  Pure-point inputs get a lazily windowed atom source;
-    mixed inputs fall back to an explicit expression sum.
+    validation run.  A pure-point sum is one atom list: each part's atoms
+    inside the window, shifted; mixed inputs give an expression sum.
     """
-    report = validate_block_sum(inp, probes)
+    report, pos, wts, part = _validate(inp, probes)
     if not report.overall and not override:
         raise HypothesesNotSatisfied(report)
     shifts = np.array([p.shift for p in inp.parts], dtype=float)
     covered = Window(float(np.min(shifts)) + inp.window.lo, float(np.max(shifts)) + inp.window.hi)
     if all(_is_pure_point(p.measure) for p in inp.parts):
-        measure: MeasureExpr = PurePoint(BlockAtomSource(inp.parts, inp.window))
+        measure: MeasureExpr = PurePoint(FiniteAtoms(list(zip(pos + shifts[part], wts))))
     else:
         measure = Sum(tuple(Translate(p.shift, p.measure) for p in inp.parts))
     return GeneratedBlockSum(measure, report, covered, len(inp.parts))

@@ -179,15 +179,13 @@ class SpectralDensity:
     ``osc_rate`` estimates oscillations per unit k (used to size quadrature
     panels); ``sup_bound`` dominates |eval|; ``tail_bound`` is the sup-norm
     distance to the untruncated object this density approximates (0 when
-    exact); ``truncation`` records the series cutoff when there is one.
+    exact).
     """
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    descriptor: str
     sup_bound: float
     osc_rate: float
     tail_bound: float = 0.0
-    truncation: int | None = None
 
     def __call__(self, k):
         return self.eval_fn(np.asarray(k, dtype=float))
@@ -196,7 +194,6 @@ class SpectralDensity:
 def spectral_constant(value: float = 1.0) -> SpectralDensity:
     return SpectralDensity(
         eval_fn=lambda k: np.full(np.shape(k), float(value)),
-        descriptor=f"constant({value})",
         sup_bound=abs(float(value)),
         osc_rate=0.0,
     )
@@ -206,7 +203,6 @@ def spectral_sinc_sq() -> SpectralDensity:
     """sinc^2(pi k): the transform of the unit tent on [-1, 1]."""
     return SpectralDensity(
         eval_fn=lambda k: sinc(np.pi * np.asarray(k, dtype=float)) ** 2,
-        descriptor="sinc-squared",
         sup_bound=1.0,
         osc_rate=1.0,
     )
@@ -216,11 +212,9 @@ def spectral_series(n_trunc: int) -> SpectralDensity:
     """The dyadic series density truncated at n_trunc, tail 2^{2-n_trunc}."""
     return SpectralDensity(
         eval_fn=lambda k: series_density(k, n_trunc),
-        descriptor=f"dyadic-sinc-series(N={n_trunc})",
         sup_bound=8.0,
         osc_rate=(2 * n_trunc + 1) / 2.0,
         tail_bound=float(2.0 ** (2 - n_trunc)),
-        truncation=n_trunc,
     )
 
 

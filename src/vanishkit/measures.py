@@ -377,9 +377,13 @@ def _merge(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge exactly equal positions by adding weights; drop exact zeros."""
     if pos.size == 0:
         return pos.astype(float), wts.astype(np.complex128)
-    uniq, inv = np.unique(pos, return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=np.complex128)
-    np.add.at(acc, inv, wts)
+    if np.all(pos[1:] > pos[:-1]):  # sorted and distinct already
+        uniq = pos
+        acc = np.zeros(pos.size, dtype=np.complex128) + wts
+    else:
+        uniq, inv = np.unique(pos, return_inverse=True)
+        acc = np.zeros(uniq.size, dtype=np.complex128)
+        np.add.at(acc, inv, wts)
     keep = acc != 0
     return uniq[keep], acc[keep]
 
@@ -751,15 +755,15 @@ def _integral_abs_affine(a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
     """Total variation |mu|(w): atom magnitudes plus integral of |density|."""
-    return _variation(resolve_window(mu, w), w, tol)
+    res = resolve_window(mu, w)
+    return _add_density_variation(float(np.sum(np.abs(res.weights))), res.pieces, w, tol)
 
 
-def _variation(res: ResolvedWindow, w: Window, tol: float) -> float:
-    """|mu|(w) from a resolution of mu on any window that contains w."""
-    lo = res.positions.searchsorted(w.lo, side="left")
-    hi = res.positions.searchsorted(w.hi, side="right")
-    total = float(np.sum(np.abs(res.weights[lo:hi])))
-    for piece in res.pieces:
+def _add_density_variation(
+    total: float, pieces: Sequence[TransformedDensity], w: Window, tol: float
+) -> float:
+    """total plus the integral of |density| over w of each piece, in turn."""
+    for piece in pieces:
         sup = piece.support
         clip = w if sup is None else w.intersect(sup)
         if clip is None or clip.width == 0.0:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from vanishkit import acceptance, constructions
+from vanishkit import constructions
 from vanishkit.acceptance import run_all
 from vanishkit.analysis import VANISHING, decay_profile
 from vanishkit.constructions import build_example
@@ -94,14 +94,14 @@ def test_criterion_8_block_sum_machinery(results):
 
 def test_criterion_8_validates_each_input_once(monkeypatch):
     calls = []
-    real = constructions.validate_block_sum
+    real = constructions._validate
 
     def counted(inp, probes=None):
         calls.append(len(inp.parts))
         return real(inp, probes)
 
-    monkeypatch.setattr(constructions, "validate_block_sum", counted)
-    monkeypatch.setattr(acceptance, "validate_block_sum", counted)
+    # validate_block_sum and generate_block_sum both validate through it
+    monkeypatch.setattr(constructions, "_validate", counted)
     (result,) = run_all(only=[8])
     assert result.passed
     # the 16,000-part offset-pair input and the 400-part Riemann-comb input

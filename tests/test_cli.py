@@ -6,7 +6,7 @@ import contextlib
 
 import pytest
 
-from vanishkit import cli, constructions
+from vanishkit import constructions
 from vanishkit.cli import main
 
 EX_A = '{"expr": {"kind": "pp", "builder": "ex_a"}}'
@@ -129,15 +129,14 @@ def test_blocks_validation_failure_exits_two():
 
 def test_blocks_pass_reports_coverage(monkeypatch):
     calls = []
-    real = constructions.validate_block_sum
+    real = constructions._validate
 
     def counted(inp, probes=None):
         calls.append(inp)
         return real(inp, probes)
 
-    monkeypatch.setattr(constructions, "validate_block_sum", counted)
-    # also counts a direct call, should the CLI import the validator again
-    monkeypatch.setattr(cli, "validate_block_sum", counted, raising=False)
+    # validate_block_sum and generate_block_sum both validate through it
+    monkeypatch.setattr(constructions, "_validate", counted)
     parts = [
         {"shift": float(n), "atoms": [[0.0, 2.0 ** -n, 0.0]]} for n in range(1, 41)
     ]

@@ -1,5 +1,7 @@
 """Named measures and the block-sum validator/generator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,55 @@ def test_offset_pairs_atom_layout():
     ]
     # the +atom of pair 1 cancels the -atom of pair 2 at position 2
     assert atoms_in(mu, Window(1.9, 2.1)) == []
+
+
+def _offset_pairs_by_loop(w):
+    n_lo = math.floor(w.lo) - 2
+    n_hi = math.ceil(w.hi) + 2
+    ns = [n for n in range(n_lo, n_hi + 1) if n != 0]
+    if not ns:
+        return np.empty(0), np.empty(0, dtype=np.complex128)
+    pos = np.empty(2 * len(ns))
+    wts = np.empty(2 * len(ns), dtype=np.complex128)
+    for i, n in enumerate(ns):
+        pos[2 * i] = float(n)
+        wts[2 * i] = -1.0
+        pos[2 * i + 1] = n + 1.0 / n
+        wts[2 * i + 1] = 1.0
+    pos, wts = measures._merge(pos, wts)
+    keep = (pos >= w.lo) & (pos <= w.hi)
+    return pos[keep], wts[keep]
+
+
+def _riemann_comb_by_loop(w, k_start):
+    chunks_p = []
+    chunks_w = []
+    for n in range(max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 2):
+        ks = np.arange(k_start, n + k_start)
+        p = n + ks / n
+        inside = (p >= w.lo) & (p <= w.hi)
+        if np.any(inside):
+            chunks_p.append(p[inside])
+            chunks_w.append(np.full(int(np.sum(inside)), 1.0 / n, dtype=np.complex128))
+    if not chunks_p:
+        return np.empty(0), np.empty(0, dtype=np.complex128)
+    return measures._merge(np.concatenate(chunks_p), np.concatenate(chunks_w))
+
+
+def test_combs_enumerate_as_the_per_block_loop():
+    # the vectorised enumerations against the block-by-block loops, bit for bit
+    rng = np.random.default_rng(11)
+    windows = [Window(-3.0, 3.0), Window(-2.5, -1.0), Window(0.0, 1.0), Window(1.0, 2.0)]
+    for _ in range(60):
+        a = float(rng.uniform(-60.0, 60.0))
+        windows.append(Window(a, a + float(rng.choice([0.0, 0.3, 1.0, 7.5]))))
+    for w in windows:
+        cases = [(constructions.OffsetPairComb(), _offset_pairs_by_loop(w))]
+        cases += [(constructions.RiemannComb(k), _riemann_comb_by_loop(w, k)) for k in (0, 1)]
+        for source, want in cases:
+            got = source.enumerate_window(w)
+            for g, r in zip(got, want):
+                assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), (source, w)
 
 
 def test_offset_pairs_convolution_peak():
@@ -202,20 +253,58 @@ def test_block_validation_resolves_each_part_once(monkeypatch, inp):
     assert [id(mu) for mu in resolved] == [id(p.measure) for p in inp.parts]
 
 
+@pytest.mark.parametrize("inp", [ex_b_block_input(6), nu_block_input(40)], ids=["mixed", "pure_point"])
+def test_block_validation_evaluates_each_probe_once(monkeypatch, inp):
+    # one evaluation of each probe over the atoms of every part at once
+    calls = []
+    values = testfunctions.TestFunction.values
+
+    def counted(self, xs):
+        calls.append(self)
+        return values(self, xs)
+
+    probes = constructions.default_probes(inp.window)
+    monkeypatch.setattr(testfunctions.TestFunction, "values", counted)
+    validate_block_sum(inp, probes)
+    assert len(calls) == len(probes)
+
+
+def test_block_validation_builds_cells_twice_per_density_piece(monkeypatch):
+    # once over the piece for every probe's pairing, once for the variation
+    calls = []
+    cells = measures._affine_cells
+
+    def counted(piece, clip):
+        calls.append(piece)
+        return cells(piece, clip)
+
+    for module in (measures, constructions):
+        monkeypatch.setattr(module, "_affine_cells", counted)
+    inp = ex_b_block_input(6)
+    validate_block_sum(inp)
+    assert len(calls) == 2 * len(inp.parts)  # one density piece per part
+
+
+_ATOM_OFF = PurePoint(FiniteAtoms([(0.5, 1.0), (1.5, 1.0)]))
+_PIECE_OFF = AbsCont(IndicatorDensity(-1.0, 0.5))
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, later",
     [
-        PurePoint(FiniteAtoms([(0.5, 1.0), (1.5, 1.0)])),
-        AbsCont(IndicatorDensity(0.5, 1.2)),
-        AbsCont(ConstantDensity(1.0)),
+        (_ATOM_OFF, _PIECE_OFF),
+        (AbsCont(IndicatorDensity(0.5, 1.2)), _PIECE_OFF),
+        (AbsCont(ConstantDensity(1.0)), _PIECE_OFF),
+        (AbsCont(IndicatorDensity(0.5, 1.2)), _ATOM_OFF),
+        (Sum((_ATOM_OFF, AbsCont(IndicatorDensity(0.0, 1.0)))), _PIECE_OFF),
     ],
-    ids=["atom", "density", "unbounded_density"],
+    ids=["atom", "density", "unbounded_density", "piece_then_atom", "atom_then_piece"],
 )
-def test_block_validation_names_the_first_part_off_the_window(bad):
+def test_block_validation_names_the_first_part_off_the_window(bad, later):
     parts = (
         BlockPart(PurePoint(FiniteAtoms([(0.5, 1.0)])), 0.0),
         BlockPart(bad, 2.0),
-        BlockPart(AbsCont(IndicatorDensity(-1.0, 0.5)), 4.0),
+        BlockPart(later, 4.0),
     )
     report = validate_block_sum(BlockSumInput(parts, Window(0.0, 1.0)))
     assert not report.h_support and report.support_offender == 1
@@ -262,6 +351,18 @@ def test_block_generation_override_for_riemann_comb():
     builder = build_example("ex_nu")
     for w in (Window(0.0, 5.0), Window(7.3, 12.9), Window(25.0, 29.0)):
         assert atoms_in(gen.measure, w) == atoms_in(builder, w)
+
+
+def test_block_generation_keeps_only_the_atoms_inside_the_window():
+    # part 0's atom at 1.5 lies off the window [0, 1]: validation names it,
+    # and the generated sum leaves it out
+    parts = (
+        BlockPart(_ATOM_OFF, 0.0),
+        BlockPart(PurePoint(FiniteAtoms([(0.5, 1.0)])), 10.0),
+    )
+    gen = generate_block_sum(BlockSumInput(parts, Window(0.0, 1.0)), override=True)
+    assert gen.report.support_offender == 0
+    assert atoms_in(gen.measure, Window(-100.0, 100.0)) == [(0.5, 1.0 + 0.0j), (10.5, 1.0 + 0.0j)]
 
 
 def test_block_generation_mixed_parts_match_builder():

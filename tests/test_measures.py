@@ -75,6 +75,33 @@ def test_sum_merges_coincident_atoms():
     assert [(a.position, a.weight) for a in got] == [(0.0, 1.0 + 0.0j)]
 
 
+def _merge_by_unique(pos, wts):
+    uniq, inv = np.unique(pos, return_inverse=True)
+    acc = np.zeros(uniq.size, dtype=np.complex128)
+    np.add.at(acc, inv, wts)
+    keep = acc != 0
+    return uniq[keep], acc[keep]
+
+
+@pytest.mark.parametrize(
+    "pos, wts",
+    [
+        ([-1.5, 0.0, 0.25, 3.0], [1.0, -2.0 + 1.0j, 0.5j, 1.0]),
+        ([3.0, 0.25, 0.0, -1.5], [1.0, -2.0 + 1.0j, 0.5j, 1.0]),
+        ([-1.5, 0.0, 0.25, 3.0], [1.0, 0.0, -0.0 - 0.0j, 2.0]),
+        ([0.0, 0.5], [complex(1.0, -0.0), complex(-0.0, 2.0)]),
+        ([0.0, 0.0, 1.0], [1.0, -1.0, 2.0]),
+    ],
+    ids=["sorted", "reflected", "zero_weights", "signed_zero_parts", "coincident"],
+)
+def test_merge_of_sorted_input_matches_the_general_path(pos, wts):
+    pos, wts = np.array(pos), np.array(wts, dtype=np.complex128)
+    got, want = measures._merge(pos, wts), _merge_by_unique(pos, wts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()  # signed zeros included
+
+
 def test_convolve_atom_hits_test_function():
     mu = PurePoint(FiniteAtoms([(2.0, 3.0)]))
     f = tf_hat(0.0, 0.5, 1.0)
