@@ -50,7 +50,7 @@ from .fourier import (
     spectral_series,
     spectral_sinc_sq,
 )
-from .measures import AbsCont, FiniteAtoms, PurePoint, convolve_grid
+from .measures import AbsCont, FiniteAtoms, PurePoint, _check_tol, convolve_grid
 from .testfunctions import tf_hat
 
 __all__ = ["main", "entrypoint"]
@@ -239,6 +239,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
     rs = _parse_grid(args.grid)
+    _check_tol(args.tolerance)
     pairs = [bessel_j0_check(float(r), quad_points=512) for r in rs]
     worst = max(abs(lhs - rhs) for lhs, rhs in pairs)
     if args.format == "json":

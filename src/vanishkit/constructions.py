@@ -36,8 +36,9 @@ from .measures import (
     Sum,
     Translate,
     TriangleDensity,
-    _add_density_variation,
+    _MassTable,
     _affine_cells,
+    _converged_cum,
     _merge,
     _piece_into_grid,
     _scatter_cells,
@@ -418,6 +419,9 @@ def _validate(
     variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
     origin = np.zeros(1)
     for i, rw in enumerate(resolved):
+        if not rw.pieces:
+            continue
+        density_mass = _MassTable(lambda piece, clip: _converged_cum(piece, clip, _TOL))
         for piece in rw.pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
@@ -427,7 +431,8 @@ def _validate(
                     _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
                 else:
                     _scatter_cells(cells, g, origin, pairs[j, i : i + 1])
-        variations[i] = _add_density_variation(variations[i], rw.pieces, k, _TOL)
+            density_mass.add(piece, cells, k)
+        variations[i] += density_mass.query(k.lo, k.hi)[0]
     trace = np.max(np.abs(pairs), axis=0)
     support_ok = not np.any(offends)
 

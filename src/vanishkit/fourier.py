@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, QuadratureError, TruncationTailError
-from .measures import DensitySource, MeasureExpr, TransformedDensity, convolve_grid, _affine_cells
+from .measures import DensitySource, MeasureExpr, TransformedDensity, convolve_grid, _affine_cells, _check_tol
 from .testfunctions import TestFunction, Window, tf_convolve, tf_reflect_conj
 
 __all__ = [
@@ -125,6 +125,7 @@ def ft_compact(g, k, direction: str = "forward", tol: float = 1e-8):
     """
     if direction not in ("forward", "inverse"):
         raise InvalidArgument(f"direction must be forward or inverse, got {direction!r}")
+    _check_tol(tol)
     karr = np.asarray(k, dtype=float)
     keff = karr if direction == "forward" else -karr
     if isinstance(g, TestFunction):

@@ -107,8 +107,8 @@ class FiniteAtoms(AtomSource):
     def __init__(self, atoms: Sequence[tuple[float, complex]]) -> None:
         pos = np.array([a[0] for a in atoms], dtype=float)
         wts = np.array([a[1] for a in atoms], dtype=np.complex128)
-        if pos.size and not np.all(np.isfinite(pos)):
-            raise InvalidArgument("atom positions must be finite")
+        if not (np.isfinite(pos).all() and np.isfinite(wts).all()):
+            raise InvalidArgument("atom positions and weights must be finite")
         self.positions, self.weights = _merge(pos, wts)
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -697,6 +697,11 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
 # ---------------------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    if not (0.0 < tol < np.inf):
+        raise InvalidArgument(f"tolerance must be positive and finite, got {tol}")
+
+
 def convolve(mu: MeasureExpr, f: TestFunction, x: float, tol: float = 1e-8) -> complex:
     """Value of (mu * f)(x) = integral of f(x - t) dmu(t)."""
     return convolve_grid(mu, f, np.array([x]), tol)[0]
@@ -708,6 +713,7 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     Atoms and the affine cells of density pieces are scattered in chunks of
     (source, grid point) pairs; smooth pieces add quadrature.
     """
+    _check_tol(tol)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidArgument("grid must be a nonempty 1-d array")
@@ -725,148 +731,117 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     return out
 
 
-def _integral_abs_affine(a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Integral of |density| over each affine cell: exact on real cells;
-    complex cells fall back to refined trapezoid on |.| (smooth unless the
-    segment passes through zero)."""
-    width = b - a
-    out = np.abs(vc) * width  # sign-stable real cells: |integral of v| = |vc| * width
-    real = (vc.imag == 0.0) & (beta.imag == 0.0)
-    v, k = vc.real, beta.real
-    sloped = real & (k != 0.0)
-    tau = np.divide(-v, k, out=np.zeros(a.size), where=sloped)  # zero offset from the center
-    half = 0.5 * width
-    cross = sloped & (tau > -half) & (tau < half)
-    if np.count_nonzero(cross):
-        t, h, v, k = tau[cross], half[cross], v[cross], k[cross]
-        v_left = v + k * (0.5 * (t - h))
-        v_right = v + k * (0.5 * (t + h))
-        out[cross] = np.abs(v_left) * (t + h) + np.abs(v_right) * (h - t)
-    for i in (~real).nonzero()[0]:
-        prev, n, c = None, 16, 0.5 * (a[i] + b[i])
-        for _ in range(16):
-            ts = np.linspace(a[i], b[i], n + 1)
-            out[i] = np.trapezoid(np.abs(vc[i] + beta[i] * (ts - c)), ts)
-            if prev is not None and abs(out[i] - prev) <= 1e-12 * max(1.0, abs(out[i])):
-                break
-            prev, n = out[i], 2 * n
+def _cell_mass(vc: np.ndarray, beta: np.ndarray, t0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Integral of |vc + beta * t| over t0 <= t <= t0 + d (d >= 0), elementwise.
+
+    With r = vc / beta, u = t + Re r and b = |Im r|, the integral is
+    |beta| / 2 times u * sqrt(u^2 + b^2) + b^2 * arsinh(u / b) between the
+    ends.  A cell of one phase (b = 0) without a zero inside takes its value
+    at the middle times d instead, exact on real cells.  When the two ends
+    of u have one sign, both differences are written as quotients of sums,
+    u1 - u0 being d and u1 + u0 being 2 u0 + d, so nothing cancels however
+    far the zero of the density lies.
+    """
+    out = np.abs(vc + beta * (t0 + 0.5 * d)) * d
+    r = np.divide(vc, beta, out=np.zeros(vc.shape, dtype=np.complex128), where=beta != 0)
+    u0, b = t0 + r.real, np.abs(r.imag)
+    cross = (u0 < 0.0) & (u0 + d > 0.0)
+    live = (beta != 0) & (d > 0.0) & ((b > 0.0) | cross)
+    if not np.any(live):
+        return out
+    u0, b, d, cross = u0[live], b[live], d[live], cross[live]
+    u1, b2, total = u0 + d, b * b, 2.0 * u0 + d
+    s0, s1 = np.hypot(u0, b), np.hypot(u1, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 takes no arsinh term
+        prod = np.where(cross, u1 * s1 - u0 * s0, d * total * (u0 * u0 + u1 * u1 + b2) / (u1 * s1 + u0 * s0))
+        arc = np.where(cross, np.arcsinh(u1 / b) - np.arcsinh(u0 / b), np.arcsinh(d * total / (u1 * s0 + u0 * s1)))
+        out[live] = 0.5 * np.abs(beta[live]) * (prod + np.where(b2 > 0.0, b2 * arc, 0.0))
     return out
 
 
-def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
-    """Total variation |mu|(w): atom magnitudes plus integral of |density|."""
-    res = resolve_window(mu, w)
-    return _add_density_variation(float(np.sum(np.abs(res.weights))), res.pieces, w, tol)
+def _trapezoid_cum(piece: TransformedDensity, clip: Window, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of n equal intervals on clip, and the trapezoid cumulative of
+    |density| at them."""
+    ts = np.linspace(clip.lo, clip.hi, n + 1)
+    vals = np.abs(piece.evalv(ts))
+    seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(ts)
+    return ts, np.concatenate(([0.0], np.cumsum(seg)))
 
 
-def _add_density_variation(
-    total: float, pieces: Sequence[TransformedDensity], w: Window, tol: float
-) -> float:
-    """total plus the integral of |density| over w of each piece, in turn."""
-    for piece in pieces:
-        sup = piece.support
-        clip = w if sup is None else w.intersect(sup)
-        if clip is None or clip.width == 0.0:
-            continue
-        cells = _affine_cells(piece, clip)
-        if cells is not None:
-            for v in _integral_abs_affine(*cells).tolist():  # in cell order, not pairwise
-                total += v
-            continue
-        prev = None
-        n = 128
-        cur = 0.0
-        for _ in range(16):
-            ts = np.linspace(clip.lo, clip.hi, n + 1)
-            vals = np.abs(piece.evalv(ts))
-            cur = float(np.trapezoid(vals, ts))
-            if prev is not None and abs(cur - prev) <= tol:
-                total += cur
-                break
-            prev = cur
-            n *= 2
-        else:
-            raise QuadratureError("variation quadrature did not converge", abs(cur - prev))
-    return total
+def _converged_cum(piece: TransformedDensity, clip: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid cumulative on 128 intervals, doubled until two totals agree to tol."""
+    ts, cum = _trapezoid_cum(piece, clip, 128)
+    for level in range(1, 16):
+        prev = cum[-1]
+        ts, cum = _trapezoid_cum(piece, clip, 128 << level)
+        delta = abs(cum[-1] - prev)
+        if delta <= tol:
+            return ts, cum
+    raise QuadratureError("variation quadrature did not converge", delta)
 
 
-class _VariationTable:
-    """Window-mass accumulator over a fixed hull for many variation queries.
+class _MassTable:
+    """|mu|-mass of the subwindows of one window, for any number of queries.
 
-    Atom masses and real piecewise-affine densities are exact; other
-    densities go through a dense trapezoid cumulative.
+    Atoms are a cumulative sum of |w|.  A declared density piece is a
+    cumulative sum of exact cell masses, read between cells with
+    searchsorted and on the partial cell at each end of a query with the
+    same closed form.  A smooth piece is the trapezoid cumulative that
+    ``rule(piece, clip)`` builds, read by linear interpolation.
     """
 
-    def __init__(self, mu: MeasureExpr, hull: Window, step_hint: float) -> None:
-        res = resolve_window(mu, hull)
-        self.pos = res.positions
-        self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(res.weights))))
-        # each affine table: (edges, cum at edges, v at segment midpoints, beta)
-        self.affine_tables: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.dense_tables: list[tuple[np.ndarray, np.ndarray]] = []
-        for piece in res.pieces:
+    def __init__(self, rule: Callable, positions: np.ndarray = np.empty(0), weights: np.ndarray = np.empty(0)):
+        self.rule = rule
+        self.pos = positions
+        self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(weights))))
+        self.mass_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per piece, mass left of u
+
+    def add(self, piece: TransformedDensity, cells: _Cells | None, w: Window) -> None:
+        """Add the mass of piece inside w, from its cells on a window covering
+        w (None for a smooth piece, which the rule integrates on w)."""
+        if cells is None:
             sup = piece.support
-            clip = hull if sup is None else hull.intersect(sup)
-            if clip is None or clip.width == 0.0:
-                continue
-            cells = _affine_cells(piece, clip)
-            if cells is None or np.any(cells[2].imag != 0) or np.any(cells[3].imag != 0):
-                self.dense_tables.append(self._dense_table(piece, clip, step_hint))
-            elif cells[0].size:
-                self.affine_tables.append(self._affine_table(*cells, clip))
+            clip = w if sup is None else w.intersect(sup)
+            if clip is not None and clip.width > 0.0:
+                ts, cum = self.rule(piece, clip)
+                self.mass_to.append(lambda u: np.interp(u, ts, cum))
+            return
+        a, b, vc, beta = cells
+        if a.size == 0:
+            return
+        width = b - a
+        cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
 
-    @staticmethod
-    def _affine_table(
-        a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.ndarray, clip: Window
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sign-stable segments of real affine cells tiling clip: gaps between
-        cells are zero segments, and a cell is split at a zero inside it."""
-        vc, beta = vc.real, beta.real
-        center = 0.5 * (a + b)
-        root = center - np.divide(vc, beta, out=np.zeros(a.size), where=beta != 0.0)
-        split = (beta != 0.0) & (a < root) & (root < b)
-        e = np.unique(np.concatenate(([clip.lo, clip.hi], a, b, root[split])))
-        mid = 0.5 * (e[:-1] + e[1:])
-        i = np.maximum(a.searchsorted(mid, side="right") - 1, 0)
-        inside = (a[i] < mid) & (mid < b[i])
-        vmid = np.where(inside, vc[i] + beta[i] * (mid - center[i]), 0.0)
-        cum = np.concatenate(([0.0], np.cumsum(np.abs(vmid) * np.diff(e))))  # sign-stable
-        return e, cum, vmid, np.where(inside, beta[i], 0.0)
+        def cells_to(u: np.ndarray) -> np.ndarray:
+            i = np.maximum(a.searchsorted(u, side="right") - 1, 0)
+            return cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(u - a[i], 0.0, width[i]))
 
-    @staticmethod
-    def _dense_table(piece: TransformedDensity, clip: Window, step_hint: float) -> tuple[np.ndarray, np.ndarray]:
-        h = max(min(step_hint / 2.0, clip.width / 2048.0), clip.width / 4_000_000.0)
-        n = max(2, int(np.ceil(clip.width / h)) + 1)
-        ts = np.linspace(clip.lo, clip.hi, n)
-        vals = np.abs(piece.evalv(ts))
-        seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(ts)
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        return ts, cum
+        self.mass_to.append(cells_to)
 
-    def query(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        out = (
-            self.cum_atoms[np.searchsorted(self.pos, hi, side="right")]
-            - self.cum_atoms[np.searchsorted(self.pos, lo, side="left")]
-        )
-        for table in self.affine_tables:
-            out = out + self._affine_cum(table, hi) - self._affine_cum(table, lo)
-        for ts, cum in self.dense_tables:
-            out = out + np.interp(hi, ts, cum) - np.interp(lo, ts, cum)
+    def query(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
+        """Mass inside [lo, hi], elementwise, as a 1-d array."""
+        lo, hi = np.atleast_1d(lo, hi)
+        out = self.cum_atoms[self.pos.searchsorted(hi, side="right")] - self.cum_atoms[self.pos.searchsorted(lo)]
+        for mass_to in self.mass_to:
+            ends = mass_to(np.concatenate((lo, hi)))  # one pass for both ends
+            out += ends[lo.size :] - ends[: lo.size]
         return out
 
-    @staticmethod
-    def _affine_cum(
-        table: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], u: np.ndarray
-    ) -> np.ndarray:
-        e, cum, vmid, beta = table
-        uc = np.clip(u, e[0], e[-1])
-        idx = np.clip(np.searchsorted(e, uc, side="right") - 1, 0, vmid.size - 1)
-        e0 = e[idx]
-        seg_mid = 0.5 * (e0 + e[idx + 1])
-        d = uc - e0
-        # value at the midpoint of [e0, u]; sign is constant on the segment
-        v = vmid[idx] + beta[idx] * (0.5 * (e0 + uc) - seg_mid)
-        return cum[idx] + np.abs(v * d)
+
+def _mass_table(mu: MeasureExpr, hull: Window, rule: Callable) -> _MassTable:
+    res = resolve_window(mu, hull)
+    table = _MassTable(rule, res.positions, res.weights)
+    for piece in res.pieces:
+        sup = piece.support
+        table.add(piece, _affine_cells(piece, hull if sup is None else hull.intersect(sup)), hull)
+    return table
+
+
+def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
+    """Total variation |mu|(w): exact for atoms and declared (real or complex)
+    affine cells; smooth densities by trapezoid, doubled until converged to tol."""
+    _check_tol(tol)
+    return float(_mass_table(mu, w, lambda piece, clip: _converged_cum(piece, clip, tol)).query(w.lo, w.hi)[0])
 
 
 def _search_grid(search: Window, step: float) -> np.ndarray:
@@ -883,13 +858,17 @@ def _search_grid(search: Window, step: float) -> np.ndarray:
 def sup_norm_K(mu: MeasureExpr, k: Window, search: Window, step: float) -> float:
     """sup over grid points x in search of |mu|(x + k).
 
-    Exact for atoms and declared real piecewise-affine densities; other
-    densities contribute through a dense cumulative table.
+    Exact for atoms and declared piecewise-affine densities; smooth
+    densities contribute through a trapezoid table at about half the step.
     """
     xs = _search_grid(search, step)
-    table = _VariationTable(mu, Window(search.lo + k.lo, search.hi + k.hi), step)
-    vals = table.query(xs + k.lo, xs + k.hi)
-    return float(np.max(vals))
+
+    def table(piece: TransformedDensity, clip: Window) -> tuple[np.ndarray, np.ndarray]:
+        h = max(min(step / 2.0, clip.width / 2048.0), clip.width / 4_000_000.0)
+        return _trapezoid_cum(piece, clip, max(1, int(np.ceil(clip.width / h))))
+
+    masses = _mass_table(mu, Window(search.lo + k.lo, search.hi + k.hi), table)
+    return float(np.max(masses.query(xs + k.lo, xs + k.hi)))
 
 
 def seminorm_pg(

@@ -10,6 +10,7 @@ identical inputs.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, IO, Sequence
 
 import numpy as np
@@ -62,7 +63,9 @@ __all__ = [
 ]
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
+def _reject_unknown(d: Any, allowed: set[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise InvalidArgument(f"expected an object at {where}")
     extra = set(d) - allowed
     if extra:
         raise InvalidArgument(f"unknown key(s) {sorted(extra)} in {where}")
@@ -77,7 +80,31 @@ def _require(d: dict, key: str, where: str) -> Any:
 def _as_float(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise InvalidArgument(f"expected a number in {where}, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InvalidArgument(f"expected a finite number in {where}, got {v!r}")
+    return x
+
+
+def _as_int(v: Any, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidArgument(f"expected an integer in {where}, got {v!r}")
+    return v
+
+
+def _as_list(v: Any, where: str, n: int | None = None) -> list:
+    if not isinstance(v, list) or (n is not None and len(v) != n):
+        shape = "a list" if n is None else f"a list of {n}"
+        raise InvalidArgument(f"expected {shape} in {where}, got {v!r}")
+    return v
+
+
+def _floats(v: Any, n: int, where: str) -> tuple[float, ...]:
+    """A list of exactly n finite numbers."""
+    return tuple(_as_float(x, where) for x in _as_list(v, where, n))
 
 
 _WEIGHT_RULES = {
@@ -93,14 +120,9 @@ def _parse_pp(d: dict, where: str) -> MeasureExpr:
         return build_example(builder)
     if builder == "finite_atoms":
         _reject_unknown(d, {"kind", "builder", "atoms"}, where)
-        rows = _require(d, "atoms", where)
-        atoms = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 3:
-                raise InvalidArgument(f"atom {i} in {where} must be [pos, re, im]")
-            p, re, im = (_as_float(v, f"{where}.atoms[{i}]") for v in row)
-            atoms.append((p, complex(re, im)))
-        return PurePoint(FiniteAtoms(atoms))
+        rows = _as_list(_require(d, "atoms", where), where + ".atoms")
+        atoms = [_floats(row, 3, f"{where}.atoms[{i}]") for i, row in enumerate(rows)]
+        return PurePoint(FiniteAtoms([(p, complex(re, im)) for p, re, im in atoms]))
     if builder == "lattice":
         _reject_unknown(d, {"kind", "builder", "spacing", "offset", "weights"}, where)
         spacing = _as_float(d.get("spacing", 1.0), where)
@@ -119,10 +141,7 @@ def _parse_ac(d: dict, where: str) -> MeasureExpr:
         return build_example(builder)
     if builder == "indicator":
         _reject_unknown(d, {"kind", "builder", "interval"}, where)
-        iv = _require(d, "interval", where)
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise InvalidArgument(f"indicator interval in {where} must be [a, b]")
-        a, b = (_as_float(v, where) for v in iv)
+        a, b = _floats(_require(d, "interval", where), 2, where + ".interval")
         return AbsCont(IndicatorDensity(a, b))
     if builder == "triangle":
         _reject_unknown(d, {"kind", "builder", "center", "halfwidth", "height"}, where)
@@ -137,10 +156,7 @@ def _parse_ac(d: dict, where: str) -> MeasureExpr:
         _reject_unknown(d, {"kind", "builder", "value", "support"}, where)
         sup = None
         if "support" in d:
-            iv = d["support"]
-            if not isinstance(iv, list) or len(iv) != 2:
-                raise InvalidArgument(f"constant support in {where} must be [a, b]")
-            sup = Window(_as_float(iv[0], where), _as_float(iv[1], where))
+            sup = Window(*_floats(d["support"], 2, where + ".support"))
         return AbsCont(ConstantDensity(_as_float(d.get("value", 1.0), where), sup))
     raise InvalidArgument(f"unknown ac builder {builder!r} in {where}")
 
@@ -158,7 +174,7 @@ def _parse_expr(d: Any, where: str) -> MeasureExpr:
         name = _require(d, "name", where)
         trunc = d.get("truncation")
         if trunc is not None:
-            trunc = int(trunc)
+            trunc = _as_int(trunc, where + ".truncation")
         return build_example(name, trunc)
     if kind == "translate":
         _reject_unknown(d, {"kind", "t", "child"}, where)
@@ -170,9 +186,7 @@ def _parse_expr(d: Any, where: str) -> MeasureExpr:
         _reject_unknown(d, {"kind", "factor", "child"}, where)
         factor = _require(d, "factor", where)
         if isinstance(factor, list):
-            if len(factor) != 2:
-                raise InvalidArgument(f"scale factor in {where} must be a number or [re, im]")
-            c = complex(_as_float(factor[0], where), _as_float(factor[1], where))
+            c = complex(*_floats(factor, 2, where + ".factor"))
         else:
             c = complex(_as_float(factor, where), 0.0)
         return Scale(c, _parse_expr(_require(d, "child", where), where + ".child"))
@@ -226,29 +240,26 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
         name = d["recipe"]
         if name not in _BLOCK_RECIPES:
             raise InvalidArgument(f"unknown block recipe {name!r}")
-        return _BLOCK_RECIPES[name](int(_require(d, "n", "block spec")))
+        return _BLOCK_RECIPES[name](_as_int(_require(d, "n", "block spec"), "block spec n"))
     _reject_unknown(d, {"window", "parts", "gap_floor", "pairing_tol"}, "block spec")
-    iv = _require(d, "window", "block spec")
-    window = Window(_as_float(iv[0], "window"), _as_float(iv[1], "window"))
+    window = Window(*_floats(_require(d, "window", "block spec"), 2, "window"))
     parts = []
-    for i, pd in enumerate(_require(d, "parts", "block spec")):
+    for i, pd in enumerate(_as_list(_require(d, "parts", "block spec"), "parts")):
         where = f"parts[{i}]"
         _reject_unknown(pd, {"shift", "atoms", "densities", "label"}, where)
         shift = _as_float(_require(pd, "shift", where), where)
         terms: list[MeasureExpr] = []
-        atoms = [
-            (_as_float(r[0], where), complex(_as_float(r[1], where), _as_float(r[2], where)))
-            for r in pd.get("atoms", [])
-        ]
+        rows = _as_list(pd.get("atoms", []), where + ".atoms")
+        atoms = [_floats(row, 3, f"{where}.atoms[{j}]") for j, row in enumerate(rows)]
         if atoms:
-            terms.append(PurePoint(FiniteAtoms(atoms)))
-        for j, dd in enumerate(pd.get("densities", [])):
+            terms.append(PurePoint(FiniteAtoms([(p, complex(re, im)) for p, re, im in atoms])))
+        for j, dd in enumerate(_as_list(pd.get("densities", []), where + ".densities")):
             dwhere = f"{where}.densities[{j}]"
             _reject_unknown(dd, {"builder", "interval", "weight"}, dwhere)
             if _require(dd, "builder", dwhere) != "indicator":
                 raise InvalidArgument(f"only indicator densities supported in {dwhere}")
-            a, b = (_as_float(v, dwhere) for v in _require(dd, "interval", dwhere))
-            wre, wim = (_as_float(v, dwhere) for v in dd.get("weight", [1.0, 0.0]))
+            a, b = _floats(_require(dd, "interval", dwhere), 2, dwhere + ".interval")
+            wre, wim = _floats(dd.get("weight", [1.0, 0.0]), 2, dwhere + ".weight")
             terms.append(AbsCont(IndicatorDensity(a, b, complex(wre, wim))))
         if not terms:
             raise InvalidArgument(f"{where} has neither atoms nor densities")

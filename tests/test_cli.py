@@ -270,3 +270,46 @@ def test_suite_subset_runs_and_passes():
     assert "PASS   1." in out
     assert "PASS   3." in out
     assert "2/2 criteria passed" in out
+
+
+def _blocks(spec):
+    return ["blocks", "--spec", json.dumps(spec)]
+
+
+_PART = {"shift": 1.0, "atoms": [[0.0, 1.0, 0.0]]}
+J0 = '{"expr": {"kind": "example", "name": "j0_radial"}}'
+TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _blocks({"recipe": "ex_a", "n": "x"}),
+        _blocks({"recipe": "ex_a", "n": float("nan")}),
+        _blocks({"recipe": "ex_a", "n": 1.5}),
+        _blocks({"window": 5, "parts": [_PART]}),
+        _blocks({"window": [0], "parts": [_PART]}),
+        _blocks({"window": [-0.5, 0.5], "parts": 5}),
+        _blocks({"window": [-0.5, 0.5], "parts": [5]}),
+        _blocks({"window": [-0.5, 0.5], "parts": [{"shift": 1.0, "atoms": [[0.5]]}]}),
+        _blocks({"window": [-0.5, 0.5], "parts": [
+            {"shift": 1.0, "densities": [{"builder": "indicator", "interval": [0]}]}]}),
+        ["decay", "--spec", '{"expr": {"kind": "example", "name": "ex_sinc_series", "truncation": "x"}}'],
+        # non-finite spec numbers
+        ["convolve", "--spec", '{"expr": {"kind": "pp", "builder": "finite_atoms", '
+         '"atoms": [[0.0, Infinity, 0.0]]}}', "--grid", "0:1:0.5"],
+        ["convolve", "--spec", '{"expr": {"kind": "scale", "factor": NaN, "child": '
+         '{"kind": "pp", "builder": "ex_a"}}}', "--grid", "0:1:0.5"],
+        # tolerances outside (0, inf)
+        ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "nan"],
+        ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "0"],
+        ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "-1"],
+        ["fourier", "--spec", TRIANGLE, "--grid", "0:1:0.5", "--tolerance", "nan"],
+        ["bessel", "--grid", "0:1:0.5", "--tolerance", "-1"],
+    ],
+)
+def test_malformed_input_exits_one_with_one_line(argv):
+    code, out, err = run(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -269,8 +269,8 @@ def test_block_validation_evaluates_each_probe_once(monkeypatch, inp):
     assert len(calls) == len(probes)
 
 
-def test_block_validation_builds_cells_twice_per_density_piece(monkeypatch):
-    # once over the piece for every probe's pairing, once for the variation
+def test_block_validation_builds_cells_once_per_density_piece(monkeypatch):
+    # the cells built for every probe's pairing also give the variation
     calls = []
     cells = measures._affine_cells
 
@@ -282,7 +282,7 @@ def test_block_validation_builds_cells_twice_per_density_piece(monkeypatch):
         monkeypatch.setattr(module, "_affine_cells", counted)
     inp = ex_b_block_input(6)
     validate_block_sum(inp)
-    assert len(calls) == 2 * len(inp.parts)  # one density piece per part
+    assert len(calls) == len(inp.parts) == 13  # one density piece per part
 
 
 _ATOM_OFF = PurePoint(FiniteAtoms([(0.5, 1.0), (1.5, 1.0)]))

@@ -255,6 +255,71 @@ def test_variation_additive_at_atom_free_cuts(split):
     assert parts == pytest.approx(total, abs=1e-8)
 
 
+class _AffineDensity(DensitySource):
+    """c0 + c1 * x on a support window, declared affine there."""
+
+    def __init__(self, c0, c1, support):
+        self.c0, self.c1, self.support = c0, c1, support
+
+    def evalv(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        inside = (xs >= self.support.lo) & (xs <= self.support.hi)
+        return np.where(inside, self.c0 + self.c1 * xs, 0.0).astype(np.complex128)
+
+    def knots(self, w):
+        return np.empty(0)
+
+
+@pytest.mark.parametrize(
+    "vc, beta, t0, d",
+    [
+        (0.3 + 0.7j, -1.2 + 0.4j, -0.5, 1.0),  # complex
+        (0.3 + 0.7j, -1.2 + 0.4j, -0.3, 0.45),  # complex, part of a cell
+        ((0.6 + 0.8j) * 2.0, (0.6 + 0.8j) * 1.5, -0.5, 1.0),  # one phase
+        (0.2, -1.0, -0.5, 1.0),  # real, zero inside
+        (0.3 + 1e-9j, 1.0, -1.0, 2.0),  # one phase up to 1e-9, zero inside
+        (1.0, 1e-7, -0.5, 1.0),  # real, zero 1e7 widths away
+        (1.5e7 * 1e-3 * (1 + 2j) * np.exp(0.3j), 1e-3 * (1 + 2j), -1.85e-6, 3.7e-6),  # |r| = 4e12 widths
+        (2.5 + 1.0j, 1e-6 * (1 - 1j), -0.5, 1.0),  # complex, |r| ~ 1.9e6 widths
+    ],
+)
+def test_cell_mass_closed_form_against_scipy_quad(vc, beta, t0, d):
+    integrate = pytest.importorskip("scipy.integrate")
+    vc, beta = complex(vc), complex(beta)
+    zero = -(vc / beta).real
+    points = [zero] if t0 < zero < t0 + d else None
+    expected, _ = integrate.quad(
+        lambda t: abs(vc + beta * t), t0, t0 + d, points=points, epsabs=0.0, epsrel=1e-13, limit=200
+    )
+    got = measures._cell_mass(np.array([vc]), np.array([beta]), np.array([t0]), np.array([d]))[0]
+    assert abs(got - expected) <= 1e-12 * expected
+
+
+def test_variation_and_sup_norm_agree_on_complex_cells():
+    # |(x - 0.5) + 0.3i| over [0, 1]: twice the arsinh primitive on [0, 0.5]
+    mu = AbsCont(_AffineDensity(-0.5 + 0.3j, 1.0, Window(0.0, 1.0)))
+    exact = 0.5 * np.sqrt(0.34) + 0.09 * np.arcsinh(0.5 / 0.3)
+    assert variation_on(mu, Window(0.0, 1.0)) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert sup_norm_K(mu, Window(0.0, 1.0), Window(0.0, 0.0), 0.5) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # windows that cut the cell read the closed form on the partial cell
+    xs = np.arange(0.0, 0.6001, 0.05)
+    scanned = max(variation_on(mu, Window(x, x + 0.4)) for x in xs)
+    assert sup_norm_K(mu, Window(0.0, 0.4), Window(0.0, 0.6), 0.05) == pytest.approx(scanned, rel=1e-12, abs=0.0)
+
+
+def test_variation_quadrature_error_reports_the_last_residual():
+    step = FunctionDensity(lambda x: np.where(x < 0.3, 1.0, 0.0), Window(0.0, 1.0), label="step")
+    with pytest.raises(QuadratureError) as info:
+        variation_on(AbsCont(step), Window(0.0, 1.0))
+    assert info.value.residual > 0.0
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_variation_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidArgument):
+        variation_on(AbsCont(ConstantDensity(1.0)), Window(0.0, 1.0), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # Smooth (undeclared) densities: kink-panel quadrature
 # ---------------------------------------------------------------------------
