@@ -20,7 +20,8 @@ Convolution against a piecewise-linear test function is exact (to
 rounding) whenever a density declares its own piecewise-affine structure
 through ``knots``; genuinely smooth densities fall back to Gauss-Legendre
 quadrature on the panels between the kinks of the test function, with
-refinement-based error control.
+refinement-based error control.  Where atoms and shallow cells are dense,
+they are summed by repeated integration instead (``ramps``).
 
 Affine cells are always tracked as (value at cell center, slope).  A
 global intercept would lose all precision on steep narrow cells far from
@@ -37,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, QuadratureError
+from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps
 from .testfunctions import TestFunction, Window
 
 __all__ = [
@@ -512,9 +514,9 @@ def _smooth_convolution(
     to tol at every x.  The deepest level is 6 + ceil(log2(widest panel /
     f.step)), which splits every panel into pieces no wider than f.step / 64.
     """
-    slopes = np.diff(f.samples) / f.step
-    threshold = 4.0 * np.finfo(float).eps * f.samples.size * float(np.max(np.abs(slopes)))
-    kinks = f.knots[1:-1][np.abs(np.diff(slopes)) > threshold]
+    at, jump = f.kinks
+    threshold = 4.0 * np.finfo(float).eps * f.samples.size * f.lipschitz
+    kinks = at[(np.abs(jump) > threshold) & (at > f.lo) & (at < f.hi)]
     edges = np.concatenate(([u_lo], kinks[(kinks > u_lo) & (kinks < u_hi)], [u_hi]))
     # knot-to-knot panels span a whole number of cells up to rounding
     cells = int(np.ceil(float(np.max(np.diff(edges))) / f.step - 1e-9))
@@ -689,6 +691,12 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
 
     i0 = grid.searchsorted(a + f.lo, side="left")
     i1 = grid.searchsorted(b + f.hi, side="right")
+    shallow = ~steep
+    span = _ramp_span(i0[shallow], i1[shallow], f, float(b[-1] - a[0]) if a.size else 0.0)
+    if span is not None:
+        sub = tuple(arr[shallow] for arr in cells)
+        _ramp_into_grid(_cell_ramps(sub, f.hi - f.lo), f, grid, span, out)
+        i1 = np.where(shallow, i0, i1)  # only the steep cells are left to scatter
     _scatter_pairs(i0, i1, pair_values, out, cost)
 
 
@@ -711,7 +719,9 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     """Values of (mu * f) on an ascending grid; convolve is its one-point case.
 
     Atoms and the affine cells of density pieces are scattered in chunks of
-    (source, grid point) pairs; smooth pieces add quadrature.
+    (source, grid point) pairs, or, where they make many pairs per kink of f
+    and grid point, summed as ramps over the kink table of f (steep cells
+    always scatter); smooth pieces add quadrature.
     """
     _check_tol(tol)
     grid = np.asarray(grid, dtype=float)
@@ -725,7 +735,11 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     pos, wts = res.positions, res.weights
     i0 = grid.searchsorted(pos + f.lo, side="left")
     i1 = grid.searchsorted(pos + f.hi, side="right")
-    _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
+    span = _ramp_span(i0, i1, f, float(pos[-1] - pos[0]) if pos.size else 0.0)
+    if span is not None:
+        _ramp_into_grid(_Ramps(pos, wts, f.hi - f.lo), f, grid, span, out)
+    else:
+        _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
     for piece in res.pieces:
         _piece_into_grid(piece, f, grid, out, tol)
     return out
@@ -763,38 +777,80 @@ def _trapezoid_cum(piece: TransformedDensity, clip: Window, n: int) -> tuple[np.
     """Nodes of n equal intervals on clip, and the trapezoid cumulative of
     |density| at them."""
     ts = np.linspace(clip.lo, clip.hi, n + 1)
-    vals = np.abs(piece.evalv(ts))
+    return ts, _cumulate(ts, np.abs(piece.evalv(ts)))
+
+
+def _cumulate(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(ts)
-    return ts, np.concatenate(([0.0], np.cumsum(seg)))
+    return np.concatenate(([0.0], np.cumsum(seg)))
 
 
 def _converged_cum(piece: TransformedDensity, clip: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoid cumulative on 128 intervals, doubled until two totals agree to tol."""
-    ts, cum = _trapezoid_cum(piece, clip, 128)
-    for level in range(1, 16):
-        prev = cum[-1]
-        ts, cum = _trapezoid_cum(piece, clip, 128 << level)
-        delta = abs(cum[-1] - prev)
+    """The trapezoid cumulative on 128 intervals, doubled until two totals agree to tol.
+
+    Each level keeps the values of the last and evaluates only the new
+    midpoints, which np.linspace would place at the same points; the
+    cumulative is built once, on the level that converges.
+    """
+    n = 128
+    step = clip.width / n
+    ts = np.arange(n + 1) * step + clip.lo
+    ts[-1] = clip.hi
+    vals = np.abs(piece.evalv(ts))
+    total = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    for _ in range(15):
+        step = 0.5 * step
+        mids = np.abs(piece.evalv(np.arange(1, 2 * n, 2) * step + clip.lo))
+        both = np.empty(2 * n + 1)
+        both[0::2], both[1::2] = vals, mids
+        n, vals, prev = 2 * n, both, total
+        total = 0.5 * prev + step * mids.sum()
+        delta = abs(total - prev)
         if delta <= tol:
-            return ts, cum
+            ts = np.linspace(clip.lo, clip.hi, n + 1)
+            return ts, _cumulate(ts, vals)
     raise QuadratureError("variation quadrature did not converge", delta)
+
+
+def _cells_sum(cells: list[_Cells]) -> _Cells:
+    """Several pieces' cells added into one density, on the union of their
+    edges: each piece is affine on every union cell, so the sum is exact."""
+    if len(cells) == 1:
+        return cells[0]
+    edges = np.unique(np.concatenate([np.concatenate((a, b)) for a, b, _, _ in cells]))
+    lo, hi = edges[:-1], edges[1:]
+    center = 0.5 * (lo + hi)
+    vc = np.zeros(center.size, dtype=np.complex128)
+    beta = np.zeros(center.size, dtype=np.complex128)
+    for a, b, v, s in cells:
+        i = a.searchsorted(center, side="right") - 1
+        on = i >= 0
+        on[on] = center[on] < b[i[on]]
+        i = i[on]
+        vc[on] += v[i] + s[i] * (center[on] - 0.5 * (a[i] + b[i]))
+        beta[on] += s[i]
+    return lo, hi, vc, beta
 
 
 class _MassTable:
     """|mu|-mass of the subwindows of one window, for any number of queries.
 
-    Atoms are a cumulative sum of |w|.  A declared density piece is a
-    cumulative sum of exact cell masses, read between cells with
-    searchsorted and on the partial cell at each end of a query with the
-    same closed form.  A smooth piece is the trapezoid cumulative that
-    ``rule(piece, clip)`` builds, read by linear interpolation.
+    Atoms are a cumulative sum of |w|.  The declared density pieces are
+    added on the union of their cell edges before taking |.|, so pieces that
+    cancel count as what they sum to; the sum is a cumulative sum of exact
+    cell masses, read between cells with searchsorted and on the partial cell
+    at each end of a query with the same closed form.  Each smooth piece is
+    the trapezoid cumulative that ``rule(piece, clip)`` builds, read by linear
+    interpolation, and adds its own |.|: with smooth pieces the mass is an
+    upper bound on |mu|, up to the rule's error.
     """
 
     def __init__(self, rule: Callable, positions: np.ndarray = np.empty(0), weights: np.ndarray = np.empty(0)):
         self.rule = rule
         self.pos = positions
         self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(weights))))
-        self.mass_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per piece, mass left of u
+        self.cells: list[_Cells] = []  # per declared piece
+        self.smooth_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per smooth piece, mass left of u
 
     def add(self, piece: TransformedDensity, cells: _Cells | None, w: Window) -> None:
         """Add the mass of piece inside w, from its cells on a window covering
@@ -804,11 +860,13 @@ class _MassTable:
             clip = w if sup is None else w.intersect(sup)
             if clip is not None and clip.width > 0.0:
                 ts, cum = self.rule(piece, clip)
-                self.mass_to.append(lambda u: np.interp(u, ts, cum))
-            return
-        a, b, vc, beta = cells
-        if a.size == 0:
-            return
+                self.smooth_to.append(lambda u: np.interp(u, ts, cum))
+        elif cells[0].size:
+            self.cells.append(cells)
+
+    def _declared_to(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Mass left of u of the declared pieces' sum."""
+        a, b, vc, beta = _cells_sum(self.cells)
         width = b - a
         cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
 
@@ -816,13 +874,13 @@ class _MassTable:
             i = np.maximum(a.searchsorted(u, side="right") - 1, 0)
             return cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(u - a[i], 0.0, width[i]))
 
-        self.mass_to.append(cells_to)
+        return cells_to
 
     def query(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
         """Mass inside [lo, hi], elementwise, as a 1-d array."""
         lo, hi = np.atleast_1d(lo, hi)
         out = self.cum_atoms[self.pos.searchsorted(hi, side="right")] - self.cum_atoms[self.pos.searchsorted(lo)]
-        for mass_to in self.mass_to:
+        for mass_to in ([self._declared_to()] if self.cells else []) + self.smooth_to:
             ends = mass_to(np.concatenate((lo, hi)))  # one pass for both ends
             out += ends[lo.size :] - ends[: lo.size]
         return out

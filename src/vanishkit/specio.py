@@ -9,6 +9,7 @@ identical inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any, IO, Sequence
@@ -336,9 +337,12 @@ def fmt(v: float) -> str:
 
 
 def write_csv(out: IO[str], header: str, rows: Sequence[Sequence[float]]) -> None:
+    """Header, then one line of fmt-formatted values per row; the rows share
+    their length, so one %-format pass over the flattened rows writes them all."""
     out.write(header + "\n")
-    for row in rows:
-        out.write(",".join(fmt(v) for v in row) + "\n")
+    if rows:
+        line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+        out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def xy_rows(xs: np.ndarray, values: np.ndarray) -> list[list[float]]:

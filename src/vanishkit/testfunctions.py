@@ -8,6 +8,11 @@ interpolant up to curvature terms.  Because the knots are uniform, the
 interpolant also has an exact closed-form antiderivative and first moment,
 which the convolution code uses to integrate piecewise-polynomial densities
 without any quadrature error.
+
+Its kink table lists the knots c_k where the slope jumps, and the jumps s_k.
+Because f vanishes off its support, f(u) = sum_k s_k (u - c_k)_+ for
+u <= hi, with sum s_k = sum s_k c_k = 0: a hat is three ramps, whatever its
+sample count.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ class TestFunction:
     _cum0: np.ndarray = field(init=False, repr=False, compare=False)
     _cum1: np.ndarray = field(init=False, repr=False, compare=False)
     _slope: np.ndarray = field(init=False, repr=False, compare=False)
+    _kinks: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.complex128, copy=True)
@@ -113,9 +119,14 @@ class TestFunction:
         seg1 = (self.step / 6.0) * (y0 * (2.0 * x0 + x1) + y1 * (x0 + 2.0 * x1))
         cum1 = np.concatenate(([0.0 + 0.0j], np.cumsum(seg1)))
         slope = (samples[1:] - samples[:-1]) / self.step
-        for name, arr in (("_cum0", cum0), ("_cum1", cum1), ("_slope", slope)):
+        # slope jumps at every knot, counting the jumps onto and off the support
+        jumps = np.diff(np.concatenate(([0.0], slope, [0.0])))
+        kink = jumps != 0
+        kinks = (grid[kink], jumps[kink])
+        for arr in (cum0, cum1, slope, *kinks):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, value in (("_cum0", cum0), ("_cum1", cum1), ("_slope", slope), ("_kinks", kinks)):
+            object.__setattr__(self, name, value)
 
     @property
     def hi(self) -> float:
@@ -128,6 +139,12 @@ class TestFunction:
     @property
     def knots(self) -> np.ndarray:
         return self._grid
+
+    @property
+    def kinks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kink table (c, s): the knots c where the slope jumps by a
+        nonzero amount, ascending, and the jumps s there (complex)."""
+        return self._kinks
 
     @property
     def sup_norm(self) -> float:
@@ -148,9 +165,7 @@ class TestFunction:
 
         Bounds the Fourier transform: |f^(k)| <= slope_jump_total / (2 pi k)^2.
         """
-        slopes = self._slope
-        inner = np.sum(np.abs(np.diff(slopes)))
-        return float(np.abs(slopes[0]) + inner + np.abs(slopes[-1]))
+        return float(np.sum(np.abs(self._kinks[1])))
 
     def __call__(self, x: float) -> complex:
         return complex(np.interp(x, self._grid, self.samples))

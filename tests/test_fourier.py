@@ -68,6 +68,33 @@ def test_ft_hat_closed_form():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _ft_nodal(f, ks):
+    """Transform as a sum of nodal tents: step sinc^2(pi k step) sum_j y_j e^{-2 pi i k x_j}."""
+    env = f.step * sinc(np.pi * ks * f.step) ** 2
+    out = np.empty(ks.size, dtype=np.complex128)
+    for start in range(0, ks.size, 2000):
+        kk = ks[start : start + 2000]
+        out[start : start + 2000] = np.exp(-2j * np.pi * kk[:, None] * f.knots[None, :]) @ f.samples
+    return env * out
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        tf_hat(0.0, 0.5, 1.0),
+        tf_hat(-0.7, 0.3, 1.0 - 2.0j, step=0.003),
+        tf_convolve(tf_hat(0.0, 0.25, 1.0, step=0.025), tf_hat(0.2, 0.125, 1.0j, step=0.025), refine=4),
+    ],
+)
+def test_ft_kink_sum_against_nodal_tents(f):
+    # through k = 0, the Taylor range pi |k| (hi - lo) < 1 and its edge
+    width = f.hi - f.lo
+    ks = np.concatenate((np.linspace(-40.0, 40.0, 20001), [0.0, 1e-9], np.array([0.999, 1.001]) / (np.pi * width)))
+    got = ft_compact(f, ks)
+    assert np.max(np.abs(got - _ft_nodal(f, ks))) <= 1e-13
+    assert ft_compact(f, 0.0) == f.mass
+
+
 def test_ft_translated_hat_picks_up_phase():
     f = tf_hat(2.0, 0.5, 1.0)
     ks = np.linspace(-3.0, 3.0, 61)

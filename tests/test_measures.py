@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanishkit import measures
+from vanishkit import measures, ramps
 from vanishkit.constructions import AlternatingDyadicDensity, build_example
 from vanishkit.errors import InvalidArgument, QuadratureError
 from vanishkit.fourier import bessel_j0_vec
@@ -130,10 +130,34 @@ def test_convolve_grid_matches_pointwise():
     assert np.allclose(grid, single, atol=1e-10)
 
 
-def test_convolve_grid_atom_scatter_against_double_sum():
+def _take_path(monkeypatch, path):
+    """Send atoms and shallow cells down one path: "pairs" or "ramp"."""
+    monkeypatch.setattr(ramps, "_RAMP_CROSSOVER", np.inf if path == "pairs" else 0.0)
+
+
+def _atom_double_sum(pos, wts, f, grid, chunk=500):
+    """sum_p w_p f(x - p) at every x, as dense numpy products over grid chunks."""
+    out = np.empty(grid.size, dtype=np.complex128)
+    for start in range(0, grid.size, chunk):
+        x = grid[start : start + chunk]
+        near = slice(pos.searchsorted(x[0] - f.hi), pos.searchsorted(x[-1] - f.lo, side="right"))
+        out[start : start + chunk] = f.values(x[:, None] - pos[None, near]) @ wts[near]
+    return out
+
+
+def test_convolve_grid_atom_scatter_against_double_sum(monkeypatch):
+    _atom_sums_against_double_sum(monkeypatch, "pairs")
+
+
+def test_convolve_grid_atom_ramps_against_double_sum(monkeypatch):
+    _atom_sums_against_double_sum(monkeypatch, "ramp")
+
+
+def _atom_sums_against_double_sum(monkeypatch, path):
     # An off-center complex hat over a grid with a gap: the atoms between
     # -4.7 and 4.7 are inside the hull but reach no grid point, and the
     # atoms that do reach it make several scatter chunks of pairs.
+    _take_path(monkeypatch, path)
     rng = np.random.default_rng(7)
     pos = rng.uniform(-25.0, 25.0, 4000)
     wts = rng.normal(size=4000) + 1j * rng.normal(size=4000)
@@ -312,6 +336,38 @@ def test_variation_quadrature_error_reports_the_last_residual():
     with pytest.raises(QuadratureError) as info:
         variation_on(AbsCont(step), Window(0.0, 1.0))
     assert info.value.residual > 0.0
+
+
+class _CountingStep:
+    """1 left of 0.3 and 0 right of it, counting the points it is asked for."""
+
+    def __init__(self):
+        self.points = 0
+
+    def __call__(self, xs):
+        self.points += np.size(xs)
+        return np.where(xs < 0.3, 1.0, 0.0)
+
+
+def test_variation_quadrature_evaluates_each_node_once():
+    # Every level of the doubling reuses the last one's values: 129 nodes,
+    # then 128 * (2 + 4 + ... + 2^15) midpoints.  Evaluating every level
+    # afresh took about 8.4M points.
+    step = _CountingStep()
+    with pytest.raises(QuadratureError):
+        variation_on(AbsCont(FunctionDensity(step, Window(0.0, 1.0))), Window(0.0, 1.0))
+    assert step.points == 129 + 128 * (2**15 - 1) <= 4_200_000
+
+
+def test_variation_of_cancelling_pieces():
+    # Declared pieces add before |.|: 1 - 1 is no mass, and a tent minus a
+    # slab is |1 + t| + |t| + |t| + 1 on the cells of [-1, 2].
+    cancel = Sum((AbsCont(ConstantDensity(1.0)), AbsCont(ConstantDensity(-1.0))))
+    assert variation_on(cancel, Window(0.0, 5.0)) == 0.0
+    assert sup_norm_K(cancel, Window(0.0, 1.0), Window(0.0, 4.0), 0.5) == 0.0
+    mixed = Sum((AbsCont(TriangleDensity(0.0, 1.0, 1.0)), AbsCont(IndicatorDensity(-0.5, 2.0, -1.0))))
+    assert variation_on(mixed, Window(-3.0, 5.0)) == pytest.approx(1.75, rel=1e-15)
+    assert variation_on(mixed, Window(0.5, 1.5)) == pytest.approx(0.375 + 0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
@@ -498,7 +554,8 @@ def _autocorr_hat():
     return tf_convolve(hat, tf_reflect_conj(hat))
 
 
-def test_pair_scatter_steep_tents_up_to_level_50():
+def test_pair_scatter_steep_tents_up_to_level_50(monkeypatch):
+    _take_path(monkeypatch, "pairs")
     mu, f = build_example("ex_tent"), _autocorr_hat()
     grid = np.linspace(0.0, 52.0, 521)
     want, steep = _reference_convolve_grid(mu, f, grid)
@@ -508,18 +565,39 @@ def test_pair_scatter_steep_tents_up_to_level_50():
     assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
 
 
-def test_pair_scatter_alternating_dyadic_density(monkeypatch):
+def _alternating_dyadic_density(monkeypatch, path):
+    """Chunk sizes of the pair scatter while ex_bf is checked cell by cell."""
+    _take_path(monkeypatch, path)
     chunks = _count_chunks(monkeypatch)
     mu, f = build_example("ex_bf"), tf_hat(0.0, 0.5, 1.0)
     grid = np.linspace(0.0, 16.0, 321)
     want, steep = _reference_convolve_grid(mu, f, grid)
     assert steep == []
     assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+    return chunks
+
+
+def test_pair_scatter_alternating_dyadic_density(monkeypatch):
+    chunks = _alternating_dyadic_density(monkeypatch, "pairs")
     assert len(chunks) >= 3 and max(chunks) <= _SCATTER_CHUNK
 
 
-def test_pair_scatter_complex_off_center_triangles():
-    # a wide tent on the antiderivative path and a steep narrow one on GL2
+def test_ramp_alternating_dyadic_density(monkeypatch):
+    assert _alternating_dyadic_density(monkeypatch, "ramp") == []
+
+
+def test_pair_scatter_complex_off_center_triangles(monkeypatch):
+    _complex_off_center_triangles(monkeypatch, "pairs")
+
+
+def test_ramp_complex_off_center_triangles(monkeypatch):
+    _complex_off_center_triangles(monkeypatch, "ramp")
+
+
+def _complex_off_center_triangles(monkeypatch, path):
+    # a wide tent on the antiderivative path (or the ramp sums) and a steep
+    # narrow one on GL2
+    _take_path(monkeypatch, path)
     mu = Sum((
         Scale(2.0 - 1.0j, AbsCont(TriangleDensity(0.37, 0.8, 1.0 + 2.0j))),
         AbsCont(TriangleDensity(2.1, 1e-7, 0.5 - 1.0j)),
@@ -535,6 +613,7 @@ def test_pair_scatter_many_chunks_of_mixed_cells(monkeypatch):
     # Small chunks, so steep and shallow tent cells share chunks and a
     # steep cell reaching more pairs than a chunk holds is a chunk alone.
     monkeypatch.setattr(measures, "_SCATTER_CHUNK", 64)
+    _take_path(monkeypatch, "pairs")
     chunks = _count_chunks(monkeypatch)
     mu, f = build_example("ex_tent"), _autocorr_hat()
     grid = np.linspace(10.0, 22.0, 241)
@@ -544,7 +623,8 @@ def test_pair_scatter_many_chunks_of_mixed_cells(monkeypatch):
     assert len(chunks) >= 3
 
 
-def test_pair_scatter_one_point_grid():
+def test_pair_scatter_one_point_grid(monkeypatch):
+    _take_path(monkeypatch, "pairs")
     mu, f = build_example("ex_tent"), _autocorr_hat()
     grid = np.array([15.3])  # reaches shallow tents (levels 14 and below) and steep ones
     want, steep = _reference_convolve_grid(mu, f, grid)
@@ -552,6 +632,113 @@ def test_pair_scatter_one_point_grid():
     got = convolve_grid(mu, f, grid)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert convolve(mu, f, 15.3) == got[0]
+
+
+# ---------------------------------------------------------------------------
+# Ramp sums: atoms and shallow cells against double sums and the cell loop
+# ---------------------------------------------------------------------------
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of a private function of measures from here on."""
+    calls = []
+    inner = getattr(measures, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(measures, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["ex_b", "ex_nu"])
+def test_ramp_far_out_atoms_against_double_sum(monkeypatch, name):
+    # about 1,000 atoms per unit, so some 125 per support width of f
+    mu, f = build_example(name), tf_hat(0.0, 0.125, 1.0)
+    grid = np.arange(1000.0, 1100.0, 0.01) + 0.003
+    res = resolve_window(mu, Window(grid[0] - f.hi, grid[-1] - f.lo))
+    want = _atom_double_sum(res.positions, res.weights, f, grid, chunk=100)
+    want += _reference_convolve_grid(mu, f, grid)[0]  # ex_b's Lebesgue part
+    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    got = convolve_grid(mu, f, grid)
+    assert len(ramp_calls) == 1  # the chooser's own pick
+    assert np.max(np.abs(got - want)) <= 1e-12
+    _take_path(monkeypatch, "pairs")
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - got)) <= 1e-12
+
+
+def test_ramp_on_block_edges(monkeypatch):
+    # Blocks start at the first atom and are one support width (0.5) long.
+    # Atoms sit on block edges and a rounding away from them, and grid
+    # points put x - f.hi and x - c (each kink c) on the edges.
+    _take_path(monkeypatch, "ramp")
+    f = tf_hat(0.1, 0.25, 2.0 + 1.0j)
+    edges = 0.5 * np.arange(41)
+    rng = np.random.default_rng(3)
+    pos = np.unique(np.concatenate((edges, np.nextafter(edges, -1.0)[1:], np.nextafter(edges, 30.0),
+                                    rng.uniform(0.0, 20.0, 400))))
+    wts = rng.normal(size=pos.size) + 1j * rng.normal(size=pos.size)
+    mu = PurePoint(FiniteAtoms(list(zip(pos.tolist(), wts.tolist()))))
+    kinks = f.kinks[0]
+    assert kinks.size == 3
+    grid = np.unique(np.concatenate([edges + c for c in kinks] + [rng.uniform(-1.0, 21.0, 300)]))
+    got = convolve_grid(mu, f, grid)
+    assert np.max(np.abs(got - _atom_double_sum(pos, wts, f, grid))) <= 1e-12
+
+
+def test_ramp_non_dyadic_hat(monkeypatch):
+    # 1 - k/100 rounds, so most slope differences of this hat are a rounding
+    # away from zero rather than exactly zero: 35 kinks, not 3.
+    _take_path(monkeypatch, "ramp")
+    f = tf_hat(0.0, 0.3, 1.0, step=0.003)
+    assert f.kinks[0].size == 35
+    rng = np.random.default_rng(11)
+    pos = np.sort(rng.uniform(-5.0, 5.0, 3000))
+    wts = rng.normal(size=3000) + 1j * rng.normal(size=3000)
+    mu = PurePoint(FiniteAtoms(list(zip(pos.tolist(), wts.tolist()))))
+    grid = np.linspace(-4.0, 4.0, 2001)
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - _atom_double_sum(pos, wts, f, grid))) <= 1e-12
+    mu, grid = build_example("ex_bf"), np.linspace(0.0, 16.0, 641)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert steep == []
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+
+
+def test_ramp_chooser_keeps_sparse_atoms_on_pairs(monkeypatch):
+    # ex_a has two atoms per unit: a few pairs per grid point, fewer than
+    # the ramp would make queries.
+    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    chunks = _count_chunks(monkeypatch)
+    convolve_grid(build_example("ex_a"), tf_hat(0.0, 0.125, 1.0), np.arange(1000.0, 1010.0, 0.125 / 512))
+    assert ramp_calls == [] and len(chunks) >= 1
+
+
+def test_ramp_chooser_keeps_far_apart_clusters_on_pairs(monkeypatch):
+    # Dense atoms, but in two clusters 1e6 apart: blocks of one support
+    # width between them would outnumber the atoms 400 to 1.
+    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    rng = np.random.default_rng(5)
+    pos = np.concatenate((rng.uniform(0.0, 1.0, 5000), 1e6 + rng.uniform(0.0, 1.0, 5000)))
+    mu = PurePoint(FiniteAtoms([(p, 1.0) for p in pos.tolist()]))
+    grid = np.concatenate((np.linspace(0.0, 1.0, 2000), 1e6 + np.linspace(0.0, 1.0, 2000)))
+    convolve_grid(mu, tf_hat(0.0, 0.125, 1.0), grid)
+    assert ramp_calls == []
+
+
+def test_ramp_chooser_takes_ex_bf_off_integral_to(monkeypatch):
+    # The README's convolve ex_bf: the pair path sent 32,794,204 points
+    # through integral_to, twice per cell edge and grid point.
+    points = []
+    integral_to = measures.TestFunction.integral_to
+
+    def counted(self, u):
+        points.append(np.size(u))
+        return integral_to(self, u)
+
+    monkeypatch.setattr(measures.TestFunction, "integral_to", counted)
+    convolve_grid(build_example("ex_bf"), tf_hat(0.0, 0.25, 1.0), np.arange(0.0, 16.0, 0.001))
+    assert sum(points) <= 327_942  # 1 %
 
 
 class _CountingDensity(DensitySource):
@@ -586,6 +773,7 @@ def test_affine_cells_sample_each_piece_once():
 def test_steep_cells_evaluate_f_once_per_chunk(monkeypatch):
     # The per-point loop called f.values once per (steep cell, grid point):
     # 2,624 calls on this grid.
+    _take_path(monkeypatch, "pairs")
     mu, f = build_example("ex_tent"), _autocorr_hat()
     chunks = _count_chunks(monkeypatch)
     calls = []

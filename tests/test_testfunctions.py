@@ -56,6 +56,29 @@ def test_reflect_conj_mirrors_and_conjugates():
     assert np.allclose(g.values(xs), np.conj(f.values(-xs)), atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "f, count",
+    [
+        (tf_hat(0.3, 0.4, 1.5 - 0.5j), 3),
+        (tf_hat(0.0, 0.3, 1.0, step=0.003), 35),  # 1 - k/100 rounds, so the flanks wobble
+        (tf_indicator(-1.0, 2.0, step=0.01), 4),
+        (tf_convolve(tf_hat(0.0, 0.25, 1.0, step=0.025), tf_hat(0.1, 0.125, 1.0j, step=0.025), refine=4), None),
+    ],
+)
+def test_kink_table_identities(f, count):
+    c, s = f.kinks
+    if count is not None:
+        assert c.size == count
+    assert np.all(np.diff(c) > 0) and np.all(s != 0)
+    scale = np.sum(np.abs(s)) * max(abs(f.lo), abs(f.hi))
+    assert abs(np.sum(s)) <= 1e-13 * np.sum(np.abs(s))
+    assert abs(np.sum(s * c)) <= 1e-13 * scale
+    # f(u) = sum_k s_k (u - c_k)_+ at every knot
+    ramps = np.maximum(f.knots[:, None] - c[None, :], 0.0) @ s
+    assert np.max(np.abs(ramps - f.samples)) <= 1e-13 * scale
+    assert f.slope_jump_total() == pytest.approx(np.sum(np.abs(s)), rel=1e-15)
+
+
 def test_integral_between_matches_dense_trapezoid():
     f = tf_hat(0.3, 0.4, 1.5)
     xs = np.linspace(-0.2, 0.8, 100001)
