@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import HypothesesNotSatisfied, InvalidArgument, UnknownExample
 from .fourier import bessel_j0_vec
+from .masses import _converged_cum, _MassTable
 from .measures import (
     AbsCont,
     AtomSource,
@@ -36,13 +37,12 @@ from .measures import (
     Sum,
     Translate,
     TriangleDensity,
-    _MassTable,
     _affine_cells,
-    _converged_cum,
+    _cell_pairs,
     _merge,
     _piece_into_grid,
-    _scatter_cells,
-    resolve_window,
+    _resolve_parts,
+    _steep_cells,
 )
 from .testfunctions import TestFunction, Window, tf_hat, tf_reflect_conj
 
@@ -388,14 +388,16 @@ def _validate(
 ) -> tuple[HypothesisReport, np.ndarray, np.ndarray, np.ndarray]:
     """The report of validate_block_sum, and the parts' atoms inside the window.
 
-    Each part is resolved once, on a span that covers the window with a
-    margin and every probe's support, and the atoms of all parts are laid
-    out flat, part by part, ascending within a part.  The pairing of a part
-    with a probe g is (part * g~)(0), the integral of conj(g) against the
-    part: one evaluation of g~ = tf_reflect_conj(g) at minus every atom
-    position, summed per part, plus the one-point convolution with g~ of
-    each density piece.  Returns (report, positions, weights, part index)
-    of the atoms inside the window.
+    All parts are resolved in one pass, on a span that covers the window
+    with a margin and every probe's support.  Their atoms are laid out flat,
+    part by part, ascending within a part, and so are the affine cells of
+    their declared density pieces, built once per piece.  The pairing of a
+    part with a probe g is (part * g~)(0), the integral of conj(g) against
+    the part: one evaluation of g~ = tf_reflect_conj(g) at minus every atom
+    position, and one cell-kernel call on every cell that reaches 0, each
+    summed per part; a smooth piece adds its one-point convolution with g~.
+    Returns (report, positions, weights, part index) of the atoms inside the
+    window.
     """
     if probes is None:
         probes = default_probes(inp.window)
@@ -404,12 +406,9 @@ def _validate(
     k = inp.window
     pad = 10.0 * max(1.0, k.width)
     span = Window(min(k.lo - pad, *(g.lo for g in probes)), max(k.hi + pad, *(g.hi for g in probes)))
-    resolved = [resolve_window(p.measure, span) for p in inp.parts]
-    n = len(resolved)
-    counts = np.array([rw.positions.size for rw in resolved])
+    n = len(inp.parts)
+    pos, wts, counts, pieces = _resolve_parts([p.measure for p in inp.parts], span)
     part = np.repeat(np.arange(n), counts)
-    pos = np.concatenate([rw.positions for rw in resolved])
-    wts = np.concatenate([rw.weights for rw in resolved])
     inside = (pos >= k.lo) & (pos <= k.hi)
 
     offends = np.zeros(n, dtype=bool)  # support: an atom or a piece off the window
@@ -417,22 +416,33 @@ def _validate(
     reflected = [tf_reflect_conj(g) for g in probes]
     pairs = np.array([_segment_sums(g.values(-pos) * wts, counts) for g in reflected])
     variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
-    origin = np.zeros(1)
-    for i, rw in enumerate(resolved):
-        if not rw.pieces:
+    declared = []  # (part, cells) per declared piece
+    smooth = []  # (part, piece) per smooth piece
+    for i, part_pieces in enumerate(pieces):
+        if not part_pieces:
             continue
         density_mass = _MassTable(lambda piece, clip: _converged_cum(piece, clip, _TOL))
-        for piece in rw.pieces:
+        for piece in part_pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
             cells = _affine_cells(piece, span if sup is None else span.intersect(sup))
-            for j, g in enumerate(reflected):
-                if cells is None:
-                    _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
-                else:
-                    _scatter_cells(cells, g, origin, pairs[j, i : i + 1])
+            if cells is None:
+                smooth.append((i, piece))
+            else:
+                declared.append((i, cells))
             density_mass.add(piece, cells, k)
         variations[i] += density_mass.query(k.lo, k.hi)[0]
+    if declared:
+        cells = tuple(np.concatenate(arrays) for arrays in zip(*(c for _, c in declared)))
+        owner = np.repeat([i for i, _ in declared], [c[0].size for _, c in declared])
+        for j, g in enumerate(reflected):
+            reach = np.flatnonzero((cells[0] + g.lo <= 0.0) & (cells[1] + g.hi >= 0.0))
+            vals = _cell_pairs(cells, _steep_cells(cells, g), g, reach, np.zeros(reach.size))
+            pairs[j] += _segment_sums(vals, np.bincount(owner[reach], minlength=n))
+    origin = np.zeros(1)
+    for i, piece in smooth:
+        for j, g in enumerate(reflected):
+            _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
     trace = np.max(np.abs(pairs), axis=0)
     support_ok = not np.any(offends)
 
@@ -548,7 +558,7 @@ def ex_a_block_input(n_half: int) -> BlockSumInput:
     parts = []
     for n in range(1, n_half + 1):
         parts.append(
-            BlockPart(PurePoint(FiniteAtoms([(1.0 / n, 1.0), (0.0, -1.0)])), float(n), f"+{n}")
+            BlockPart(PurePoint(FiniteAtoms([(0.0, -1.0), (1.0 / n, 1.0)])), float(n), f"+{n}")
         )
         parts.append(
             BlockPart(PurePoint(FiniteAtoms([(-1.0 / n, 1.0), (0.0, -1.0)])), float(-n), f"-{n}")
@@ -589,7 +599,7 @@ def ex_b_block_input(n_max: int) -> BlockSumInput:
         plus = Sum(
             (AbsCont(IndicatorDensity(0.0, 1.0)), Scale(-1.0, PurePoint(comb)))
         )
-        comb_neg = FiniteAtoms([(-k / n, 1.0 / n) for k in range(1, n + 1)])
+        comb_neg = FiniteAtoms([(-k / n, 1.0 / n) for k in range(n, 0, -1)])
         minus = Sum(
             (AbsCont(IndicatorDensity(-1.0, 0.0)), Scale(-1.0, PurePoint(comb_neg)))
         )

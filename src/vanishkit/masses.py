@@ -1,0 +1,165 @@
+"""|mu|-masses of the subwindows of one window, exact for atoms and
+declared affine cells.
+
+Atoms enter as a cumulative sum of |w|.  A declared cell vc + beta t has
+the closed-form mass ``_cell_mass``; the cells of a window's declared pieces
+are added on the union of their edges before |.| is taken.  Smooth pieces
+enter through a trapezoid cumulative.  ``measures.variation_on``,
+``measures.sup_norm_K`` and block-sum validation read one ``_MassTable``.
+
+Affine cells are arrays (a, b, vc, beta) as in ``measures``: density
+vc + beta * (s - center) on [a, b], center being the cell midpoint.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
+
+from .errors import QuadratureError
+from .testfunctions import Window
+
+if TYPE_CHECKING:
+    from .measures import TransformedDensity, _Cells
+
+
+def _cell_mass(vc: np.ndarray, beta: np.ndarray, t0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Integral of |vc + beta * t| over t0 <= t <= t0 + d (d >= 0), elementwise.
+
+    With r = vc / beta, u = t + Re r and b = |Im r|, the integral is
+    |beta| / 2 times u * sqrt(u^2 + b^2) + b^2 * arsinh(u / b) between the
+    ends.  A cell of one phase (b = 0) without a zero inside takes its value
+    at the middle times d instead, exact on real cells.  When the two ends
+    of u have one sign, both differences are written as quotients of sums,
+    u1 - u0 being d and u1 + u0 being 2 u0 + d, so nothing cancels however
+    far the zero of the density lies.
+    """
+    out = np.abs(vc + beta * (t0 + 0.5 * d)) * d
+    r = np.divide(vc, beta, out=np.zeros(vc.shape, dtype=np.complex128), where=beta != 0)
+    u0, b = t0 + r.real, np.abs(r.imag)
+    cross = (u0 < 0.0) & (u0 + d > 0.0)
+    live = (beta != 0) & (d > 0.0) & ((b > 0.0) | cross)
+    if not np.any(live):
+        return out
+    u0, b, d, cross = u0[live], b[live], d[live], cross[live]
+    u1, b2, total = u0 + d, b * b, 2.0 * u0 + d
+    s0, s1 = np.hypot(u0, b), np.hypot(u1, b)
+    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 takes no arsinh term
+        prod = np.where(cross, u1 * s1 - u0 * s0, d * total * (u0 * u0 + u1 * u1 + b2) / (u1 * s1 + u0 * s0))
+        arc = np.where(cross, np.arcsinh(u1 / b) - np.arcsinh(u0 / b), np.arcsinh(d * total / (u1 * s0 + u0 * s1)))
+        out[live] = 0.5 * np.abs(beta[live]) * (prod + np.where(b2 > 0.0, b2 * arc, 0.0))
+    return out
+
+
+def _trapezoid_cum(piece: TransformedDensity, clip: Window, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of n equal intervals on clip, and the trapezoid cumulative of
+    |density| at them."""
+    ts = np.linspace(clip.lo, clip.hi, n + 1)
+    return ts, _cumulate(ts, np.abs(piece.evalv(ts)))
+
+
+def _cumulate(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(ts)
+    return np.concatenate(([0.0], np.cumsum(seg)))
+
+
+def _converged_cum(piece: TransformedDensity, clip: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid cumulative on 128 intervals, doubled until two totals agree to tol.
+
+    Each level keeps the values of the last and evaluates only the new
+    midpoints, which np.linspace would place at the same points; the
+    cumulative is built once, on the level that converges.
+    """
+    n = 128
+    step = clip.width / n
+    ts = np.arange(n + 1) * step + clip.lo
+    ts[-1] = clip.hi
+    vals = np.abs(piece.evalv(ts))
+    total = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+    for _ in range(15):
+        step = 0.5 * step
+        mids = np.abs(piece.evalv(np.arange(1, 2 * n, 2) * step + clip.lo))
+        both = np.empty(2 * n + 1)
+        both[0::2], both[1::2] = vals, mids
+        n, vals, prev = 2 * n, both, total
+        total = 0.5 * prev + step * mids.sum()
+        delta = abs(total - prev)
+        if delta <= tol:
+            ts = np.linspace(clip.lo, clip.hi, n + 1)
+            return ts, _cumulate(ts, vals)
+    raise QuadratureError("variation quadrature did not converge", delta)
+
+
+def _cells_sum(cells: list[_Cells]) -> _Cells:
+    """Several pieces' cells added into one density, on the union of their
+    edges: each piece is affine on every union cell, so the sum is exact."""
+    if len(cells) == 1:
+        return cells[0]
+    edges = np.unique(np.concatenate([np.concatenate((a, b)) for a, b, _, _ in cells]))
+    lo, hi = edges[:-1], edges[1:]
+    center = 0.5 * (lo + hi)
+    vc = np.zeros(center.size, dtype=np.complex128)
+    beta = np.zeros(center.size, dtype=np.complex128)
+    for a, b, v, s in cells:
+        i = a.searchsorted(center, side="right") - 1
+        on = i >= 0
+        on[on] = center[on] < b[i[on]]
+        i = i[on]
+        vc[on] += v[i] + s[i] * (center[on] - 0.5 * (a[i] + b[i]))
+        beta[on] += s[i]
+    return lo, hi, vc, beta
+
+
+class _MassTable:
+    """|mu|-mass of the subwindows of one window, for any number of queries.
+
+    Atoms are a cumulative sum of |w|.  The declared density pieces are
+    added on the union of their cell edges before taking |.|, so pieces that
+    cancel count as what they sum to; the sum is a cumulative sum of exact
+    cell masses, read between cells with searchsorted and on the partial cell
+    at each end of a query with the same closed form.  Each smooth piece is
+    the trapezoid cumulative that ``rule(piece, clip)`` builds, read by linear
+    interpolation, and adds its own |.|: with smooth pieces the mass is an
+    upper bound on |mu|, up to the rule's error.
+    """
+
+    def __init__(self, rule: Callable, positions: np.ndarray = np.empty(0), weights: np.ndarray = np.empty(0)):
+        self.rule = rule
+        self.pos = positions
+        self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(weights))))
+        self.cells: list[_Cells] = []  # per declared piece
+        self.smooth_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per smooth piece, mass left of u
+
+    def add(self, piece: TransformedDensity, cells: _Cells | None, w: Window) -> None:
+        """Add the mass of piece inside w, from its cells on a window covering
+        w (None for a smooth piece, which the rule integrates on w)."""
+        if cells is None:
+            sup = piece.support
+            clip = w if sup is None else w.intersect(sup)
+            if clip is not None and clip.width > 0.0:
+                ts, cum = self.rule(piece, clip)
+                self.smooth_to.append(lambda u: np.interp(u, ts, cum))
+        elif cells[0].size:
+            self.cells.append(cells)
+
+    def _declared_to(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Mass left of u of the declared pieces' sum."""
+        a, b, vc, beta = _cells_sum(self.cells)
+        width = b - a
+        cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
+
+        def cells_to(u: np.ndarray) -> np.ndarray:
+            i = np.maximum(a.searchsorted(u, side="right") - 1, 0)
+            return cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(u - a[i], 0.0, width[i]))
+
+        return cells_to
+
+    def query(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
+        """Mass inside [lo, hi], elementwise, as a 1-d array."""
+        lo, hi = np.atleast_1d(lo, hi)
+        out = self.cum_atoms[self.pos.searchsorted(hi, side="right")] - self.cum_atoms[self.pos.searchsorted(lo)]
+        for mass_to in ([self._declared_to()] if self.cells else []) + self.smooth_to:
+            ends = mass_to(np.concatenate((lo, hi)))  # one pass for both ends
+            out += ends[lo.size :] - ends[: lo.size]
+        return out

@@ -38,6 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, QuadratureError
+from .masses import _converged_cum, _MassTable, _trapezoid_cum
 from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps
 from .testfunctions import TestFunction, Window
 
@@ -114,8 +115,8 @@ class FiniteAtoms(AtomSource):
         self.positions, self.weights = _merge(pos, wts)
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.searchsorted(self.positions, w.lo, side="left")
-        hi = np.searchsorted(self.positions, w.hi, side="right")
+        lo = self.positions.searchsorted(w.lo, side="left")
+        hi = self.positions.searchsorted(w.hi, side="right")
         return self.positions[lo:hi], self.weights[lo:hi]
 
     def __repr__(self) -> str:
@@ -379,7 +380,7 @@ def _merge(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge exactly equal positions by adding weights; drop exact zeros."""
     if pos.size == 0:
         return pos.astype(float), wts.astype(np.complex128)
-    if np.all(pos[1:] > pos[:-1]):  # sorted and distinct already
+    if (pos[1:] > pos[:-1]).all():  # sorted and distinct already
         uniq = pos
         acc = np.zeros(pos.size, dtype=np.complex128) + wts
     else:
@@ -390,18 +391,28 @@ def _merge(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq[keep], acc[keep]
 
 
-def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:
-    """Resolve an expression against a window.
+def _resolve_parts(
+    exprs: Sequence[MeasureExpr], w: Window
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[TransformedDensity]]]:
+    """Resolve several expressions against one window in one pass.
 
-    Pushes the combinator stack down to the leaves, enumerates atom sources
-    on the pre-image of the window, merges coincident atoms, and wraps each
-    reachable density with its accumulated transform.
+    Walks each tree once, pushing the combinator stack down to the leaves:
+    atom sources are enumerated on the pre-image of the window (a reflected
+    leaf is reversed, so it comes out ascending too), and each reachable
+    density is wrapped with its accumulated transform.  The atoms of all
+    expressions are laid out flat, expression by expression, the leaves of
+    one expression in the order of their first atoms.  Within an expression,
+    atoms already ascending and distinct only lose their exact zeros; an
+    expression whose atoms are out of order or repeated goes through _merge.
+    Returns (positions, weights, atom count per expression, pieces per
+    expression).
     """
     pos_parts: list[np.ndarray] = []
     wt_parts: list[np.ndarray] = []
-    pieces: list[TransformedDensity] = []
+    owners: list[int] = []
+    pieces: list[list[TransformedDensity]] = [[] for _ in exprs]
 
-    def walk(node: MeasureExpr, sign: int, shift: float, conj: int, scale: complex) -> None:
+    def walk(node: MeasureExpr, i: int, sign: int, shift: float, conj: int, scale: complex) -> None:
         if isinstance(node, PurePoint):
             if sign == 1:
                 pre = Window(w.lo - shift, w.hi - shift)
@@ -410,35 +421,75 @@ def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:
             pos, wts = node.source.enumerate_window(pre)
             if pos.size:
                 wts = np.conj(wts) if conj else np.asarray(wts, dtype=np.complex128)
-                pos_parts.append(sign * pos + shift)
-                wt_parts.append(scale * wts)
+                pos, wts = sign * pos + shift, scale * wts
+                pos_parts.append(pos if sign == 1 else pos[::-1])
+                wt_parts.append(wts if sign == 1 else wts[::-1])
+                owners.append(i)
         elif isinstance(node, AbsCont):
             piece = TransformedDensity(node.density, sign, shift, conj, scale)
             sup = piece.support
             if sup is None or sup.intersect(w) is not None:
-                pieces.append(piece)
+                pieces[i].append(piece)
         elif isinstance(node, Translate):
-            walk(node.child, sign, shift + sign * node.t, conj, scale)
+            walk(node.child, i, sign, shift + sign * node.t, conj, scale)
         elif isinstance(node, ReflectConj):
-            walk(node.child, -sign, shift, 1 - conj, scale)
+            walk(node.child, i, -sign, shift, 1 - conj, scale)
         elif isinstance(node, Scale):
             c = np.conj(node.c) if conj else node.c
-            walk(node.child, sign, shift, conj, scale * complex(c))
+            walk(node.child, i, sign, shift, conj, scale * complex(c))
         elif isinstance(node, Sum):
             for child in node.children:
-                walk(child, sign, shift, conj, scale)
+                walk(child, i, sign, shift, conj, scale)
         else:
             raise InvalidArgument(f"unknown measure expression node: {node!r}")
 
-    walk(mu, 1, 0.0, 0, 1.0 + 0.0j)
-    if pos_parts:
-        pos = np.concatenate(pos_parts)
-        wts = np.concatenate(wt_parts)
+    for i, mu in enumerate(exprs):
+        first = len(pos_parts)
+        walk(mu, i, 1, 0.0, 0, 1.0 + 0.0j)
+        if len(pos_parts) - first > 1:  # leaves by first atom: disjoint ones need no merge
+            order = sorted(range(first, len(pos_parts)), key=lambda j: pos_parts[j][0])
+            pos_parts[first:] = [pos_parts[j] for j in order]
+            wt_parts[first:] = [wt_parts[j] for j in order]
+    n = len(exprs)
+    if not pos_parts:
+        return np.empty(0), np.empty(0, dtype=np.complex128), np.zeros(n, dtype=np.intp), pieces
+    pos = np.concatenate(pos_parts)
+    wts = np.concatenate(wt_parts)
+    if n == 1:  # _merge checks the order of one expression itself
         pos, wts = _merge(pos, wts)
-    else:
-        pos = np.empty(0)
-        wts = np.empty(0, dtype=np.complex128)
-    return ResolvedWindow(pos, wts, tuple(pieces))
+        return pos, wts, np.array([pos.size]), pieces
+    part = np.repeat(owners, [p.size for p in pos_parts])
+    counts = np.bincount(part, minlength=n)
+    bad = np.unique(part[1:][(part[1:] == part[:-1]) & ~(pos[1:] > pos[:-1])])
+    if bad.size:
+        starts = counts.cumsum() - counts
+        pos_runs: list[np.ndarray] = []
+        wt_runs: list[np.ndarray] = []
+        done = 0
+        for i in bad.tolist():
+            lo, hi = int(starts[i]), int(starts[i] + counts[i])
+            merged = _merge(pos[lo:hi], wts[lo:hi])
+            pos_runs += [pos[done:lo], merged[0]]
+            wt_runs += [wts[done:lo], merged[1]]
+            counts[i] = merged[0].size
+            done = hi
+        pos = np.concatenate(pos_runs + [pos[done:]])
+        wts = np.concatenate(wt_runs + [wts[done:]])
+        part = np.repeat(np.arange(n), counts)
+    wts = np.zeros(wts.size, dtype=np.complex128) + wts  # as _merge's sorted path
+    keep = wts != 0
+    if not keep.all():
+        pos, wts = pos[keep], wts[keep]
+        counts = np.bincount(part[keep], minlength=n)
+    return pos, wts, counts, pieces
+
+
+def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:
+    """Resolve an expression against a window: its merged atoms and its
+    density pieces (see _resolve_parts, of which this is the one-expression
+    case)."""
+    pos, wts, _, pieces = _resolve_parts((mu,), w)
+    return ResolvedWindow(pos, wts, tuple(pieces[0]))
 
 
 def atoms_in(mu: MeasureExpr, w: Window) -> list[Atom]:
@@ -507,16 +558,12 @@ def _smooth_convolution(
 
     GL4 on panels whose edges are u_lo, the kinks of f strictly inside,
     and u_hi.  f is affine on each panel, so the rule converges as fast as
-    the density allows.  A kink is a knot where the slope of f jumps by
-    more than rounding: rounded samples move a slope by a few ulps of
-    max|f| / step, and max|f| is at most max|slope| times half the support.
-    Every panel is split 2**s ways for s = 0, 1, ... until two levels agree
-    to tol at every x.  The deepest level is 6 + ceil(log2(widest panel /
-    f.step)), which splits every panel into pieces no wider than f.step / 64.
+    the density allows.  Every panel is split 2**s ways for s = 0, 1, ...
+    until two levels agree to tol at every x.  The deepest level is
+    6 + ceil(log2(widest panel / f.step)), which splits every panel into
+    pieces no wider than f.step / 64.
     """
-    at, jump = f.kinks
-    threshold = 4.0 * np.finfo(float).eps * f.samples.size * f.lipschitz
-    kinks = at[(np.abs(jump) > threshold) & (at > f.lo) & (at < f.hi)]
+    kinks = f.kinks[0]
     edges = np.concatenate(([u_lo], kinks[(kinks > u_lo) & (kinks < u_hi)], [u_hi]))
     # knot-to-knot panels span a whole number of cells up to rounding
     cells = int(np.ceil(float(np.max(np.diff(edges))) / f.step - 1e-9))
@@ -582,9 +629,9 @@ def _piece_into_grid(
 
 # Upper bound on the (source, grid point) pairs one scatter chunk expands,
 # a steep cell's pairs counting once per f-knot sub-cell, so its temporaries
-# stay near 256 kB whatever the source count and grid size (a single source
-# reaching more grid points is one chunk of its own).  On a Xeon with 2 MB of
-# L2 per core, chunks of 2^16 pairs made convolve_grid about 30 % slower.
+# stay near 256 kB whatever the source count and grid size (a source reaching
+# more grid points is split across chunks).  On a Xeon with 2 MB of L2 per
+# core, chunks of 2^16 pairs made convolve_grid about 30 % slower.
 _SCATTER_CHUNK = 1 << 14
 
 
@@ -593,54 +640,59 @@ def _scatter_pairs(
 ) -> None:
     """Add pair_values(source, idx) onto out[idx] for every (source, grid point) pair.
 
-    Source s reaches the grid points i0[s] <= idx < i1[s].  The pairs of
-    consecutive sources are expanded with np.repeat, in chunks of at most
-    _SCATTER_CHUNK pairs, each pair of source s counting cost[s] (default 1),
-    and pair_values gets each chunk's source and grid index arrays.  np.add.at
+    Source s reaches the grid points i0[s] <= idx < i1[s].  The pairs are
+    numbered source by source, each pair of source s costing cost[s]
+    (default 1), and expanded in runs of consecutive pairs that cost at most
+    _SCATTER_CHUNK together; a run cuts through a source that reaches more
+    grid points than fit, and is one pair where that pair alone costs more.
+    pair_values gets each run's source and grid index arrays.  np.add.at
     adds the pairs in order, so each grid point sums its sources in order.
     """
     src = (i1 > i0).nonzero()[0]
     count = i1[src] - i0[src]
     end = count.cumsum()
-    shift = i0[src] - (end - count)  # grid index minus pair index, per source
-    load = end if cost is None else (count * cost[src]).cumsum()
-    a = 0
-    while a < src.size:
-        done = int(load[a - 1]) if a else 0
-        b = max(a + 1, int(load.searchsorted(done + _SCATTER_CHUNK, side="right")))
-        owner = np.arange(a, b).repeat(count[a:b])
-        idx = np.arange(end[a] - count[a], end[b - 1]) + shift[owner]
+    first = end - count  # number of each source's first pair
+    shift = i0[src] - first  # grid index minus pair number, per source
+    unit = np.ones(src.size, dtype=np.intp) if cost is None else cost[src]
+    load = (count * unit).cumsum()
+    total = int(end[-1]) if src.size else 0
+    p = 0
+    while p < total:
+        a = int(end.searchsorted(p, side="right"))  # the source of pair p
+        budget = int(load[a] - (end[a] - p) * unit[a]) + _SCATTER_CHUNK
+        b = int(load.searchsorted(budget, side="right"))  # sources a..b-1 end within budget
+        q = total if b == src.size else int(end[b] - (load[b] - budget + unit[b] - 1) // unit[b])
+        q = max(q, p + 1)
+        z = int(end.searchsorted(q - 1, side="right"))  # the source of pair q - 1
+        owner = np.arange(a, z + 1).repeat(np.minimum(end[a : z + 1], q) - np.maximum(first[a : z + 1], p))
+        idx = np.arange(p, q) + shift[owner]
         np.add.at(out, idx, pair_values(src[owner], idx))
-        a = b
+        p = q
 
 
 _STEEP_FACTOR = 1e5  # slope * reach over cell size above which a cell is steep
 
 
-def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.ndarray) -> None:
-    """Add the integral of f(x - s) * density(s) over each affine cell onto out.
-
-    Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi].  A pair
-    (cell, x) adds vc*dF + beta*((x - center)*dF - dM), with dF and dM the
-    differences of the antiderivative and first moment of f between x - b
-    and x - a.  On a steep cell, whose slope times that reach dwarfs its
-    values, those differences would amplify the rounding of the global
-    antiderivative; its pair sums GL2 over the sub-cells that the knots of f
-    cut [x - b, x - a] into instead, exact because both factors are affine
-    on each.
-    """
+def _steep_cells(cells: _Cells, f: TestFunction) -> np.ndarray:
+    """Which cells are steep against f: slope times reach dwarfs their values."""
     a, b, vc, beta = cells
-    center = 0.5 * (a + b)
     width = b - a
     slope = np.abs(beta)
     cell_sup = np.abs(vc) + slope * 0.5 * width
-    steep = slope * ((f.hi - f.lo) + width) > _STEEP_FACTOR * np.maximum(1.0, cell_sup)
-    cost = None
-    if np.count_nonzero(steep):
-        # at most width / f.step + 1 knots fall strictly inside [x - b, x - a]
-        cost = np.ones(a.size, dtype=np.intp)
-        cost[steep] = 3 + (width[steep] // f.step).astype(np.intp)
-        knots = np.concatenate(([-np.inf], f.knots, [np.inf]))
+    return slope * ((f.hi - f.lo) + width) > _STEEP_FACTOR * np.maximum(1.0, cell_sup)
+
+
+def _cell_pairs(cells: _Cells, steep: np.ndarray, f: TestFunction, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The integral of f(x - t) * density(t) over cell s, for each pair (s, x).
+
+    A pair adds vc*dF + beta*((x - center)*dF - dM), with dF and dM the
+    differences of the antiderivative and first moment of f between x - b
+    and x - a.  On a steep cell (``steep[s]``), those differences would
+    amplify the rounding of the global antiderivative; its pair sums GL2
+    over the sub-cells that the knots of f cut [x - b, x - a] into instead,
+    exact because both factors are affine on each.
+    """
+    a, b, vc, beta = cells
 
     def antiderivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         dF = f.integral_to(x - a[s]) - f.integral_to(x - b[s])
@@ -649,10 +701,11 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
         if np.count_nonzero(sloped):
             s, x, dF = s[sloped], x[sloped], dF[sloped]
             dM = f.moment_to(x - a[s]) - f.moment_to(x - b[s])
-            vals[sloped] += beta[s] * ((x - center[s]) * dF - dM)
+            vals[sloped] += beta[s] * ((x - 0.5 * (a[s] + b[s])) * dF - dM)
         return vals
 
     def gauss(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        knots = np.concatenate(([-np.inf], f.knots, [np.inf]))
         u_lo, u_hi = x - b[s], x - a[s]
         k_lo = knots.searchsorted(u_lo, side="right") - 1  # knots[k_lo] <= u_lo
         inside = np.maximum(knots.searchsorted(u_hi, side="left") - 1 - k_lo, 0)
@@ -667,7 +720,7 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
         half = 0.5 * (right - left)
         u1, u2 = mid + _GL2[0] * half, mid + _GL2[1] * half
         c = s[pair]
-        rel = x[pair] - center[c]
+        rel = x[pair] - 0.5 * (a[c] + b[c])
         fu = f.values(np.concatenate((u1, u2)))
         n = half.size
         # substitute u = x - s: density = vc + beta*((x - center) - u)
@@ -679,16 +732,30 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
         total.imag = np.bincount(pair, term.imag, s.size)
         return total
 
-    def pair_values(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        x = grid[idx]
-        if cost is None:
-            return antiderivative(s, x)
-        sharp = steep[s]
-        vals = np.empty(s.size, dtype=np.complex128)
-        vals[~sharp] = antiderivative(s[~sharp], x[~sharp])
-        vals[sharp] = gauss(s[sharp], x[sharp])
-        return vals
+    sharp = steep[s]
+    if not np.count_nonzero(sharp):
+        return antiderivative(s, x)
+    vals = np.empty(s.size, dtype=np.complex128)
+    vals[~sharp] = antiderivative(s[~sharp], x[~sharp])
+    vals[sharp] = gauss(s[sharp], x[sharp])
+    return vals
 
+
+def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.ndarray) -> None:
+    """Add the integral of f(x - s) * density(s) over each affine cell onto out.
+
+    Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi]; each pair
+    (cell, grid point) is a _cell_pairs value.  Shallow cells that make many
+    pairs per kink of f are summed as ramps instead.  A steep pair costs one
+    unit of the scatter chunk per knot of f inside its reach.
+    """
+    a, b, _, _ = cells
+    steep = _steep_cells(cells, f)
+    cost = None
+    if np.count_nonzero(steep):
+        # at most width / f.step + 1 knots fall strictly inside [x - b, x - a]
+        cost = np.ones(a.size, dtype=np.intp)
+        cost[steep] = 3 + ((b - a)[steep] // f.step).astype(np.intp)
     i0 = grid.searchsorted(a + f.lo, side="left")
     i1 = grid.searchsorted(b + f.hi, side="right")
     shallow = ~steep
@@ -697,7 +764,7 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
         sub = tuple(arr[shallow] for arr in cells)
         _ramp_into_grid(_cell_ramps(sub, f.hi - f.lo), f, grid, span, out)
         i1 = np.where(shallow, i0, i1)  # only the steep cells are left to scatter
-    _scatter_pairs(i0, i1, pair_values, out, cost)
+    _scatter_pairs(i0, i1, lambda s, idx: _cell_pairs(cells, steep, f, s, grid[idx]), out, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -743,147 +810,6 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     for piece in res.pieces:
         _piece_into_grid(piece, f, grid, out, tol)
     return out
-
-
-def _cell_mass(vc: np.ndarray, beta: np.ndarray, t0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Integral of |vc + beta * t| over t0 <= t <= t0 + d (d >= 0), elementwise.
-
-    With r = vc / beta, u = t + Re r and b = |Im r|, the integral is
-    |beta| / 2 times u * sqrt(u^2 + b^2) + b^2 * arsinh(u / b) between the
-    ends.  A cell of one phase (b = 0) without a zero inside takes its value
-    at the middle times d instead, exact on real cells.  When the two ends
-    of u have one sign, both differences are written as quotients of sums,
-    u1 - u0 being d and u1 + u0 being 2 u0 + d, so nothing cancels however
-    far the zero of the density lies.
-    """
-    out = np.abs(vc + beta * (t0 + 0.5 * d)) * d
-    r = np.divide(vc, beta, out=np.zeros(vc.shape, dtype=np.complex128), where=beta != 0)
-    u0, b = t0 + r.real, np.abs(r.imag)
-    cross = (u0 < 0.0) & (u0 + d > 0.0)
-    live = (beta != 0) & (d > 0.0) & ((b > 0.0) | cross)
-    if not np.any(live):
-        return out
-    u0, b, d, cross = u0[live], b[live], d[live], cross[live]
-    u1, b2, total = u0 + d, b * b, 2.0 * u0 + d
-    s0, s1 = np.hypot(u0, b), np.hypot(u1, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 takes no arsinh term
-        prod = np.where(cross, u1 * s1 - u0 * s0, d * total * (u0 * u0 + u1 * u1 + b2) / (u1 * s1 + u0 * s0))
-        arc = np.where(cross, np.arcsinh(u1 / b) - np.arcsinh(u0 / b), np.arcsinh(d * total / (u1 * s0 + u0 * s1)))
-        out[live] = 0.5 * np.abs(beta[live]) * (prod + np.where(b2 > 0.0, b2 * arc, 0.0))
-    return out
-
-
-def _trapezoid_cum(piece: TransformedDensity, clip: Window, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of n equal intervals on clip, and the trapezoid cumulative of
-    |density| at them."""
-    ts = np.linspace(clip.lo, clip.hi, n + 1)
-    return ts, _cumulate(ts, np.abs(piece.evalv(ts)))
-
-
-def _cumulate(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    seg = 0.5 * (vals[:-1] + vals[1:]) * np.diff(ts)
-    return np.concatenate(([0.0], np.cumsum(seg)))
-
-
-def _converged_cum(piece: TransformedDensity, clip: Window, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoid cumulative on 128 intervals, doubled until two totals agree to tol.
-
-    Each level keeps the values of the last and evaluates only the new
-    midpoints, which np.linspace would place at the same points; the
-    cumulative is built once, on the level that converges.
-    """
-    n = 128
-    step = clip.width / n
-    ts = np.arange(n + 1) * step + clip.lo
-    ts[-1] = clip.hi
-    vals = np.abs(piece.evalv(ts))
-    total = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    for _ in range(15):
-        step = 0.5 * step
-        mids = np.abs(piece.evalv(np.arange(1, 2 * n, 2) * step + clip.lo))
-        both = np.empty(2 * n + 1)
-        both[0::2], both[1::2] = vals, mids
-        n, vals, prev = 2 * n, both, total
-        total = 0.5 * prev + step * mids.sum()
-        delta = abs(total - prev)
-        if delta <= tol:
-            ts = np.linspace(clip.lo, clip.hi, n + 1)
-            return ts, _cumulate(ts, vals)
-    raise QuadratureError("variation quadrature did not converge", delta)
-
-
-def _cells_sum(cells: list[_Cells]) -> _Cells:
-    """Several pieces' cells added into one density, on the union of their
-    edges: each piece is affine on every union cell, so the sum is exact."""
-    if len(cells) == 1:
-        return cells[0]
-    edges = np.unique(np.concatenate([np.concatenate((a, b)) for a, b, _, _ in cells]))
-    lo, hi = edges[:-1], edges[1:]
-    center = 0.5 * (lo + hi)
-    vc = np.zeros(center.size, dtype=np.complex128)
-    beta = np.zeros(center.size, dtype=np.complex128)
-    for a, b, v, s in cells:
-        i = a.searchsorted(center, side="right") - 1
-        on = i >= 0
-        on[on] = center[on] < b[i[on]]
-        i = i[on]
-        vc[on] += v[i] + s[i] * (center[on] - 0.5 * (a[i] + b[i]))
-        beta[on] += s[i]
-    return lo, hi, vc, beta
-
-
-class _MassTable:
-    """|mu|-mass of the subwindows of one window, for any number of queries.
-
-    Atoms are a cumulative sum of |w|.  The declared density pieces are
-    added on the union of their cell edges before taking |.|, so pieces that
-    cancel count as what they sum to; the sum is a cumulative sum of exact
-    cell masses, read between cells with searchsorted and on the partial cell
-    at each end of a query with the same closed form.  Each smooth piece is
-    the trapezoid cumulative that ``rule(piece, clip)`` builds, read by linear
-    interpolation, and adds its own |.|: with smooth pieces the mass is an
-    upper bound on |mu|, up to the rule's error.
-    """
-
-    def __init__(self, rule: Callable, positions: np.ndarray = np.empty(0), weights: np.ndarray = np.empty(0)):
-        self.rule = rule
-        self.pos = positions
-        self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(weights))))
-        self.cells: list[_Cells] = []  # per declared piece
-        self.smooth_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per smooth piece, mass left of u
-
-    def add(self, piece: TransformedDensity, cells: _Cells | None, w: Window) -> None:
-        """Add the mass of piece inside w, from its cells on a window covering
-        w (None for a smooth piece, which the rule integrates on w)."""
-        if cells is None:
-            sup = piece.support
-            clip = w if sup is None else w.intersect(sup)
-            if clip is not None and clip.width > 0.0:
-                ts, cum = self.rule(piece, clip)
-                self.smooth_to.append(lambda u: np.interp(u, ts, cum))
-        elif cells[0].size:
-            self.cells.append(cells)
-
-    def _declared_to(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Mass left of u of the declared pieces' sum."""
-        a, b, vc, beta = _cells_sum(self.cells)
-        width = b - a
-        cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
-
-        def cells_to(u: np.ndarray) -> np.ndarray:
-            i = np.maximum(a.searchsorted(u, side="right") - 1, 0)
-            return cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(u - a[i], 0.0, width[i]))
-
-        return cells_to
-
-    def query(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
-        """Mass inside [lo, hi], elementwise, as a 1-d array."""
-        lo, hi = np.atleast_1d(lo, hi)
-        out = self.cum_atoms[self.pos.searchsorted(hi, side="right")] - self.cum_atoms[self.pos.searchsorted(lo)]
-        for mass_to in ([self._declared_to()] if self.cells else []) + self.smooth_to:
-            ends = mass_to(np.concatenate((lo, hi)))  # one pass for both ends
-            out += ends[lo.size :] - ends[: lo.size]
-        return out
 
 
 def _mass_table(mu: MeasureExpr, hull: Window, rule: Callable) -> _MassTable:

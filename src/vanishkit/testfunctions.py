@@ -17,6 +17,7 @@ sample count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ class Window:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise InvalidArgument(f"window bounds must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise InvalidArgument(f"window is empty: lo {self.lo} > hi {self.hi}")
@@ -119,9 +120,12 @@ class TestFunction:
         seg1 = (self.step / 6.0) * (y0 * (2.0 * x0 + x1) + y1 * (x0 + 2.0 * x1))
         cum1 = np.concatenate(([0.0 + 0.0j], np.cumsum(seg1)))
         slope = (samples[1:] - samples[:-1]) / self.step
-        # slope jumps at every knot, counting the jumps onto and off the support
+        # slope jumps at every knot, counting the jumps onto and off the
+        # support.  A kink is a jump of more than rounding: rounded samples
+        # move a slope by a few ulps of max|f| / step, and max|f| is at most
+        # max|slope| times half the support.
         jumps = np.diff(np.concatenate(([0.0], slope, [0.0])))
-        kink = jumps != 0
+        kink = np.abs(jumps) > 4.0 * np.finfo(float).eps * samples.size * float(np.max(np.abs(slope)))
         kinks = (grid[kink], jumps[kink])
         for arr in (cum0, cum1, slope, *kinks):
             arr.setflags(write=False)
@@ -142,8 +146,8 @@ class TestFunction:
 
     @property
     def kinks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kink table (c, s): the knots c where the slope jumps by a
-        nonzero amount, ascending, and the jumps s there (complex)."""
+        """The kink table (c, s): the knots c where the slope jumps by more
+        than rounding, ascending, and the jumps s there (complex)."""
         return self._kinks
 
     @property

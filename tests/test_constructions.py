@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vanishkit import constructions, measures, testfunctions
+from vanishkit import constructions, masses, measures, testfunctions
 from vanishkit.analysis import VANISHING, decay_profile
 from vanishkit.constructions import (
     EXAMPLE_NAMES,
@@ -23,10 +23,15 @@ from vanishkit.measures import (
     AbsCont,
     ConstantDensity,
     FiniteAtoms,
+    FunctionDensity,
     IndicatorDensity,
     PurePoint,
+    ReflectConj,
+    Scale,
     Sum,
     TransformedDensity,
+    Translate,
+    TriangleDensity,
     _affine_cells,
     atoms_in,
     convolve,
@@ -235,22 +240,42 @@ def test_block_pairing_reaches_past_the_window():
 
 @pytest.mark.parametrize("inp", [ex_b_block_input(6), nu_block_input(8)], ids=["mixed", "pure_point"])
 def test_block_validation_resolves_each_part_once(monkeypatch, inp):
-    resolved = []
-    resolve = measures.resolve_window
+    # one flat resolution that receives every part, in order; resolve_window
+    # goes through _resolve_parts too, so any other resolution is counted
+    calls = []
+    resolve = measures._resolve_parts
 
-    def counted(mu, w):
-        resolved.append(mu)
-        return resolve(mu, w)
+    def counted(exprs, w):
+        calls.append([id(mu) for mu in exprs])
+        return resolve(exprs, w)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("block validation called a whole-measure convolution")
 
     for module in (measures, constructions):
-        monkeypatch.setattr(module, "resolve_window", counted)
+        monkeypatch.setattr(module, "_resolve_parts", counted)
         for name in ("convolve", "convolve_grid"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     validate_block_sum(inp)
-    assert [id(mu) for mu in resolved] == [id(p.measure) for p in inp.parts]
+    assert calls == [[id(p.measure) for p in inp.parts]]
+
+
+def test_block_validation_calls_the_cell_kernel_once_per_probe(monkeypatch):
+    # the cells of all 13 density pieces meet each probe in one kernel call
+    calls = []
+    kernel = measures._cell_pairs
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    for module in (measures, constructions):
+        monkeypatch.setattr(module, "_cell_pairs", counted)
+    inp = ex_b_block_input(6)
+    probes = constructions.default_probes(inp.window)
+    validate_block_sum(inp, probes)
+    assert len(calls) == len(probes) == 15
+    assert len(set(map(id, calls))) == 15  # one call per probe
 
 
 @pytest.mark.parametrize("inp", [ex_b_block_input(6), nu_block_input(40)], ids=["mixed", "pure_point"])
@@ -267,6 +292,105 @@ def test_block_validation_evaluates_each_probe_once(monkeypatch, inp):
     monkeypatch.setattr(testfunctions.TestFunction, "values", counted)
     validate_block_sum(inp, probes)
     assert len(calls) == len(probes)
+
+
+def _validate_by_part(inp, probes):
+    """The per-part block validation that the flat pass replaced: each part
+    resolved on its own, each density piece scattered once per probe."""
+    k = inp.window
+    pad = 10.0 * max(1.0, k.width)
+    span = Window(min(k.lo - pad, *(g.lo for g in probes)), max(k.hi + pad, *(g.hi for g in probes)))
+    resolved = [measures.resolve_window(p.measure, span) for p in inp.parts]
+    n = len(resolved)
+    counts = np.array([rw.positions.size for rw in resolved])
+    part = np.repeat(np.arange(n), counts)
+    pos = np.concatenate([rw.positions for rw in resolved])
+    wts = np.concatenate([rw.weights for rw in resolved])
+    inside = (pos >= k.lo) & (pos <= k.hi)
+    offends = np.zeros(n, dtype=bool)
+    offends[part[~inside]] = True
+    reflected = [testfunctions.tf_reflect_conj(g) for g in probes]
+    segment_sums = constructions._segment_sums
+    pairs = np.array([segment_sums(g.values(-pos) * wts, counts) for g in reflected])
+    variations = segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
+    origin = np.zeros(1)
+    for i, rw in enumerate(resolved):
+        if not rw.pieces:
+            continue
+        density_mass = masses._MassTable(lambda piece, clip: masses._converged_cum(piece, clip, 1e-8))
+        for piece in rw.pieces:
+            sup = piece.support
+            offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
+            cells = _affine_cells(piece, span if sup is None else span.intersect(sup))
+            for j, g in enumerate(reflected):
+                if cells is None:
+                    measures._piece_into_grid(piece, g, origin, pairs[j, i : i + 1], 1e-8)
+                else:
+                    measures._scatter_cells(cells, g, origin, pairs[j, i : i + 1])
+            density_mass.add(piece, cells, k)
+        variations[i] += density_mass.query(k.lo, k.hi)[0]
+    return offends, variations, np.max(np.abs(pairs), axis=0), pos[inside], wts[inside], part[inside]
+
+
+def _oracle_parts():
+    """Parts that mix every shape the flat pass lays out."""
+    ex_tent = build_example("ex_tent")
+    return [
+        # reflected, scaled and translated atoms, complex weights
+        Translate(0.25, ReflectConj(Scale(0.5 - 2.0j, PurePoint(FiniteAtoms([(0.1, 1.0), (0.3, 2.0 - 1.0j), (0.45, 1.0j)]))))),
+        # several atom leaves: coincident atoms add, and 0.5 cancels to nothing
+        Sum((
+            PurePoint(FiniteAtoms([(0.0, 1.0), (0.5, 1.0)])),
+            PurePoint(FiniteAtoms([(0.25, 3.0j), (0.5, -1.0)])),
+            Scale(2.0, PurePoint(FiniteAtoms([(0.0, 0.5)]))),
+        )),
+        PurePoint(FiniteAtoms([])),  # empty
+        PurePoint(FiniteAtoms([(1e6, 1.0)])),  # nothing inside the span
+        # a leaf and its reflection: out of order within the part
+        Sum((PurePoint(FiniteAtoms([(0.1, 1.0), (0.2, 1.0j)])), ReflectConj(PurePoint(FiniteAtoms([(0.1, 2.0), (0.3, -1.0)]))))),
+        # tents shifted so a steep narrow one (level 20) sits on the origin
+        Translate(-20.0, ex_tent),
+        Sum((Translate(-12.0, ex_tent), PurePoint(FiniteAtoms([(0.0, -1.0)])))),
+        # a smooth piece, bounded, beside a complex triangle and an atom
+        Sum((
+            AbsCont(FunctionDensity(lambda x: np.exp(-x * x) * (1.0 + 0.5j), Window(-0.5, 0.7), "gauss")),
+            Scale(1.0j, AbsCont(TriangleDensity(0.2, 0.5, 1.0 - 1.0j))),
+            PurePoint(FiniteAtoms([(0.2, 1.0 + 1.0j)])),
+        )),
+        AbsCont(FunctionDensity(np.cos, None, "cos")),  # smooth, unbounded
+        ReflectConj(Sum((AbsCont(IndicatorDensity(0.0, 0.6, 2.0j)), PurePoint(FiniteAtoms([(0.2, 1.0), (0.4, 1.0j)]))))),
+        Translate(-100.0, build_example("ex_a")),
+        Scale(0.5, Translate(7.5, build_example("ex_b"))),
+        Translate(3.0, Sum((build_example("ex_nu"), Scale(-1.0, build_example("ex_nu"))))),  # cancels
+    ]
+
+
+@pytest.mark.parametrize("probes", ["default", "complex"])
+def test_flat_block_validation_against_the_per_part_loop(probes):
+    parts = tuple(BlockPart(mu, float(3 * i)) for i, mu in enumerate(_oracle_parts()))
+    inp = BlockSumInput(parts, Window(-1.0, 1.0))
+    if probes == "default":
+        probes = constructions.default_probes(inp.window)
+    else:
+        probes = [tf_hat(0.1, 0.3, 1.0 - 0.5j, step=0.003), tf_hat(-0.4, 0.125, 2.0j), tf_hat(0.0, 2.0, 1.0)]
+    report, pos, wts, part = constructions._validate(inp, probes)
+    offends, variations, trace, want_pos, want_wts, want_part = _validate_by_part(inp, probes)
+    for got, want in ((pos, want_pos), (wts, want_wts), (part, want_part)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert report.h_support == (not offends.any())
+    assert report.support_offender == (None if report.h_support else int(np.argmax(offends)))
+    assert report.sup_variation == pytest.approx(float(np.max(variations)), rel=1e-12)
+    assert np.all(np.abs(np.array(report.pairing_trace) - trace) <= 1e-12 * trace)
+    n = len(parts)
+    assert report.worst_pairing == float(np.max(report.pairing_trace[n - n // 4 :]))
+    half = n // 2
+    assert report.h_bounded == (float(np.max(variations[half:])) <= 1.05 * float(np.max(variations[:half])) + 1e-9)
+    assert report.min_shift_gap == 3.0 and report.h_udiscrete
+    # the mix reaches every path: empty parts, steep cells, smooth pieces
+    assert np.count_nonzero(trace == 0.0) == 3 and np.all(trace[[5, 6, 7, 8]] > 0.0)
+    tent = TransformedDensity(build_example("ex_tent").density, 1, -20.0, 0, 1.0)
+    cells = _affine_cells(tent, Window(-0.01, 0.01))
+    assert all(np.all(measures._steep_cells(cells, testfunctions.tf_reflect_conj(g))) for g in probes)
 
 
 def test_block_validation_builds_cells_once_per_density_piece(monkeypatch):

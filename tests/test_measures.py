@@ -1,10 +1,12 @@
 """Measure expressions: window resolution, convolution, variation, norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanishkit import measures, ramps
+from vanishkit import masses, measures, ramps
 from vanishkit.constructions import AlternatingDyadicDensity, build_example
 from vanishkit.errors import InvalidArgument, QuadratureError
 from vanishkit.fourier import bessel_j0_vec
@@ -315,7 +317,7 @@ def test_cell_mass_closed_form_against_scipy_quad(vc, beta, t0, d):
     expected, _ = integrate.quad(
         lambda t: abs(vc + beta * t), t0, t0 + d, points=points, epsabs=0.0, epsrel=1e-13, limit=200
     )
-    got = measures._cell_mass(np.array([vc]), np.array([beta]), np.array([t0]), np.array([d]))[0]
+    got = masses._cell_mass(np.array([vc]), np.array([beta]), np.array([t0]), np.array([d]))[0]
     assert abs(got - expected) <= 1e-12 * expected
 
 
@@ -634,6 +636,30 @@ def test_pair_scatter_one_point_grid(monkeypatch):
     assert convolve(mu, f, 15.3) == got[0]
 
 
+def test_pair_scatter_splits_a_wide_source_across_chunks(monkeypatch):
+    # Lebesgue measure is one cell that reaches every point of a 2^18-point
+    # grid.  Its pairs are split across chunks, so the temporaries stay near
+    # a chunk's worth (about 110 bytes a pair) rather than the grid's: as
+    # one chunk of 2^18 pairs they peaked at 27 MB.
+    chunks = _count_chunks(monkeypatch)
+    f = tf_hat(0.0, 0.125, 1.0)
+    grid = np.linspace(-8.0, 8.0, 1 << 18)
+    clip = Window(grid[0] - f.hi, grid[-1] - f.lo)
+    cells = measures._affine_cells(resolve_window(AbsCont(ConstantDensity(1.0)), clip).pieces[0], clip)
+    assert cells[0].size == 1
+    out = np.zeros(grid.size, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        measures._scatter_cells(cells, f, grid, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * _SCATTER_CHUNK
+    assert chunks == [_SCATTER_CHUNK] * (grid.size // _SCATTER_CHUNK)
+    a, b, vc, _ = cells
+    assert np.array_equal(out, vc * (f.integral_to(grid - a) - f.integral_to(grid - b)))
+
+
 # ---------------------------------------------------------------------------
 # Ramp sums: atoms and shallow cells against double sums and the cell loop
 # ---------------------------------------------------------------------------
@@ -689,10 +715,11 @@ def test_ramp_on_block_edges(monkeypatch):
 
 def test_ramp_non_dyadic_hat(monkeypatch):
     # 1 - k/100 rounds, so most slope differences of this hat are a rounding
-    # away from zero rather than exactly zero: 35 kinks, not 3.
+    # away from zero rather than exactly zero; the kink table keeps only the
+    # 3 true kinks, and the ramp sums still match the rounded samples.
     _take_path(monkeypatch, "ramp")
     f = tf_hat(0.0, 0.3, 1.0, step=0.003)
-    assert f.kinks[0].size == 35
+    assert f.kinks[0].size == 3
     rng = np.random.default_rng(11)
     pos = np.sort(rng.uniform(-5.0, 5.0, 3000))
     wts = rng.normal(size=3000) + 1j * rng.normal(size=3000)

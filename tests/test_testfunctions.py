@@ -60,7 +60,7 @@ def test_reflect_conj_mirrors_and_conjugates():
     "f, count",
     [
         (tf_hat(0.3, 0.4, 1.5 - 0.5j), 3),
-        (tf_hat(0.0, 0.3, 1.0, step=0.003), 35),  # 1 - k/100 rounds, so the flanks wobble
+        (tf_hat(0.0, 0.3, 1.0, step=0.003), 3),  # 1 - k/100 rounds; the wobble is not a kink
         (tf_indicator(-1.0, 2.0, step=0.01), 4),
         (tf_convolve(tf_hat(0.0, 0.25, 1.0, step=0.025), tf_hat(0.1, 0.125, 1.0j, step=0.025), refine=4), None),
     ],
@@ -77,6 +77,18 @@ def test_kink_table_identities(f, count):
     ramps = np.maximum(f.knots[:, None] - c[None, :], 0.0) @ s
     assert np.max(np.abs(ramps - f.samples)) <= 1e-13 * scale
     assert f.slope_jump_total() == pytest.approx(np.sum(np.abs(s)), rel=1e-15)
+
+
+@pytest.mark.parametrize("half", [2.0, 0.5, 0.125, 2.0**-10])
+def test_dyadic_hat_kinks_are_every_nonzero_slope_jump(half):
+    # samples 1 - k/n are exact for a power-of-two n, so the rounding floor
+    # of the kink table drops nothing: 3 kinks, the jumps unchanged
+    f = tf_hat(1.5, half, 1.0 - 0.5j)
+    slope = np.diff(f.samples) / f.step
+    jumps = np.diff(np.concatenate(([0.0], slope, [0.0])))
+    c, s = f.kinks
+    assert c.tolist() == f.knots[jumps != 0].tolist() == [1.5 - half, 1.5, 1.5 + half]
+    assert s.tobytes() == jumps[jumps != 0].tobytes()
 
 
 def test_integral_between_matches_dense_trapezoid():
