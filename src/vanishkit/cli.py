@@ -140,6 +140,28 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:
+    """One table, described once as named columns of equal length.
+
+    CSV is the column names joined as the header, then the rows; JSON is the
+    scalar fields plus ``rows``, one object per row keyed by the same names.
+    """
+    names = list(columns)
+    rows = np.column_stack(list(columns.values())).tolist()
+    if args.format == "json":
+        _emit(args, _json_text({**fields, "rows": [dict(zip(names, row)) for row in rows]}))
+    else:
+        _emit(args, _csv_text(",".join(names), rows))
+
+
+def _emit_profile(args: argparse.Namespace, report: dict, header: str) -> None:
+    """A profile report as JSON, or its ``entries`` as CSV rows under header."""
+    if args.format == "json":
+        _emit(args, _json_text(report))
+    else:
+        _emit(args, _csv_text(header, report["entries"]))
+
+
 def _default_annulus_step(f, radii: Sequence[float]) -> float:
     # Cap the scan at ~200k sample points so huge radii stay responsive.
     return max(f.step / 2.0, 2.0 * max(radii) / 200000.0)
@@ -150,14 +172,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     f = _test_function(args)
     xs = _parse_grid(args.grid)
     values = convolve_grid(mu, f, xs, tol=args.tolerance)
-    if args.format == "json":
-        rows = [
-            {"x": float(x), "re": float(v.real), "im": float(v.imag)}
-            for x, v in zip(xs, values)
-        ]
-        _emit(args, _json_text({"rows": rows}))
-    else:
-        _emit(args, _csv_text("x,re,im", specio.xy_rows(xs, values)))
+    _emit_table(args, {"x": xs, "re": values.real, "im": values.imag})
     return 0
 
 
@@ -168,10 +183,7 @@ def _cmd_decay(args: argparse.Namespace) -> int:
     profile = decay_profile(
         mu, f, radii, args.epsilon, annulus_step=_default_annulus_step(f, radii)
     )
-    if args.format == "json":
-        _emit(args, _json_text(specio.decay_report_dict(profile)))
-    else:
-        _emit(args, _csv_text("R,sup", specio.decay_rows(profile)))
+    _emit_profile(args, specio.decay_report_dict(profile), "R,sup")
     return 0 if profile.verdict == VANISHING else 2
 
 
@@ -196,10 +208,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     f = _test_function(args)
     n_list = _parse_ints(args.nlist, "--nlist")
     trace = mean_abs(mu, f, n_list)
-    if args.format == "json":
-        _emit(args, _json_text(specio.mean_report_dict(trace)))
-    else:
-        _emit(args, _csv_text("n,average", specio.mean_rows(trace)))
+    _emit_profile(args, specio.mean_report_dict(trace), "n,average")
     return 0
 
 
@@ -219,42 +228,19 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
             raise InvalidArgument(
                 "fourier expects a pure-point or absolutely continuous root"
             )
-        if args.format == "json":
-            rows = [
-                {"k": float(k), "re": float(v.real), "im": float(v.imag)}
-                for k, v in zip(ks, values)
-            ]
-            _emit(args, _json_text({"rows": rows}))
-        else:
-            _emit(args, _csv_text("k,re,im", specio.xy_rows(ks, values)))
+        _emit_table(args, {"k": ks, "re": values.real, "im": values.imag})
         return 0
-    values = series_density(ks, args.truncation)
-    if args.format == "json":
-        rows = [{"k": float(k), "value": float(v)} for k, v in zip(ks, values)]
-        _emit(args, _json_text({"rows": rows}))
-    else:
-        _emit(args, _csv_text("k,value", specio.spectral_rows(ks, values)))
+    _emit_table(args, {"k": ks, "value": series_density(ks, args.truncation)})
     return 0
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
     rs = _parse_grid(args.grid)
     _check_tol(args.tolerance)
-    pairs = [bessel_j0_check(float(r), quad_points=512) for r in rs]
-    worst = max(abs(lhs - rhs) for lhs, rhs in pairs)
-    if args.format == "json":
-        rows = [
-            {
-                "r": float(r),
-                "lhs": lhs,
-                "rhs": rhs,
-                "deviation": abs(lhs - rhs),
-            }
-            for r, (lhs, rhs) in zip(rs, pairs)
-        ]
-        _emit(args, _json_text({"max_deviation": worst, "rows": rows}))
-    else:
-        _emit(args, _csv_text("r,lhs,rhs,deviation", specio.bessel_rows(rs, pairs)))
+    lhs, rhs = np.array([bessel_j0_check(float(r), quad_points=512) for r in rs]).T
+    deviation = np.abs(lhs - rhs)
+    worst = float(deviation.max())
+    _emit_table(args, {"r": rs, "lhs": lhs, "rhs": rhs, "deviation": deviation}, max_deviation=worst)
     return 0 if worst <= args.tolerance else 2
 
 
@@ -274,16 +260,22 @@ def _cmd_rlcheck(args: argparse.Namespace) -> int:
     f = _test_function(args)
     xs = _parse_grid(args.grid)
     report = rl_crosscheck(mu, _spectral_density(args), f, xs, tolerance=args.tolerance)
-    if args.format == "json":
-        _emit(args, _json_text(specio.rl_report_dict(report)))
-    else:
-        _emit(
-            args,
-            _csv_text(
-                "x,direct_re,direct_im,spectral_re,spectral_im,deviation",
-                specio.rl_rows(report),
-            ),
-        )
+    direct, spectral = report.direct, report.spectral
+    _emit_table(
+        args,
+        {
+            "x": report.xs,
+            "direct_re": direct.real,
+            "direct_im": direct.imag,
+            "spectral_re": spectral.real,
+            "spectral_im": spectral.imag,
+            "deviation": report.deviation,
+        },
+        max_deviation=report.max_deviation,
+        k_window=report.k_window,
+        tail_estimate=report.tail_estimate,
+        quad_estimate=report.quad_estimate,
+    )
     return 0 if report.max_deviation <= args.tolerance else 2
 
 
@@ -295,10 +287,7 @@ def _cmd_rajchman(args: argparse.Namespace) -> int:
         mu, f, radii, epsilon=args.epsilon,
         annulus_step=_default_annulus_step(f, radii),
     )
-    if args.format == "json":
-        _emit(args, _json_text(specio.decay_report_dict(profile)))
-    else:
-        _emit(args, _csv_text("R,sup", specio.decay_rows(profile)))
+    _emit_profile(args, specio.decay_report_dict(profile), "R,sup")
     return 0 if profile.verdict == VANISHING else 2
 
 

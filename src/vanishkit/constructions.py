@@ -536,7 +536,7 @@ def generate_block_sum(
     shifts = np.array([p.shift for p in inp.parts], dtype=float)
     covered = Window(float(np.min(shifts)) + inp.window.lo, float(np.max(shifts)) + inp.window.hi)
     if all(_is_pure_point(p.measure) for p in inp.parts):
-        measure: MeasureExpr = PurePoint(FiniteAtoms(list(zip(pos + shifts[part], wts))))
+        measure: MeasureExpr = PurePoint(FiniteAtoms(np.column_stack((pos + shifts[part], wts))))
     else:
         measure = Sum(tuple(Translate(p.shift, p.measure) for p in inp.parts))
     return GeneratedBlockSum(measure, report, covered, len(inp.parts))

@@ -347,6 +347,7 @@ class RLReport:
     xs: np.ndarray
     direct: np.ndarray
     spectral: np.ndarray
+    deviation: np.ndarray  # |direct - spectral| at each x
     max_deviation: float
     k_window: float
     tail_estimate: float
@@ -422,8 +423,12 @@ def rl_crosscheck(
     else:
         raise QuadratureError("spectral quadrature did not converge", quad_estimate)
     spectral = prev
-    max_dev = float(np.max(np.abs(direct - spectral)))
-    return RLReport(xs, direct, spectral, max_dev, k_window, tail_estimate, quad_estimate)
+    gap = direct - spectral
+    # np.hypot rounds as Python's abs does; np.abs of complex128 can be 2 ulps away
+    deviation = np.hypot(gap.real, gap.imag)
+    return RLReport(
+        xs, direct, spectral, deviation, float(deviation.max()), k_window, tail_estimate, quad_estimate
+    )
 
 
 def rajchman_check(

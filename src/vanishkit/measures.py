@@ -107,12 +107,20 @@ class AtomSource(abc.ABC):
 class FiniteAtoms(AtomSource):
     """An explicit finite atom list; coincident positions merge at build time."""
 
-    def __init__(self, atoms: Sequence[tuple[float, complex]]) -> None:
-        pos = np.array([a[0] for a in atoms], dtype=float)
-        wts = np.array([a[1] for a in atoms], dtype=np.complex128)
-        if not (np.isfinite(pos).all() and np.isfinite(wts).all()):
+    def __init__(self, atoms: Sequence[tuple[float, complex]] | np.ndarray) -> None:
+        try:
+            arr = np.asarray(atoms, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise InvalidArgument("atoms must be (position, weight) pairs of numbers")
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise InvalidArgument(f"atoms must be (position, weight) pairs, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
             raise InvalidArgument("atom positions and weights must be finite")
-        self.positions, self.weights = _merge(pos, wts)
+        if np.count_nonzero(arr[:, 0].imag):
+            raise InvalidArgument("atom positions must be real")
+        self.positions, self.weights = _merge(np.ascontiguousarray(arr[:, 0].real), arr[:, 1])
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         lo = self.positions.searchsorted(w.lo, side="left")
@@ -627,47 +635,40 @@ def _piece_into_grid(
 # ---------------------------------------------------------------------------
 
 
-# Upper bound on the (source, grid point) pairs one scatter chunk expands,
-# a steep cell's pairs counting once per f-knot sub-cell, so its temporaries
-# stay near 256 kB whatever the source count and grid size (a source reaching
-# more grid points is split across chunks).  On a Xeon with 2 MB of L2 per
-# core, chunks of 2^16 pairs made convolve_grid about 30 % slower.
+# The (source, grid point) pairs one scatter chunk expands, so its
+# temporaries stay near 256 kB whatever the source count and grid size (a
+# source reaching more grid points is split across chunks).  A steep cell's
+# pair expands to one GL2 sub-cell per knot interval of f it crosses; a steep
+# cell is narrower than (f.hi - f.lo) / 49,999 (see _steep_cells), so that is
+# at most 2 + (n - 1) / 49,999 for f with n samples.
+# On a Xeon with 2 MB of L2 per core, chunks of 2^16 pairs made convolve_grid
+# about 30 % slower.
 _SCATTER_CHUNK = 1 << 14
 
 
-def _scatter_pairs(
-    i0: np.ndarray, i1: np.ndarray, pair_values: Callable, out: np.ndarray, cost: np.ndarray | None = None
-) -> None:
+def _scatter_pairs(i0: np.ndarray, i1: np.ndarray, pair_values: Callable, out: np.ndarray) -> None:
     """Add pair_values(source, idx) onto out[idx] for every (source, grid point) pair.
 
     Source s reaches the grid points i0[s] <= idx < i1[s].  The pairs are
-    numbered source by source, each pair of source s costing cost[s]
-    (default 1), and expanded in runs of consecutive pairs that cost at most
-    _SCATTER_CHUNK together; a run cuts through a source that reaches more
-    grid points than fit, and is one pair where that pair alone costs more.
-    pair_values gets each run's source and grid index arrays.  np.add.at
-    adds the pairs in order, so each grid point sums its sources in order.
+    numbered source by source and expanded in runs of _SCATTER_CHUNK
+    consecutive pairs; a run cuts through a source that reaches more grid
+    points than fit.  pair_values gets each run's source and grid index
+    arrays.  np.add.at adds the pairs in order, so each grid point sums its
+    sources in order.
     """
     src = (i1 > i0).nonzero()[0]
     count = i1[src] - i0[src]
     end = count.cumsum()
     first = end - count  # number of each source's first pair
     shift = i0[src] - first  # grid index minus pair number, per source
-    unit = np.ones(src.size, dtype=np.intp) if cost is None else cost[src]
-    load = (count * unit).cumsum()
     total = int(end[-1]) if src.size else 0
-    p = 0
-    while p < total:
+    for p in range(0, total, _SCATTER_CHUNK):
+        q = min(p + _SCATTER_CHUNK, total)
         a = int(end.searchsorted(p, side="right"))  # the source of pair p
-        budget = int(load[a] - (end[a] - p) * unit[a]) + _SCATTER_CHUNK
-        b = int(load.searchsorted(budget, side="right"))  # sources a..b-1 end within budget
-        q = total if b == src.size else int(end[b] - (load[b] - budget + unit[b] - 1) // unit[b])
-        q = max(q, p + 1)
         z = int(end.searchsorted(q - 1, side="right"))  # the source of pair q - 1
         owner = np.arange(a, z + 1).repeat(np.minimum(end[a : z + 1], q) - np.maximum(first[a : z + 1], p))
         idx = np.arange(p, q) + shift[owner]
         np.add.at(out, idx, pair_values(src[owner], idx))
-        p = q
 
 
 _STEEP_FACTOR = 1e5  # slope * reach over cell size above which a cell is steep
@@ -746,16 +747,10 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
 
     Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi]; each pair
     (cell, grid point) is a _cell_pairs value.  Shallow cells that make many
-    pairs per kink of f are summed as ramps instead.  A steep pair costs one
-    unit of the scatter chunk per knot of f inside its reach.
+    pairs per kink of f are summed as ramps instead.
     """
     a, b, _, _ = cells
     steep = _steep_cells(cells, f)
-    cost = None
-    if np.count_nonzero(steep):
-        # at most width / f.step + 1 knots fall strictly inside [x - b, x - a]
-        cost = np.ones(a.size, dtype=np.intp)
-        cost[steep] = 3 + ((b - a)[steep] // f.step).astype(np.intp)
     i0 = grid.searchsorted(a + f.lo, side="left")
     i1 = grid.searchsorted(b + f.hi, side="right")
     shallow = ~steep
@@ -764,7 +759,7 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
         sub = tuple(arr[shallow] for arr in cells)
         _ramp_into_grid(_cell_ramps(sub, f.hi - f.lo), f, grid, span, out)
         i1 = np.where(shallow, i0, i1)  # only the steep cells are left to scatter
-    _scatter_pairs(i0, i1, lambda s, idx: _cell_pairs(cells, steep, f, s, grid[idx]), out, cost)
+    _scatter_pairs(i0, i1, lambda s, idx: _cell_pairs(cells, steep, f, s, grid[idx]), out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .constructions import (
     nu_block_input,
 )
 from .errors import InvalidArgument
-from .fourier import RLReport
 from .measures import (
     AbsCont,
     ConstantDensity,
@@ -50,16 +49,9 @@ __all__ = [
     "block_input_to_dict",
     "fmt",
     "write_csv",
-    "xy_rows",
-    "decay_rows",
-    "mean_rows",
-    "spectral_rows",
-    "rl_rows",
-    "bessel_rows",
     "decay_report_dict",
     "mean_report_dict",
     "coeffs_report_dict",
-    "rl_report_dict",
     "block_report_dict",
 ]
 
@@ -108,6 +100,13 @@ def _floats(v: Any, n: int, where: str) -> tuple[float, ...]:
     return tuple(_as_float(x, where) for x in _as_list(v, where, n))
 
 
+def _atom_rows(v: Any, where: str) -> list[tuple[float, complex]]:
+    """A list of [p, re, im] rows as (position, weight) atoms."""
+    rows = _as_list(v, where)
+    atoms = [_floats(row, 3, f"{where}[{i}]") for i, row in enumerate(rows)]
+    return [(p, complex(re, im)) for p, re, im in atoms]
+
+
 _WEIGHT_RULES = {
     "ones": lambda n: np.ones(n.shape, dtype=np.complex128),
     "harmonic": lambda n: (1.0 / (1.0 + np.abs(n))).astype(np.complex128),
@@ -121,9 +120,7 @@ def _parse_pp(d: dict, where: str) -> MeasureExpr:
         return build_example(builder)
     if builder == "finite_atoms":
         _reject_unknown(d, {"kind", "builder", "atoms"}, where)
-        rows = _as_list(_require(d, "atoms", where), where + ".atoms")
-        atoms = [_floats(row, 3, f"{where}.atoms[{i}]") for i, row in enumerate(rows)]
-        return PurePoint(FiniteAtoms([(p, complex(re, im)) for p, re, im in atoms]))
+        return PurePoint(FiniteAtoms(_atom_rows(_require(d, "atoms", where), where + ".atoms")))
     if builder == "lattice":
         _reject_unknown(d, {"kind", "builder", "spacing", "offset", "weights"}, where)
         spacing = _as_float(d.get("spacing", 1.0), where)
@@ -250,10 +247,9 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
         _reject_unknown(pd, {"shift", "atoms", "densities", "label"}, where)
         shift = _as_float(_require(pd, "shift", where), where)
         terms: list[MeasureExpr] = []
-        rows = _as_list(pd.get("atoms", []), where + ".atoms")
-        atoms = [_floats(row, 3, f"{where}.atoms[{j}]") for j, row in enumerate(rows)]
+        atoms = _atom_rows(pd.get("atoms", []), where + ".atoms")
         if atoms:
-            terms.append(PurePoint(FiniteAtoms([(p, complex(re, im)) for p, re, im in atoms])))
+            terms.append(PurePoint(FiniteAtoms(atoms)))
         for j, dd in enumerate(_as_list(pd.get("densities", []), where + ".densities")):
             dwhere = f"{where}.densities[{j}]"
             _reject_unknown(dd, {"builder", "interval", "weight"}, dwhere)
@@ -345,36 +341,6 @@ def write_csv(out: IO[str], header: str, rows: Sequence[Sequence[float]]) -> Non
         out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
-def xy_rows(xs: np.ndarray, values: np.ndarray) -> list[list[float]]:
-    vals = np.asarray(values, dtype=np.complex128)
-    return [[float(x), float(v.real), float(v.imag)] for x, v in zip(xs, vals)]
-
-
-def decay_rows(profile: DecayProfile) -> list[list[float]]:
-    return [[r, s] for r, s in profile.entries]
-
-
-def mean_rows(trace: MeanTrace) -> list[list[float]]:
-    return [[float(n), avg] for n, avg in trace.entries]
-
-
-def spectral_rows(ks: np.ndarray, values: np.ndarray) -> list[list[float]]:
-    return [[float(k), float(v)] for k, v in zip(ks, values)]
-
-
-def rl_rows(report: RLReport) -> list[list[float]]:
-    rows = []
-    for x, d, s in zip(report.xs, report.direct, report.spectral):
-        rows.append(
-            [float(x), float(d.real), float(d.imag), float(s.real), float(s.imag), float(abs(d - s))]
-        )
-    return rows
-
-
-def bessel_rows(rs: Sequence[float], pairs: Sequence[tuple[float, float]]) -> list[list[float]]:
-    return [[float(r), lhs, rhs, abs(lhs - rhs)] for r, (lhs, rhs) in zip(rs, pairs)]
-
-
 def decay_report_dict(profile: DecayProfile) -> dict:
     return {
         "verdict": profile.verdict,
@@ -394,26 +360,6 @@ def mean_report_dict(trace: MeanTrace) -> dict:
 
 def coeffs_report_dict(cv: CoefficientVerdict) -> dict:
     return {"verdict": cv.verdict, "radius": cv.radius, "scanned": cv.scanned}
-
-
-def rl_report_dict(report: RLReport) -> dict:
-    return {
-        "max_deviation": report.max_deviation,
-        "k_window": report.k_window,
-        "tail_estimate": report.tail_estimate,
-        "quad_estimate": report.quad_estimate,
-        "rows": [
-            {
-                "x": float(x),
-                "direct_re": float(d.real),
-                "direct_im": float(d.imag),
-                "spectral_re": float(s.real),
-                "spectral_im": float(s.imag),
-                "deviation": float(abs(d - s)),
-            }
-            for x, d, s in zip(report.xs, report.direct, report.spectral)
-        ],
-    }
 
 
 def block_report_dict(report: HypothesisReport) -> dict:

@@ -110,6 +110,50 @@ def test_rlcheck_json_schema():
     assert report["max_deviation"] <= 1e-4
 
 
+FINITE = '{"expr": {"kind": "pp", "builder": "finite_atoms", "atoms": [[0.0, 1.0, 0.0], [0.5, 0.25, -1.0]]}}'
+TENT = '{"expr": {"kind": "ac", "builder": "triangle", "center": 0.5, "halfwidth": 1.0, "height": 2.0}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1"],
+        ["fourier", "--spec", FINITE, "--grid", "-1:1:0.25"],
+        ["fourier", "--spec", TENT, "--grid", "-1:1:0.25"],
+        ["fourier", "--grid", "-1:1:0.25", "--truncation", "5"],
+        ["bessel", "--grid", "0:2:0.25"],
+        ["rlcheck"],
+    ],
+)
+def test_table_csv_and_json_carry_the_same_rows(argv):
+    _, csv_out, _ = run(argv)
+    _, json_out, _ = run(argv + ["--format", "json"])
+    names = csv_out.splitlines()[0].split(",")
+    report = json.loads(json_out)
+    lines = csv_out.splitlines()[1:]
+    assert len(lines) == len(report["rows"]) > 1
+    for line, row in zip(lines, report["rows"]):
+        assert sorted(row) == sorted(names)
+        assert [float(v) for v in line.split(",")] == [row[n] for n in names]
+    if "deviation" in names:
+        assert report["max_deviation"] == max(row["deviation"] for row in report["rows"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--spec", EX_A, "--radii", "50,100"],
+        ["rajchman", "--spec", FINITE, "--radii", "4,8"],
+        ["mean", "--spec", COMB, "--nlist", "5,10"],
+    ],
+)
+def test_profile_csv_rows_are_the_json_entries(argv):
+    _, csv_out, _ = run(argv)
+    _, json_out, _ = run(argv + ["--format", "json"])
+    rows = [[float(v) for v in line.split(",")] for line in csv_out.splitlines()[1:]]
+    assert rows == json.loads(json_out)["entries"]
+
+
 def test_rajchman_exit_codes():
     code, _, _ = run(["rajchman", "--spec", COMB, "--radii", "4,8"])
     assert code == 2

@@ -192,6 +192,10 @@ def test_rl_crosscheck_triangle_vs_sinc_sq():
     xs = np.linspace(-2.0, 2.0, 41)
     report = rl_crosscheck(mu, spectral_sinc_sq(), f, xs, tolerance=1e-5)
     assert report.max_deviation <= 1e-5
+    # Python's complex abs is the reference; np.abs rounds 6 of these 41 apart
+    want = [abs(d - s) for d, s in zip(report.direct.tolist(), report.spectral.tolist())]
+    assert report.deviation.tolist() == want
+    assert report.max_deviation == max(want)
 
 
 def test_rl_crosscheck_rejects_fat_truncation_tail():

@@ -43,6 +43,12 @@ def test_finite_atoms_window_selection():
     assert [(a.position, a.weight) for a in got] == [(0.0, 1.0 + 0.0j), (3.0, 0.2 - 0.1j)]
 
 
+@pytest.mark.parametrize("atoms", [[(0.0, 1.0, 5.0)], [(1j, 1.0)], [(0.0,)]])
+def test_finite_atoms_rejects_malformed_rows(atoms):
+    with pytest.raises(InvalidArgument):
+        FiniteAtoms(atoms)
+
+
 def test_lattice_comb_offsets_and_weights():
     comb = PurePoint(LatticeComb(1.0, 0.5, lambda n: (1.0 / (1.0 + np.abs(n))).astype(np.complex128)))
     got = atoms_in(comb, Window(0.0, 3.0))
@@ -540,12 +546,12 @@ def _count_chunks(monkeypatch):
     chunks = []
     scatter = measures._scatter_pairs
 
-    def counted(i0, i1, pair_values, out, cost=None):
+    def counted(i0, i1, pair_values, out):
         def values(s, idx):
             chunks.append(idx.size)
             return pair_values(s, idx)
 
-        scatter(i0, i1, values, out, cost)
+        scatter(i0, i1, values, out)
 
     monkeypatch.setattr(measures, "_scatter_pairs", counted)
     return chunks
@@ -612,8 +618,8 @@ def _complex_off_center_triangles(monkeypatch, path):
 
 
 def test_pair_scatter_many_chunks_of_mixed_cells(monkeypatch):
-    # Small chunks, so steep and shallow tent cells share chunks and a
-    # steep cell reaching more pairs than a chunk holds is a chunk alone.
+    # Small chunks, so steep and shallow tent cells share chunks and a steep
+    # cell reaching more pairs than a chunk holds is split across chunks.
     monkeypatch.setattr(measures, "_SCATTER_CHUNK", 64)
     _take_path(monkeypatch, "pairs")
     chunks = _count_chunks(monkeypatch)
@@ -813,6 +819,26 @@ def test_steep_cells_evaluate_f_once_per_chunk(monkeypatch):
     monkeypatch.setattr(type(f), "values", counted)
     convolve_grid(mu, f, np.linspace(0.0, 52.0, 521))
     assert 1 <= len(calls) <= len(chunks)
+
+
+@pytest.mark.parametrize("f", [tf_hat(0.0, 1.0, 1.0), _autocorr_hat()], ids=["hat", "autocorr"])
+def test_steep_pairs_evaluate_f_within_the_chunk_bound(monkeypatch, f):
+    # A steep pair evaluates f at two GL2 nodes on each knot interval of f
+    # it crosses, at most 2 + (n - 1) / 49,999 of them for n samples, so a
+    # chunk of _SCATTER_CHUNK pairs stays within a fixed multiple of its size.
+    _take_path(monkeypatch, "pairs")
+    chunks = _count_chunks(monkeypatch)
+    calls = []
+    values = type(f).values
+
+    def counted(self, xs):
+        calls.append(np.size(xs))
+        return values(self, xs)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    convolve_grid(build_example("ex_tent"), f, np.linspace(0.0, 52.0, 20801))
+    assert max(chunks) == _SCATTER_CHUNK
+    assert 2 * _SCATTER_CHUNK <= max(calls) <= 2 * _SCATTER_CHUNK * (2 + (f.samples.size - 1) / 49_999)
 
 
 def test_integral_and_moment_accept_scalars():
