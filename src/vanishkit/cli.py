@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import sys
@@ -137,7 +138,35 @@ def _csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte
+    for byte, for payloads whose dict keys are strings.
+
+    With an indent, json falls back to its pure-Python encoder.  Here a list
+    of nonempty containers that hold no container (the rows of a table) is
+    written by the C encoder in one call, with a newline and the indentation
+    of the rows' items as the item separator.  An encoded string never holds
+    a newline, and only the separators between rows follow a closing
+    bracket, so those are found by text and given the rows' indentation.
+    """
+    return _indented(payload, 1) + "\n"
+
+
+def _indented(value: object, depth: int) -> str:
+    """value as json.dumps(indent=2, sort_keys=True) writes it, its items indented depth levels."""
+    nested = (dict, list, tuple)
+    if not isinstance(value, nested) or not value:
+        return json.dumps(value)
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        items = [json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in sorted(value.items())]
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    rows = [v.values() if isinstance(v, dict) else v for v in value if isinstance(v, nested) and v]
+    if len(rows) < len(value) or any(issubclass(t, nested) for t in set(map(type, itertools.chain(*rows)))):
+        return "[" + pad + ("," + pad).join([_indented(v, depth + 1) for v in value]) + pad[:-2] + "]"
+    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    for close, open_ in itertools.product("]}", "[{"):
+        text = text.replace(close + "," + inner + open_, pad + close + "," + pad + open_ + inner)
+    return "[" + pad + text[1] + inner + text[2:-2] + pad + text[-2] + pad[:-2] + "]"
 
 
 def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:

@@ -14,6 +14,7 @@ summed measure when they hold.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import HypothesesNotSatisfied, InvalidArgument, UnknownExample
 from .fourier import bessel_j0_vec
-from .masses import _converged_cum, _MassTable
+from .masses import _cell_mass, _cells_sum, _converged_cum
 from .measures import (
     AbsCont,
     AtomSource,
@@ -38,8 +39,11 @@ from .measures import (
     Translate,
     TriangleDensity,
     _affine_cells,
+    _as_complex,
+    _atom_columns,
     _cell_pairs,
     _merge,
+    _merge_runs,
     _piece_into_grid,
     _resolve_parts,
     _steep_cells,
@@ -89,6 +93,13 @@ class OffsetPairComb(AtomSource):
         return "OffsetPairComb()"
 
 
+def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each element of consecutive runs, run i sizes[i] long: the length
+    of its run and its index within the run."""
+    length = np.repeat(sizes, sizes)
+    return length, np.arange(length.size) - np.repeat(sizes.cumsum() - sizes, sizes)
+
+
 class RiemannComb(AtomSource):
     """Block combs: for each n >= 1, atoms of weight 1/n at n + k/n.
 
@@ -105,9 +116,8 @@ class RiemannComb(AtomSource):
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         blocks = np.arange(max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 2)
-        n = np.repeat(blocks, blocks)  # block n holds n atoms
-        ks = np.arange(n.size) - np.repeat(blocks.cumsum() - blocks, blocks) + self.k_start
-        p = n + ks / n
+        n, ks = _runs(blocks)  # block n holds n atoms
+        p = n + (ks + self.k_start) / n
         inside = (p >= w.lo) & (p <= w.hi)
         return _merge(p[inside], (1.0 / n[inside]).astype(np.complex128))
 
@@ -301,26 +311,86 @@ class BlockPart:
     label: str = ""
 
 
-@dataclass(frozen=True)
 class BlockSumInput:
     """Parts with a shared carrier window and per-part shifts.
 
-    ``gap_floor`` is the uniform-discreteness floor for the shifts;
-    ``pairing_tol`` bounds the probe pairings on the last quarter of the
-    index range for the vague-null hypothesis.
+    The atoms of the parts are columns: ``positions`` and ``weights`` flat,
+    part by part, ``counts[i]`` of them in part i.  ``exprs[i]`` is the rest
+    of part i (density pieces, infinite sources, combinators) as a measure
+    expression, or None.  Part i, their sum carried by ``window``, is
+    translated by ``shifts[i]``.  ``gap_floor`` is the uniform-discreteness
+    floor for the shifts; ``pairing_tol`` bounds the probe pairings on the
+    last quarter of the index range for the vague-null hypothesis.
+
+    ``BlockSumInput(parts, window)`` moves each FiniteAtoms leaf that is a
+    part, or a term of a part's top Sum, into the columns; ``parts`` views
+    any input as BlockPart objects, built when first read.
     """
 
-    parts: tuple[BlockPart, ...]
-    window: Window
-    gap_floor: float = 1e-6
-    pairing_tol: float = 1e-3
+    def __init__(
+        self, parts: Sequence[BlockPart], window: Window, gap_floor: float = 1e-6, pairing_tol: float = 1e-3
+    ) -> None:
+        self._parts = tuple(parts)
+        leaves: list[list[FiniteAtoms]] = []
+        exprs: list[MeasureExpr | None] = []
+        for p in self._parts:
+            terms = p.measure.children if isinstance(p.measure, Sum) else (p.measure,)
+            is_leaf = [isinstance(t, PurePoint) and isinstance(t.source, FiniteAtoms) for t in terms]
+            leaves.append([t.source for t, leaf in zip(terms, is_leaf) if leaf])
+            rest = [t for t, leaf in zip(terms, is_leaf) if not leaf]
+            exprs.append(None if not rest else rest[0] if len(rest) == 1 else Sum(tuple(rest)))
+        flat = [leaf for part in leaves for leaf in part]
+        self._set(
+            window, np.concatenate([leaf.positions for leaf in flat] or [[]]),
+            np.concatenate([leaf.weights for leaf in flat] or [[]]),
+            [sum(leaf.positions.size for leaf in part) for part in leaves], [p.shift for p in self._parts],
+            [p.label for p in self._parts], exprs, gap_floor, pairing_tol,
+        )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
+    @classmethod
+    def from_columns(
+        cls, window: Window, positions: np.ndarray, weights: np.ndarray, counts: np.ndarray, shifts: np.ndarray,
+        labels: Sequence[str] | None = None, exprs: Sequence[MeasureExpr | None] | None = None,
+        gap_floor: float = 1e-6, pairing_tol: float = 1e-3,
+    ) -> BlockSumInput:
+        """An input from its columns; labels default to "" and exprs to None."""
+        inp = cls.__new__(cls)
+        inp._parts = None
+        inp._set(window, positions, weights, counts, shifts, labels, exprs, gap_floor, pairing_tol)
+        return inp
+
+    def _set(self, window, positions, weights, counts, shifts, labels, exprs, gap_floor, pairing_tol) -> None:
+        self.positions, self.weights = _atom_columns(positions, weights)
+        shifts, counts = _as_complex(shifts), np.array(counts)
+        n = shifts.size
+        self.labels = np.full(n, "") if labels is None else np.asarray(labels, dtype=str)
+        self.exprs = (None,) * n if exprs is None else tuple(exprs)
+        if n == 0:
             raise InvalidArgument("block sum needs at least one part")
-        if not (self.gap_floor > 0):
-            raise InvalidArgument(f"gap_floor must be positive, got {self.gap_floor}")
+        if not (shifts.ndim == 1 and shifts.shape == counts.shape == self.labels.shape and len(self.exprs) == n):
+            raise InvalidArgument("block columns need one count, label and expression slot per shift")
+        if counts.dtype.kind not in "iu" or np.any(counts < 0) or counts.sum() != self.positions.size:
+            raise InvalidArgument(f"part atom counts must be integers >= 0 adding up to {self.positions.size}")
+        if not np.isfinite(shifts).all() or np.count_nonzero(shifts.imag):
+            raise InvalidArgument("shifts must be real and finite")
+        if not (gap_floor > 0):
+            raise InvalidArgument(f"gap_floor must be positive, got {gap_floor}")
+        self.window, self.counts, self.shifts = window, counts.astype(np.intp), shifts.real.copy()
+        self.gap_floor, self.pairing_tol = gap_floor, pairing_tol
+
+    @property
+    def parts(self) -> tuple[BlockPart, ...]:
+        """A part's atoms are one FiniteAtoms leaf, summed with its expression if it has one."""
+        if self._parts is None:
+            parts, ends = [], self.counts.cumsum()
+            for i, expr in enumerate(self.exprs):
+                lo, hi = ends[i] - self.counts[i], ends[i]
+                if expr is None or hi > lo:
+                    atoms = PurePoint(FiniteAtoms(np.column_stack((self.positions[lo:hi], self.weights[lo:hi]))))
+                    expr = atoms if expr is None else Sum((atoms, expr))
+                parts.append(BlockPart(expr, float(self.shifts[i]), str(self.labels[i])))
+            self._parts = tuple(parts)
+        return self._parts
 
 
 @dataclass(frozen=True)
@@ -388,16 +458,20 @@ def _validate(
 ) -> tuple[HypothesisReport, np.ndarray, np.ndarray, np.ndarray]:
     """The report of validate_block_sum, and the parts' atoms inside the window.
 
-    All parts are resolved in one pass, on a span that covers the window
-    with a margin and every probe's support.  Their atoms are laid out flat,
-    part by part, ascending within a part, and so are the affine cells of
-    their declared density pieces, built once per piece.  The pairing of a
-    part with a probe g is (part * g~)(0), the integral of conj(g) against
-    the part: one evaluation of g~ = tf_reflect_conj(g) at minus every atom
-    position, and one cell-kernel call on every cell that reaches 0, each
-    summed per part; a smooth piece adds its one-point convolution with g~.
-    Returns (report, positions, weights, part index) of the atoms inside the
-    window.
+    Everything is read on a span that covers the window with a margin and
+    every probe's support.  The atom columns are clipped to the span with a
+    mask; only the parts' expressions are resolved, in one pass.  Their atoms
+    join the columns part by part, and each part's atoms are merged as
+    _merge would.  The affine cells of the declared density pieces are built
+    once per piece.  The pairing of a part with a probe g is (part * g~)(0),
+    the integral of conj(g) against the part: one evaluation of
+    g~ = tf_reflect_conj(g) at minus every atom position, and one
+    cell-kernel call on every cell that reaches 0, each summed per part; a
+    smooth piece adds its one-point convolution with g~.  A part's variation
+    is the |w| of its atoms inside the window, plus the window mass of its
+    declared pieces added on common edges (_cells_sum), from one pass over
+    the cells of all parts, plus each smooth piece's own mass.  Returns
+    (report, positions, weights, part index) of the atoms inside the window.
     """
     if probes is None:
         probes = default_probes(inp.window)
@@ -406,8 +480,20 @@ def _validate(
     k = inp.window
     pad = 10.0 * max(1.0, k.width)
     span = Window(min(k.lo - pad, *(g.lo for g in probes)), max(k.hi + pad, *(g.hi for g in probes)))
-    n = len(inp.parts)
-    pos, wts, counts, pieces = _resolve_parts([p.measure for p in inp.parts], span)
+    n = inp.shifts.size
+    part = np.repeat(np.arange(n), inp.counts)
+    clip = (inp.positions >= span.lo) & (inp.positions <= span.hi)
+    pos, wts, part = inp.positions[clip], inp.weights[clip], part[clip]
+    with_expr = [i for i, e in enumerate(inp.exprs) if e is not None]
+    pieces: dict[int, list] = {}
+    if with_expr:
+        e_pos, e_wts, e_counts, e_pieces = _resolve_parts([inp.exprs[i] for i in with_expr], span)
+        pieces = {i: pp for i, pp in zip(with_expr, e_pieces) if pp}
+        if e_pos.size:
+            part = np.concatenate((part, np.repeat(with_expr, e_counts)))
+            order = np.argsort(part, kind="stable")  # part by part, the columns first
+            pos, wts, part = np.concatenate((pos, e_pos))[order], np.concatenate((wts, e_wts))[order], part[order]
+    pos, wts, counts = _merge_runs(pos, wts, np.bincount(part, minlength=n))
     part = np.repeat(np.arange(n), counts)
     inside = (pos >= k.lo) & (pos <= k.hi)
 
@@ -418,10 +504,7 @@ def _validate(
     variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
     declared = []  # (part, cells) per declared piece
     smooth = []  # (part, piece) per smooth piece
-    for i, part_pieces in enumerate(pieces):
-        if not part_pieces:
-            continue
-        density_mass = _MassTable(lambda piece, clip: _converged_cum(piece, clip, _TOL))
+    for i, part_pieces in pieces.items():
         for piece in part_pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
@@ -430,9 +513,14 @@ def _validate(
                 smooth.append((i, piece))
             else:
                 declared.append((i, cells))
-            density_mass.add(piece, cells, k)
-        variations[i] += density_mass.query(k.lo, k.hi)[0]
     if declared:
+        # each part's declared pieces added on common edges, then |.| on the window
+        summed = [(i, _cells_sum([c for _, c in group])) for i, group in itertools.groupby(declared, lambda d: d[0])]
+        a, b, vc, beta = (np.concatenate(arrays) for arrays in zip(*(c for _, c in summed)))
+        lo, hi = np.maximum(a, k.lo), np.minimum(b, k.hi)
+        mass = _cell_mass(vc, beta, lo - 0.5 * (a + b), np.maximum(hi - lo, 0.0))
+        owner = np.repeat([i for i, _ in summed], [c[0].size for _, c in summed])
+        variations += np.bincount(owner, weights=mass, minlength=n)
         cells = tuple(np.concatenate(arrays) for arrays in zip(*(c for _, c in declared)))
         owner = np.repeat([i for i, _ in declared], [c[0].size for _, c in declared])
         for j, g in enumerate(reflected):
@@ -441,6 +529,9 @@ def _validate(
             pairs[j] += _segment_sums(vals, np.bincount(owner[reach], minlength=n))
     origin = np.zeros(1)
     for i, piece in smooth:
+        clip = k if piece.support is None else k.intersect(piece.support)
+        if clip is not None and clip.width > 0.0:  # adds its own |.|: an upper bound on |part|
+            variations[i] += _converged_cum(piece, clip, _TOL)[1][-1]
         for j, g in enumerate(reflected):
             _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
     trace = np.max(np.abs(pairs), axis=0)
@@ -456,7 +547,7 @@ def _validate(
     worst_pairing = float(np.max(trace[n - max(1, n // 4) :]))
     vague_ok = worst_pairing < inp.pairing_tol
 
-    shifts = np.sort(np.array([p.shift for p in inp.parts], dtype=float))
+    shifts = np.sort(inp.shifts)
     if shifts.size >= 2:
         min_gap = float(np.min(np.diff(shifts)))
     else:
@@ -528,23 +619,44 @@ def generate_block_sum(
     fails, unless ``override`` is set for counterexample study; with it the
     sum is built whatever the verdict, and ``.report`` holds the one
     validation run.  A pure-point sum is one atom list: each part's atoms
-    inside the window, shifted; mixed inputs give an expression sum.
+    inside the window, shifted.  Otherwise the sum is an expression: all
+    column atoms, shifted, as one atom list, plus each translated expression.
     """
     report, pos, wts, part = _validate(inp, probes)
     if not report.overall and not override:
         raise HypothesesNotSatisfied(report)
-    shifts = np.array([p.shift for p in inp.parts], dtype=float)
+    shifts = inp.shifts
     covered = Window(float(np.min(shifts)) + inp.window.lo, float(np.max(shifts)) + inp.window.hi)
-    if all(_is_pure_point(p.measure) for p in inp.parts):
+    exprs = [(float(shifts[i]), e) for i, e in enumerate(inp.exprs) if e is not None]
+    if all(_is_pure_point(e) for _, e in exprs):
         measure: MeasureExpr = PurePoint(FiniteAtoms(np.column_stack((pos + shifts[part], wts))))
     else:
-        measure = Sum(tuple(Translate(p.shift, p.measure) for p in inp.parts))
-    return GeneratedBlockSum(measure, report, covered, len(inp.parts))
+        shifted = np.column_stack((inp.positions + np.repeat(shifts, inp.counts), inp.weights))
+        measure = Sum((PurePoint(FiniteAtoms(shifted)),) + tuple(Translate(t, e) for t, e in exprs))
+    return GeneratedBlockSum(measure, report, covered, shifts.size)
 
 
 # ---------------------------------------------------------------------------
 # Documented decompositions
 # ---------------------------------------------------------------------------
+
+
+# The most atoms a recipe input may hold, 240 MB of columns; validation
+# evaluates each of its probes over all of them.
+_MAX_BLOCK_ATOMS = 10**7
+
+
+def _check_recipe(name: str, n: int, atoms: int) -> None:
+    """Reject a recipe size below 1 or one whose input would exceed _MAX_BLOCK_ATOMS."""
+    if n < 1:
+        raise InvalidArgument(f"{name} block input needs n >= 1, got {n}")
+    if atoms > _MAX_BLOCK_ATOMS:
+        raise InvalidArgument(f"{name} block input with n = {n} holds {atoms} atoms, over the {_MAX_BLOCK_ATOMS} allowed")
+
+
+def _signed_labels(n: np.ndarray) -> np.ndarray:
+    """Labels +1, -1, +2, -2, ... of the two parts of each n."""
+    return np.strings.add(np.tile(["+", "-"], n.size), np.repeat(n, 2).astype(str))
 
 
 def ex_a_block_input(n_half: int) -> BlockSumInput:
@@ -553,17 +665,16 @@ def ex_a_block_input(n_half: int) -> BlockSumInput:
     Reassembles the offset-pair comb exactly on windows inside
     [-n_half - 1, n_half + 1].
     """
-    if n_half < 1:
-        raise InvalidArgument(f"n_half must be >= 1, got {n_half}")
-    parts = []
-    for n in range(1, n_half + 1):
-        parts.append(
-            BlockPart(PurePoint(FiniteAtoms([(0.0, -1.0), (1.0 / n, 1.0)])), float(n), f"+{n}")
-        )
-        parts.append(
-            BlockPart(PurePoint(FiniteAtoms([(-1.0 / n, 1.0), (0.0, -1.0)])), float(-n), f"-{n}")
-        )
-    return BlockSumInput(tuple(parts), Window(-1.0, 1.0))
+    _check_recipe("ex_a", n_half, 4 * n_half)
+    n = np.arange(1, n_half + 1)
+    inv, zero = 1.0 / n, np.zeros(n_half)
+    # part +n: -1 at 0, +1 at 1/n; part -n: +1 at -1/n, -1 at 0
+    positions = np.column_stack((zero, inv, -inv, zero)).ravel()
+    weights = np.tile(np.array([-1.0, 1.0, 1.0, -1.0], dtype=np.complex128), n_half)
+    shifts = np.column_stack((n, -n)).ravel()
+    return BlockSumInput.from_columns(
+        Window(-1.0, 1.0), positions, weights, np.full(2 * n_half, 2), shifts, _signed_labels(n)
+    )
 
 
 def nu_block_input(n_max: int) -> BlockSumInput:
@@ -573,13 +684,13 @@ def nu_block_input(n_max: int) -> BlockSumInput:
     validation fails the vague-null hypothesis; the generated sum (with
     override) is the staircase comb whose convolutions plateau.
     """
-    if n_max < 1:
-        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
-    parts = []
-    for n in range(1, n_max + 1):
-        atoms = [(k / n, 1.0 / n) for k in range(n)]
-        parts.append(BlockPart(PurePoint(FiniteAtoms(atoms)), float(n), f"n={n}"))
-    return BlockSumInput(tuple(parts), Window(0.0, 1.0))
+    _check_recipe("ex_nu", n_max, n_max * (n_max + 1) // 2)
+    sizes = np.arange(1, n_max + 1)
+    n, k = _runs(sizes)
+    return BlockSumInput.from_columns(
+        Window(0.0, 1.0), k / n, (1.0 / n).astype(np.complex128), sizes, sizes,
+        np.strings.add("n=", sizes.astype(str)),
+    )
 
 
 def ex_b_block_input(n_max: int) -> BlockSumInput:
@@ -590,19 +701,21 @@ def ex_b_block_input(n_max: int) -> BlockSumInput:
     shifts pairwise distinct); index n >= 1 carries Lebesgue on a unit
     interval minus the right-endpoint Riemann comb (1/n at k/n, k = 1..n),
     shifted by +-n.  Equals the ex_b catalog measure on covered windows.
+    The combs are the columns, the indicator densities the expressions.
     """
-    if n_max < 1:
-        raise InvalidArgument(f"n_max must be >= 1, got {n_max}")
-    parts = [BlockPart(AbsCont(IndicatorDensity(-1.0, 1.0)), 0.0, "middle")]
-    for n in range(1, n_max + 1):
-        comb = FiniteAtoms([(k / n, 1.0 / n) for k in range(1, n + 1)])
-        plus = Sum(
-            (AbsCont(IndicatorDensity(0.0, 1.0)), Scale(-1.0, PurePoint(comb)))
-        )
-        comb_neg = FiniteAtoms([(-k / n, 1.0 / n) for k in range(n, 0, -1)])
-        minus = Sum(
-            (AbsCont(IndicatorDensity(-1.0, 0.0)), Scale(-1.0, PurePoint(comb_neg)))
-        )
-        parts.append(BlockPart(plus, float(n), f"+{n}"))
-        parts.append(BlockPart(minus, float(-n), f"-{n}"))
-    return BlockSumInput(tuple(parts), Window(-1.0, 1.0))
+    _check_recipe("ex_b", n_max, n_max * (n_max + 1))
+    blocks = np.arange(1, n_max + 1)
+    sizes = np.repeat(blocks, 2)  # part +n, then part -n
+    n, j = _runs(sizes)
+    minus = np.repeat(np.tile([False, True], n_max), sizes)
+    positions = np.where(minus, j - n, j + 1) / n  # -n: the comb of +n reflected, ascending
+    halves = (AbsCont(IndicatorDensity(0.0, 1.0)), AbsCont(IndicatorDensity(-1.0, 0.0)))
+    return BlockSumInput.from_columns(
+        Window(-1.0, 1.0),
+        positions,
+        (-1.0 / n).astype(np.complex128),
+        np.concatenate(([0], sizes)),
+        np.concatenate(([0], np.column_stack((blocks, -blocks)).ravel())),
+        np.concatenate((["middle"], _signed_labels(blocks))),
+        (AbsCont(IndicatorDensity(-1.0, 1.0)),) + halves * n_max,
+    )

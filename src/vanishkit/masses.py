@@ -4,8 +4,9 @@ declared affine cells.
 Atoms enter as a cumulative sum of |w|.  A declared cell vc + beta t has
 the closed-form mass ``_cell_mass``; the cells of a window's declared pieces
 are added on the union of their edges before |.| is taken.  Smooth pieces
-enter through a trapezoid cumulative.  ``measures.variation_on``,
-``measures.sup_norm_K`` and block-sum validation read one ``_MassTable``.
+enter through a trapezoid cumulative.  ``measures.variation_on`` and
+``measures.sup_norm_K`` read one ``_MassTable``; block-sum validation takes
+``_cells_sum`` and ``_cell_mass`` for the cells of all parts at once.
 
 Affine cells are arrays (a, b, vc, beta) as in ``measures``: density
 vc + beta * (s - center) on [a, b], center being the cell midpoint.

@@ -108,19 +108,12 @@ class FiniteAtoms(AtomSource):
     """An explicit finite atom list; coincident positions merge at build time."""
 
     def __init__(self, atoms: Sequence[tuple[float, complex]] | np.ndarray) -> None:
-        try:
-            arr = np.asarray(atoms, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise InvalidArgument("atoms must be (position, weight) pairs of numbers")
+        arr = _as_complex(atoms)
         if arr.shape == (0,):
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise InvalidArgument(f"atoms must be (position, weight) pairs, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidArgument("atom positions and weights must be finite")
-        if np.count_nonzero(arr[:, 0].imag):
-            raise InvalidArgument("atom positions must be real")
-        self.positions, self.weights = _merge(np.ascontiguousarray(arr[:, 0].real), arr[:, 1])
+        self.positions, self.weights = _merge(*_atom_columns(arr[:, 0], arr[:, 1]))
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         lo = self.positions.searchsorted(w.lo, side="left")
@@ -129,6 +122,26 @@ class FiniteAtoms(AtomSource):
 
     def __repr__(self) -> str:
         return f"FiniteAtoms(n={self.positions.size})"
+
+
+def _as_complex(values: object) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise InvalidArgument("atoms must be given as numbers")
+
+
+def _atom_columns(positions: object, weights: object) -> tuple[np.ndarray, np.ndarray]:
+    """Atom positions as float64 and weights as complex128, one weight per
+    position, all finite and the positions real; else InvalidArgument."""
+    pos, wts = _as_complex(positions), _as_complex(weights)
+    if pos.ndim != 1 or wts.shape != pos.shape:
+        raise InvalidArgument(f"need one weight per atom position, got shapes {pos.shape} and {wts.shape}")
+    if not (np.isfinite(pos).all() and np.isfinite(wts).all()):
+        raise InvalidArgument("atom positions and weights must be finite")
+    if np.count_nonzero(pos.imag):
+        raise InvalidArgument("atom positions must be real")
+    return np.ascontiguousarray(pos.real), wts
 
 
 class LatticeComb(AtomSource):
@@ -409,9 +422,8 @@ def _resolve_parts(
     leaf is reversed, so it comes out ascending too), and each reachable
     density is wrapped with its accumulated transform.  The atoms of all
     expressions are laid out flat, expression by expression, the leaves of
-    one expression in the order of their first atoms.  Within an expression,
-    atoms already ascending and distinct only lose their exact zeros; an
-    expression whose atoms are out of order or repeated goes through _merge.
+    one expression in the order of their first atoms, and each expression's
+    atoms are merged on their own (_merge_runs).
     Returns (positions, weights, atom count per expression, pieces per
     expression).
     """
@@ -461,15 +473,22 @@ def _resolve_parts(
     n = len(exprs)
     if not pos_parts:
         return np.empty(0), np.empty(0, dtype=np.complex128), np.zeros(n, dtype=np.intp), pieces
-    pos = np.concatenate(pos_parts)
-    wts = np.concatenate(wt_parts)
-    if n == 1:  # _merge checks the order of one expression itself
-        pos, wts = _merge(pos, wts)
-        return pos, wts, np.array([pos.size]), pieces
-    part = np.repeat(owners, [p.size for p in pos_parts])
-    counts = np.bincount(part, minlength=n)
+    counts = np.bincount(np.repeat(owners, [p.size for p in pos_parts]), minlength=n)
+    return (*_merge_runs(np.concatenate(pos_parts), np.concatenate(wt_parts), counts), pieces)
+
+
+def _merge_runs(pos: np.ndarray, wts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_merge on each run of atoms, run i counts[i] long, in one vectorised pass.
+
+    A run already ascending and distinct only loses its exact zeros; the runs
+    out of order or repeated go through _merge.  Returns (positions, weights,
+    counts).
+    """
+    n = counts.size
+    part = np.repeat(np.arange(n), counts)
     bad = np.unique(part[1:][(part[1:] == part[:-1]) & ~(pos[1:] > pos[:-1])])
     if bad.size:
+        counts = counts.copy()
         starts = counts.cumsum() - counts
         pos_runs: list[np.ndarray] = []
         wt_runs: list[np.ndarray] = []
@@ -489,7 +508,7 @@ def _resolve_parts(
     if not keep.all():
         pos, wts = pos[keep], wts[keep]
         counts = np.bincount(part[keep], minlength=n)
-    return pos, wts, counts, pieces
+    return pos, wts, counts
 
 
 def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .analysis import CoefficientVerdict, DecayProfile, MeanTrace
 from .constructions import (
-    BlockPart,
     BlockSumInput,
     HypothesisReport,
     build_example,
@@ -228,7 +227,8 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
     form: {"window": [lo, hi], "parts": [{"shift": t, "atoms": [[p, re,
     im], ...], "densities": [{"builder": "indicator", "interval": [a, b],
     "weight": [re, im]}, ...]}, ...]} with optional gap_floor and
-    pairing_tol.
+    pairing_tol.  The atoms go into the input's columns and the densities
+    into its part expressions.
     """
     d = json.loads(spec) if isinstance(spec, str) else spec
     if not isinstance(d, dict):
@@ -241,15 +241,18 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
         return _BLOCK_RECIPES[name](_as_int(_require(d, "n", "block spec"), "block spec n"))
     _reject_unknown(d, {"window", "parts", "gap_floor", "pairing_tol"}, "block spec")
     window = Window(*_floats(_require(d, "window", "block spec"), 2, "window"))
-    parts = []
+    positions: list[float] = []
+    weights: list[complex] = []
+    counts: list[int] = []
+    shifts: list[float] = []
+    labels: list[str] = []
+    exprs: list[MeasureExpr | None] = []
     for i, pd in enumerate(_as_list(_require(d, "parts", "block spec"), "parts")):
         where = f"parts[{i}]"
         _reject_unknown(pd, {"shift", "atoms", "densities", "label"}, where)
-        shift = _as_float(_require(pd, "shift", where), where)
-        terms: list[MeasureExpr] = []
+        shifts.append(_as_float(_require(pd, "shift", where), where))
         atoms = _atom_rows(pd.get("atoms", []), where + ".atoms")
-        if atoms:
-            terms.append(PurePoint(FiniteAtoms(atoms)))
+        densities: list[MeasureExpr] = []
         for j, dd in enumerate(_as_list(pd.get("densities", []), where + ".densities")):
             dwhere = f"{where}.densities[{j}]"
             _reject_unknown(dd, {"builder", "interval", "weight"}, dwhere)
@@ -257,17 +260,20 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
                 raise InvalidArgument(f"only indicator densities supported in {dwhere}")
             a, b = _floats(_require(dd, "interval", dwhere), 2, dwhere + ".interval")
             wre, wim = _floats(dd.get("weight", [1.0, 0.0]), 2, dwhere + ".weight")
-            terms.append(AbsCont(IndicatorDensity(a, b, complex(wre, wim))))
-        if not terms:
+            densities.append(AbsCont(IndicatorDensity(a, b, complex(wre, wim))))
+        if not atoms and not densities:
             raise InvalidArgument(f"{where} has neither atoms nor densities")
-        measure = terms[0] if len(terms) == 1 else Sum(tuple(terms))
-        parts.append(BlockPart(measure, shift, str(pd.get("label", ""))))
+        positions += [p for p, _ in atoms]
+        weights += [w for _, w in atoms]
+        counts.append(len(atoms))
+        labels.append(str(pd.get("label", "")))
+        exprs.append(None if not densities else densities[0] if len(densities) == 1 else Sum(tuple(densities)))
     kwargs = {}
     if "gap_floor" in d:
         kwargs["gap_floor"] = _as_float(d["gap_floor"], "block spec")
     if "pairing_tol" in d:
         kwargs["pairing_tol"] = _as_float(d["pairing_tol"], "block spec")
-    return BlockSumInput(tuple(parts), window, **kwargs)
+    return BlockSumInput.from_columns(window, positions, weights, counts, shifts, labels, exprs, **kwargs)
 
 
 def block_input_to_dict(inp: BlockSumInput) -> dict:

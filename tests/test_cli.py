@@ -4,6 +4,7 @@ import io
 import json
 import contextlib
 
+import numpy as np
 import pytest
 
 from vanishkit import constructions
@@ -350,6 +351,10 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "-1"],
         ["fourier", "--spec", TRIANGLE, "--grid", "0:1:0.5", "--tolerance", "nan"],
         ["bessel", "--grid", "0:1:0.5", "--tolerance", "-1"],
+        # recipes whose atom count is checked before any array exists
+        _blocks({"recipe": "ex_nu", "n": 10**8}),
+        _blocks({"recipe": "ex_b", "n": 10**8}),
+        _blocks({"recipe": "ex_a", "n": 10**8}),
     ],
 )
 def test_malformed_input_exits_one_with_one_line(argv):
@@ -357,3 +362,57 @@ def test_malformed_input_exits_one_with_one_line(argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_JSON_COMMANDS = [
+    ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1"],
+    ["convolve", "--spec", TENT, "--grid", "-1:1:0.25"],
+    ["decay", "--spec", EX_A, "--radii", "50,100"],
+    ["decay", "--spec", EX_NU, "--radii", "10,20"],
+    ["coeffs", "--spec", COMB, "--rmax", "20"],
+    ["mean", "--spec", COMB, "--nlist", "5,10"],
+    ["fourier", "--spec", FINITE, "--grid", "-1:1:0.25"],
+    ["fourier", "--grid", "-1:1:0.25", "--truncation", "5"],
+    ["bessel", "--grid", "0:2:0.25"],
+    ["rlcheck"],
+    ["rajchman", "--spec", FINITE, "--radii", "4,8"],
+    _blocks({"recipe": "ex_b", "n": 20}),
+    _blocks({"window": [-0.5, 0.5], "parts": [{"shift": float(n), "atoms": [[0.0, 2.0**-n, 0.0]]} for n in range(1, 9)]}),
+]
+
+
+def test_json_reports_match_the_indenting_encoder(monkeypatch):
+    # every command's JSON report is json.dumps(indent=2, sort_keys=True)
+    # byte for byte
+    from vanishkit import cli
+
+    seen = []
+    fast = cli._json_text
+
+    def checked(payload):
+        text = fast(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        seen.append(payload)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
+    for argv in _JSON_COMMANDS:
+        code, _, _ = run(argv + ["--format", "json"])
+        assert code in (0, 2)
+    assert len(seen) == len(_JSON_COMMANDS)
+
+
+def test_json_text_matches_the_indenting_encoder_on_edge_values():
+    from vanishkit.cli import _json_text
+
+    z = np.array([complex(1.5, -0.0), complex(np.nan, np.inf), complex(-np.inf, 1e-320)])
+    rows = np.column_stack((z.real, z.imag, np.abs(z))).tolist()
+    payloads = [
+        {"rows": [dict(zip(("re", "im", "abs"), r)) for r in rows], "max": np.float64(np.nan), "none": None},
+        {"entries": rows, "flag": True, "text": 'a "quoted"\nline, ] }', "k": (1.0, -0.0)},
+        {"empty": [], "nothing": {}, "nested": {"a": [1, {"b": []}, [[]], [{}]], "c": [[1.0], [2.0, [3.0]]]}},
+        {"mixed": [1.0, [2.0], {"x": -np.inf}], "rows": [[0.1], ["]", "}"]], "one": [{"k": 1}]},
+        {},
+    ]
+    for payload in payloads:
+        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -18,7 +18,7 @@ from vanishkit.constructions import (
     nu_block_input,
     validate_block_sum,
 )
-from vanishkit.errors import HypothesesNotSatisfied, UnknownExample
+from vanishkit.errors import HypothesesNotSatisfied, InvalidArgument, UnknownExample
 from vanishkit.measures import (
     AbsCont,
     ConstantDensity,
@@ -238,9 +238,12 @@ def test_block_pairing_reaches_past_the_window():
         assert _one_part_pairing(part, tf_hat(1.0, 0.5)) == pytest.approx(0.6, abs=1e-12)
 
 
-@pytest.mark.parametrize("inp", [ex_b_block_input(6), nu_block_input(8)], ids=["mixed", "pure_point"])
-def test_block_validation_resolves_each_part_once(monkeypatch, inp):
-    # one flat resolution that receives every part, in order; resolve_window
+@pytest.mark.parametrize(
+    "inp, n_exprs", [(ex_b_block_input(6), 13), (nu_block_input(8), 0)], ids=["mixed", "pure_point"]
+)
+def test_block_validation_resolves_each_part_once(monkeypatch, inp, n_exprs):
+    # one flat resolution that receives exactly the parts' expressions, in
+    # order, and none when every part is atom columns only; resolve_window
     # goes through _resolve_parts too, so any other resolution is counted
     calls = []
     resolve = measures._resolve_parts
@@ -257,7 +260,129 @@ def test_block_validation_resolves_each_part_once(monkeypatch, inp):
         for name in ("convolve", "convolve_grid"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     validate_block_sum(inp)
-    assert calls == [[id(p.measure) for p in inp.parts]]
+    exprs = [id(e) for e in inp.exprs if e is not None]
+    assert len(exprs) == n_exprs
+    assert calls == ([exprs] if exprs else [])
+
+
+def _recipe_parts_by_loop(recipe, n_max):
+    """The recipe's parts built one FiniteAtoms per part, by the loop the
+    atom columns replaced."""
+    if recipe == "ex_a":
+        return [
+            BlockPart(PurePoint(FiniteAtoms(atoms)), float(s * n), f"{'+' if s > 0 else '-'}{n}")
+            for n in range(1, n_max + 1)
+            for s, atoms in ((1, [(0.0, -1.0), (1.0 / n, 1.0)]), (-1, [(-1.0 / n, 1.0), (0.0, -1.0)]))
+        ]
+    if recipe == "ex_nu":
+        return [
+            BlockPart(PurePoint(FiniteAtoms([(k / n, 1.0 / n) for k in range(n)])), float(n), f"n={n}")
+            for n in range(1, n_max + 1)
+        ]
+    parts = [BlockPart(AbsCont(IndicatorDensity(-1.0, 1.0)), 0.0, "middle")]
+    for n in range(1, n_max + 1):
+        comb = FiniteAtoms([(k / n, 1.0 / n) for k in range(1, n + 1)])
+        comb_neg = FiniteAtoms([(-k / n, 1.0 / n) for k in range(n, 0, -1)])
+        parts.append(BlockPart(Sum((AbsCont(IndicatorDensity(0.0, 1.0)), Scale(-1.0, PurePoint(comb)))), float(n), f"+{n}"))
+        parts.append(BlockPart(Sum((AbsCont(IndicatorDensity(-1.0, 0.0)), Scale(-1.0, PurePoint(comb_neg)))), float(-n), f"-{n}"))
+    return parts
+
+
+@pytest.mark.parametrize("recipe, build", [("ex_a", ex_a_block_input), ("ex_nu", nu_block_input), ("ex_b", ex_b_block_input)])
+def test_recipe_columns_match_the_per_part_atoms(recipe, build):
+    for n_max in (1, 2, 37):
+        inp = build(n_max)
+        want = _recipe_parts_by_loop(recipe, n_max)
+        resolved = [measures.resolve_window(p.measure, Window(-2.0, 2.0)) for p in want]
+        for got, arrays in ((inp.positions, [r.positions for r in resolved]), (inp.weights, [r.weights for r in resolved])):
+            want_col = np.concatenate(arrays)
+            assert got.dtype == want_col.dtype and got.tobytes() == want_col.tobytes()
+        assert inp.counts.tolist() == [r.positions.size for r in resolved]
+        assert inp.shifts.tolist() == [p.shift for p in want]
+        assert inp.labels.tolist() == [p.label for p in want]
+        assert inp.window == (Window(0.0, 1.0) if recipe == "ex_nu" else Window(-1.0, 1.0))
+        # what is not an atom list stays expression: ex_b's indicator densities
+        for expr, r in zip(inp.exprs, resolved):
+            if expr is None:
+                assert not r.pieces
+            else:
+                (piece,) = measures.resolve_window(expr, Window(-2.0, 2.0)).pieces
+                assert [(p.support, p.scale) for p in r.pieces] == [(piece.support, piece.scale)]
+
+
+def test_offset_pair_input_is_built_and_validated_as_columns(monkeypatch):
+    # no FiniteAtoms per part is built, and no part is resolved as a tree
+    built, resolved = [], []
+    init = FiniteAtoms.__init__
+    resolve = measures._resolve_parts
+
+    def counted_init(self, atoms):
+        built.append(len(atoms))
+        init(self, atoms)
+
+    def counted_resolve(exprs, w):
+        resolved.append(len(exprs))
+        return resolve(exprs, w)
+
+    monkeypatch.setattr(FiniteAtoms, "__init__", counted_init)
+    inp = ex_a_block_input(8000)
+    assert built == [] and inp.counts.size == 16000 and inp.positions.size == 32000
+    for module in (measures, constructions):
+        monkeypatch.setattr(module, "_resolve_parts", counted_resolve)
+    assert validate_block_sum(inp).overall
+    assert built == [] and resolved == []
+
+
+_COLUMNS = dict(positions=[0.0, 0.5, 0.25], weights=[1.0, -1.0, 2.0j], counts=[2, 1], shifts=[0.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"positions": [0.0, np.nan, 0.25]},
+        {"positions": [0.0, np.inf, 0.25]},
+        {"positions": [0.0, 0.5j, 0.25]},
+        {"positions": [0.0, "a", 0.25]},
+        {"positions": [[0.0, 0.5, 0.25]]},
+        {"weights": [1.0, np.inf, 2.0j]},
+        {"weights": [1.0, complex(0.0, np.nan), 2.0j]},
+        {"weights": [1.0, -1.0]},
+        {"counts": [2, 2]},
+        {"counts": [3, 0, 0]},
+        {"counts": [4, -1]},
+        {"counts": [1.5, 1.5]},
+        {"shifts": [0.0, np.nan]},
+        {"shifts": [0.0, -np.inf]},
+        {"shifts": [0.0, 1.0j]},
+        {"shifts": [], "counts": []},
+    ],
+)
+def test_block_columns_reject_malformed_input(bad):
+    with pytest.raises(InvalidArgument):
+        BlockSumInput.from_columns(Window(0.0, 1.0), **{**_COLUMNS, **bad})
+
+
+def test_block_columns_view_as_parts():
+    inp = BlockSumInput.from_columns(Window(0.0, 1.0), **_COLUMNS, labels=["a", "b"], exprs=[None, _NEGLIGIBLE])
+    first, second = inp.parts
+    assert (first.shift, first.label, second.shift, second.label) == (0.0, "a", 2.0, "b")
+    assert atoms_in(first.measure, Window(-1.0, 1.0)) == [(0.0, 1.0 + 0.0j), (0.5, -1.0 + 0.0j)]
+    assert isinstance(second.measure, Sum) and second.measure.children[1] is _NEGLIGIBLE
+    assert atoms_in(second.measure, Window(-1.0, 1.0)) == [(0.25, 2.0j)]
+    assert inp.parts is inp.parts  # built once
+
+
+@pytest.mark.parametrize("build", [ex_a_block_input, nu_block_input, ex_b_block_input])
+def test_recipe_size_is_checked_before_any_column_exists(build, monkeypatch):
+    # n = 10**8 would mean 4e8 to 1e16 atoms; the count is checked first
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recipe allocated before checking its size")
+
+    monkeypatch.setattr(constructions.np, "arange", forbidden)
+    with pytest.raises(InvalidArgument, match="atoms"):
+        build(10**8)
+    with pytest.raises(InvalidArgument):
+        build(0)
 
 
 def test_block_validation_calls_the_cell_kernel_once_per_probe(monkeypatch):
@@ -373,19 +498,42 @@ def test_flat_block_validation_against_the_per_part_loop(probes):
         probes = constructions.default_probes(inp.window)
     else:
         probes = [tf_hat(0.1, 0.3, 1.0 - 0.5j, step=0.003), tf_hat(-0.4, 0.125, 2.0j), tf_hat(0.0, 2.0, 1.0)]
-    report, pos, wts, part = constructions._validate(inp, probes)
     offends, variations, trace, want_pos, want_wts, want_part = _validate_by_part(inp, probes)
-    for got, want in ((pos, want_pos), (wts, want_wts), (part, want_part)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert report.h_support == (not offends.any())
-    assert report.support_offender == (None if report.h_support else int(np.argmax(offends)))
-    assert report.sup_variation == pytest.approx(float(np.max(variations)), rel=1e-12)
-    assert np.all(np.abs(np.array(report.pairing_trace) - trace) <= 1e-12 * trace)
+    # the parts' FiniteAtoms leaves are columns: 5 parts have atoms there and
+    # 11 keep an expression; parts 2 (empty) and 3 (off the span) are columns
+    # only.  The same parts all kept as expressions give the same report.
+    assert np.count_nonzero(inp.counts) == 5
+    assert [i for i, e in enumerate(inp.exprs) if e is None] == [2, 3]
     n = len(parts)
-    assert report.worst_pairing == float(np.max(report.pairing_trace[n - n // 4 :]))
+    exprs = BlockSumInput.from_columns(inp.window, [], [], [0] * n, inp.shifts, exprs=[p.measure for p in parts])
     half = n // 2
-    assert report.h_bounded == (float(np.max(variations[half:])) <= 1.05 * float(np.max(variations[:half])) + 1e-9)
-    assert report.min_shift_gap == 3.0 and report.h_udiscrete
+    for layout in (inp, exprs):
+        report, pos, wts, part = constructions._validate(layout, probes)
+        for got, want in ((pos, want_pos), (wts, want_wts), (part, want_part)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert report.h_support == (not offends.any())
+        assert report.support_offender == (None if report.h_support else int(np.argmax(offends)))
+        assert report.sup_variation == pytest.approx(float(np.max(variations)), rel=1e-12)
+        assert np.all(np.abs(np.array(report.pairing_trace) - trace) <= 1e-12 * trace)
+        assert report.worst_pairing == float(np.max(report.pairing_trace[n - n // 4 :]))
+        assert report.h_bounded == (float(np.max(variations[half:])) <= 1.05 * float(np.max(variations[:half])) + 1e-9)
+        assert report.min_shift_gap == 3.0 and report.h_udiscrete
+    # the pure-point parts 0 to 4 generate one atom list, the same bytes
+    # from both layouts
+    point = BlockSumInput(parts[:5], inp.window)
+    point_exprs = BlockSumInput.from_columns(inp.window, [], [], [0] * 5, point.shifts, exprs=[p.measure for p in parts[:5]])
+    gen = [generate_block_sum(layout, probes, override=True).measure.source for layout in (point_exprs, point)]
+    for g, r in ((gen[1].positions, gen[0].positions), (gen[1].weights, gen[0].weights)):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+    # all 13 generate one measure: the same atoms on a window that sees every
+    # part and the infinite sources, added in another order where three or
+    # more coincide, and the same convolution
+    gen = [generate_block_sum(layout, probes, override=True).measure for layout in (exprs, inp)]
+    got, want = (measures.resolve_window(mu, Window(-60.0, 60.0)) for mu in gen)
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-15
+    for x in (-7.3, 0.0, 3.1, 33.0):
+        assert convolve(gen[1], HAT, x) == pytest.approx(convolve(gen[0], HAT, x), rel=1e-12, abs=1e-12)
     # the mix reaches every path: empty parts, steep cells, smooth pieces
     assert np.count_nonzero(trace == 0.0) == 3 and np.all(trace[[5, 6, 7, 8]] > 0.0)
     tent = TransformedDensity(build_example("ex_tent").density, 1, -20.0, 0, 1.0)
