@@ -321,10 +321,13 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     if 2 * big >= np.iinfo(np.intp).max * h:
         raise InvalidArgument(f"horizon {big} needs too many grid points at step {h}")
     k_max = int(round(2 * big / h))
-    grid = -big + h * np.arange(k_max + 1)
-    vals = np.abs(convolve_grid(mu, f, grid))
-    seg = 0.5 * (vals[:-1] + vals[1:]) * h
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    vals = np.abs(convolve_grid(mu, f, -big + h * np.arange(k_max + 1)))
+    # in place: at the default hat's step, n = 1000 is 2,048,001 points, 16 MB a float array
+    seg = vals[:-1] + vals[1:]
+    seg *= 0.5
+    seg *= h
+    cum = np.zeros(vals.size)
+    np.cumsum(seg, out=cum[1:])
     entries: list[tuple[int, float]] = []
     for n in ns:
         i_lo = int(round((big - n) / h))

@@ -463,7 +463,8 @@ def _validate(
     mask; only the parts' expressions are resolved, in one pass.  Their atoms
     join the columns part by part, and each part's atoms are merged as
     _merge would.  The affine cells of the declared density pieces are built
-    once per piece.  The pairing of a part with a probe g is (part * g~)(0),
+    once per distinct (density, transform, clip) and shared by every piece
+    that repeats it.  The pairing of a part with a probe g is (part * g~)(0),
     the integral of conj(g) against the part: one evaluation of
     g~ = tf_reflect_conj(g) at minus every atom position, and one
     cell-kernel call on every cell that reaches 0, each summed per part; a
@@ -504,11 +505,16 @@ def _validate(
     variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
     declared = []  # (part, cells) per declared piece
     smooth = []  # (part, piece) per smooth piece
+    built = {}  # cells (or None) per distinct density, transform and clip
     for i, part_pieces in pieces.items():
         for piece in part_pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
-            cells = _affine_cells(piece, span if sup is None else span.intersect(sup))
+            clip = span if sup is None else span.intersect(sup)
+            key = (id(piece.base), piece.sign, piece.shift, piece.conj, piece.scale, clip.lo, clip.hi)
+            if key not in built:
+                built[key] = _affine_cells(piece, clip)
+            cells = built[key]
             if cells is None:
                 smooth.append((i, piece))
             else:

@@ -46,19 +46,80 @@ def sinc(u):
     return np.sinc(np.asarray(u) / np.pi)
 
 
+# complex entries per chunk of an exponential matrix
+_CHUNK_ELEMS = 4_000_000
+
+
 def exp_sum(positions, weights, k):
     """Fourier-Stieltjes transform of finitely many atoms: sum w e^{-2 pi i k p}.
 
     ``positions`` and ``weights`` are matching 1-d arrays; ``k`` may be a
-    scalar (returns complex) or an array (returns an array).
+    scalar (returns complex) or an array of any shape (returns an array of
+    that shape).  The k x positions phase matrix is built a chunk of k at a
+    time, at most _CHUNK_ELEMS entries each.
     """
     pos = np.asarray(positions, dtype=float)
     wts = np.asarray(weights, dtype=np.complex128)
     karr = np.asarray(k, dtype=float)
-    phase = np.exp(-2j * np.pi * np.multiply.outer(karr, pos))
-    out = phase @ wts if pos.size else np.zeros(karr.shape, dtype=np.complex128)
+    flat = karr.ravel()
+    out = np.zeros(flat.size, dtype=np.complex128)
+    if pos.size:
+        chunk = max(1, _CHUNK_ELEMS // pos.size)
+        for start in range(0, flat.size, chunk):
+            kk = flat[start : start + chunk]
+            out[start : start + chunk] = np.exp(-2j * np.pi * np.multiply.outer(kk, pos)) @ wts
     if np.ndim(k) == 0:
-        return complex(out)
+        return complex(out[0])
+    return out.reshape(karr.shape)
+
+
+# Gauss-Legendre 8 on [-1, 1], as np.polynomial.legendre.leggauss(8) gives it
+_GL8_NODES = np.array(
+    [-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]
+)
+_GL8_WEIGHTS = np.array(
+    [0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]
+)
+
+
+def _panel_nodes(lo: float, h: float, n_panels: int) -> np.ndarray:
+    """The GL8 nodes lo + h (2p + 1 + x_q) of n_panels panels of width 2h
+    from lo, as an (n_panels, 8) array."""
+    return lo + h * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL8_NODES)
+
+
+def _panel_exp_sum(x: np.ndarray, lo: float, h: float, vals: np.ndarray, sign: int) -> np.ndarray:
+    """sum_{p,q} vals[p, q] e^{sign 2 pi i x t_pq} at each x, on the GL8 nodes
+    t_pq = lo + h (2p + 1 + x_q) of P = vals.shape[0] panels.
+
+    The phase is factorised, not built: the panels are grouped into A
+    blocks of B = round(sqrt(P / 8)) panels (the last padded with zero
+    weights), so t_pq = s_a + o_bq with s_a = lo + 2hBa the block starts and
+    o_bq = h (2b + 1 + x_q) the 8B offsets inside one block.  Then
+    M = e^{i x o} @ W^T is one (X x 8B) by (8B x A) product, and the sum is
+    the row sum of e^{i x s} * M: X (8B + A) exponentials instead of X 8P.
+    Works for any x; chunked over x so each chunk's matrices hold at most
+    _CHUNK_ELEMS entries.
+    """
+    xs = np.asarray(x, dtype=float)
+    n_panels = vals.shape[0]
+    per_block = max(1, int(round(np.sqrt(n_panels / 8.0))))
+    n_blocks = -(-n_panels // per_block)
+    weights = np.zeros((n_blocks * per_block, 8), dtype=np.complex128)
+    weights[:n_panels] = vals
+    weights = weights.reshape(n_blocks, 8 * per_block)
+    offsets = _panel_nodes(0.0, h, per_block).ravel()
+    starts = lo + 2.0 * h * per_block * np.arange(n_blocks)
+    out = np.empty(xs.size, dtype=np.complex128)
+    turn = sign * 2j * np.pi
+    chunk = max(1, _CHUNK_ELEMS // (offsets.size + 2 * n_blocks))
+    for first in range(0, xs.size, chunk):
+        xx = xs[first : first + chunk]
+        inner = np.exp(turn * np.multiply.outer(xx, offsets)) @ weights.T
+        inner *= np.exp(turn * np.multiply.outer(xx, starts))
+        out[first : first + chunk] = inner.sum(axis=1)
     return out
 
 
@@ -84,12 +145,7 @@ def _ft_testfunction(f: TestFunction, k) -> np.ndarray:
     near = np.pi * np.abs(karr) * (f.hi - f.lo) < 1.0
     out = np.empty(karr.size, dtype=np.complex128)
     far = karr[~near]
-    sums = np.empty(far.size, dtype=np.complex128)
-    chunk = max(1, int(4_000_000 // max(at.size, 1)))
-    for start in range(0, far.size, chunk):
-        kk = far[start : start + chunk]
-        sums[start : start + chunk] = np.exp(-2j * np.pi * kk[:, None] * rel[None, :]) @ jump
-    out[~near] = -sums / (4.0 * np.pi**2 * far**2)
+    out[~near] = -exp_sum(rel, jump, far) / (4.0 * np.pi**2 * far**2)
     n = np.arange(_FT_TAYLOR_TERMS)
     moments = (rel[None, :] ** (n[:, None] + 2) @ jump) / ((n + 1) * (n + 2))
     moments[0] = f.mass
@@ -102,7 +158,12 @@ def _ft_testfunction(f: TestFunction, k) -> np.ndarray:
 
 
 def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
-    """Transform of a compactly supported density by panelled Gauss rule."""
+    """Transform of a compactly supported density by panelled Gauss rule.
+
+    GL8 on equal panels of each cell between the declared knots (or of the
+    whole support), the panel count doubled until two levels agree to tol at
+    every k; each level's node sum is one _panel_exp_sum per cell.
+    """
     sup = d.support
     if sup is None:
         raise InvalidArgument("ft_compact requires a declared compact support")
@@ -114,19 +175,14 @@ def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
     # panels short enough that each sees at most ~half an oscillation
     per_unit = max(2.0 * kmax, 4.0 / max(sup.width, 1e-12))
 
-    glx, glw = np.polynomial.legendre.leggauss(8)
-
     def quad(scale: float) -> np.ndarray:
         total = np.zeros(karr.size, dtype=np.complex128)
         for a, b in spans:
             n_panels = max(1, int(np.ceil((b - a) * per_unit * scale)))
-            edges = np.linspace(a, b, n_panels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * np.diff(edges)
-            nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-            weights = (half[:, None] * glw[None, :]).ravel()
-            vals = weights * piece.evalv(nodes)
-            total += np.exp(-2j * np.pi * np.multiply.outer(karr, nodes)) @ vals
+            h = 0.5 * (b - a) / n_panels
+            nodes = _panel_nodes(a, h, n_panels)
+            vals = (h * _GL8_WEIGHTS) * piece.evalv(nodes.ravel()).reshape(nodes.shape)
+            total += _panel_exp_sum(karr, a, h, vals, -1)
         return total
 
     prev = quad(1.0)
@@ -392,23 +448,13 @@ def rl_crosscheck(
 
     xmax = float(np.max(np.abs(xs)))
     rate = density.osc_rate + xmax + (f.hi - f.lo)
-    glx, glw = np.polynomial.legendre.leggauss(8)
 
     def spectral_values(panels_per_unit: float) -> np.ndarray:
         n_panels = max(8, int(np.ceil(2.0 * k_window * panels_per_unit)))
-        edges = np.linspace(-k_window, k_window, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * glx[None, :]).ravel()
-        weights = (half[:, None] * glw[None, :]).ravel()
-        ghat = np.abs(_ft_testfunction(f, nodes)) ** 2
-        wvals = weights * density(nodes) * ghat
-        out = np.empty(xs.size, dtype=np.complex128)
-        chunk = max(1, int(4_000_000 // max(nodes.size, 1)))
-        for start in range(0, xs.size, chunk):
-            xx = xs[start : start + chunk]
-            out[start : start + chunk] = np.exp(2j * np.pi * xx[:, None] * nodes[None, :]) @ wvals
-        return out
+        h = k_window / n_panels
+        nodes = _panel_nodes(-k_window, h, n_panels).ravel()
+        wvals = density(nodes) * np.abs(_ft_testfunction(f, nodes)) ** 2
+        return _panel_exp_sum(xs, -k_window, h, (h * _GL8_WEIGHTS) * wvals.reshape(n_panels, 8), 1)
 
     base_rate = max(rate / 2.0, 1.0)
     prev = spectral_values(base_rate)

@@ -541,8 +541,7 @@ def test_flat_block_validation_against_the_per_part_loop(probes):
     assert all(np.all(measures._steep_cells(cells, testfunctions.tf_reflect_conj(g))) for g in probes)
 
 
-def test_block_validation_builds_cells_once_per_density_piece(monkeypatch):
-    # the cells built for every probe's pairing also give the variation
+def _count_affine_cells(monkeypatch) -> list:
     calls = []
     cells = measures._affine_cells
 
@@ -552,9 +551,32 @@ def test_block_validation_builds_cells_once_per_density_piece(monkeypatch):
 
     for module in (measures, constructions):
         monkeypatch.setattr(module, "_affine_cells", counted)
+    return calls
+
+
+def test_block_validation_builds_cells_once_per_density_piece(monkeypatch):
+    # the cells built for every probe's pairing also give the variation, and
+    # parts that repeat one density and transform share its cells
+    calls = _count_affine_cells(monkeypatch)
     inp = ex_b_block_input(6)
     validate_block_sum(inp)
-    assert len(calls) == len(inp.parts) == 13  # one density piece per part
+    assert len(inp.parts) == 13  # one density piece per part
+    assert len(calls) == 3  # [-1, 1], [0, 1] and [-1, 0]
+
+
+def test_shared_cells_give_the_report_of_cells_built_per_piece(monkeypatch):
+    # ex_b's 401 pieces repeat 3 densities; copies of those densities, one
+    # per part, are not shared and build their cells 401 times
+    shared = ex_b_block_input(200)
+    copies = BlockSumInput.from_columns(
+        shared.window, shared.positions, shared.weights, shared.counts, shared.shifts, shared.labels,
+        [AbsCont(IndicatorDensity(e.density.support.lo, e.density.support.hi, e.density.value)) for e in shared.exprs],
+    )
+    calls = _count_affine_cells(monkeypatch)
+    report = validate_block_sum(shared)
+    assert len(calls) == 3
+    assert repr(validate_block_sum(copies)) == repr(report)
+    assert len(calls) == 3 + 401
 
 
 _ATOM_OFF = PurePoint(FiniteAtoms([(0.5, 1.0), (1.5, 1.0)]))

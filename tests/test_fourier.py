@@ -1,9 +1,13 @@
 """Transforms, spectral densities, the Bessel identity, and cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from vanishkit import fourier
+from vanishkit.constructions import build_example
 from vanishkit.errors import InvalidArgument, TruncationTailError
 from vanishkit.fourier import (
     bessel_j0,
@@ -56,6 +60,100 @@ def test_exp_sum_conjugate_symmetry_real_weights(k):
     assert exp_sum(positions, weights, -k) == pytest.approx(
         np.conj(exp_sum(positions, weights, k)), abs=1e-13
     )
+
+
+def test_exp_sum_chunks_over_k_and_keeps_its_shape(monkeypatch):
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(-40.0, 40.0, 57)
+    wts = rng.normal(size=57) + 1j * rng.normal(size=57)
+    ks = rng.uniform(-9.0, 9.0, (6, 35))
+    whole = exp_sum(pos, wts, ks)
+    monkeypatch.setattr(fourier, "_CHUNK_ELEMS", 200)  # 3 rows of k a chunk
+    chunked = exp_sum(pos, wts, ks)
+    assert chunked.shape == ks.shape
+    want = np.exp(-2j * np.pi * ks[..., None] * pos) @ wts
+    assert np.max(np.abs(chunked - whole)) <= 1e-15 * np.sum(np.abs(wts))
+    assert np.max(np.abs(chunked - want)) <= 1e-12 * np.sum(np.abs(wts))
+    assert exp_sum([], [], ks).shape == ks.shape
+
+
+def _direct_panel_sum(x, lo, h, vals, sign):
+    nodes = fourier._panel_nodes(lo, h, vals.shape[0]).ravel()
+    return np.exp(sign * 2j * np.pi * np.multiply.outer(x, nodes)) @ vals.ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_panels=st.integers(1, 2000),
+    lo=st.floats(-100.0, 100.0),
+    width=st.floats(1e-3, 200.0),
+    xmax=st.floats(0.0, 1e3),
+    sign=st.sampled_from((-1, 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_panels=1, lo=-1.0, width=2.0, xmax=5.0, sign=1, seed=0)
+@example(n_panels=7, lo=0.0, width=1.0, xmax=1e3, sign=-1, seed=1)  # B = 1
+@example(n_panels=1999, lo=-28.0, width=56.0, xmax=3.0, sign=1, seed=2)  # last block short
+@example(n_panels=2000, lo=-200.0, width=400.0, xmax=1e3, sign=-1, seed=3)  # A B = P
+def test_panel_exp_sum_matches_the_direct_phase_matrix(n_panels, lo, width, xmax, sign, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate(([0.0, -xmax, xmax], rng.uniform(-xmax, xmax, 30)))
+    vals = rng.normal(size=(n_panels, 8)) + 1j * rng.normal(size=(n_panels, 8))
+    h = width / (2 * n_panels)
+    got = fourier._panel_exp_sum(x, lo, h, vals, sign)
+    want = _direct_panel_sum(x, lo, h, vals, sign)
+    tmax = max(abs(lo), abs(lo + width))
+    bound = 64 * np.finfo(float).eps * (1.0 + xmax * tmax) * np.sum(np.abs(vals))
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def _count_panels(monkeypatch) -> list[int]:
+    panels = []
+    kernel = fourier._panel_exp_sum
+
+    def counted(x, lo, h, vals, sign):
+        panels.append(vals.shape[0])
+        return kernel(x, lo, h, vals, sign)
+
+    monkeypatch.setattr(fourier, "_panel_exp_sum", counted)
+    return panels
+
+
+def test_spectral_sums_keep_their_refinement_levels(monkeypatch):
+    # criterion 2 and the default rlcheck: 686 panels, then 1372 agree
+    panels = _count_panels(monkeypatch)
+    mu = build_example("ex_sinc_series", truncation=20)
+    f = tf_hat(0.0, 0.5, 1.0)
+    for xs in (np.linspace(-3.0, 3.0, 241), -3.0 + 0.025 * np.arange(241)):
+        report = rl_crosscheck(mu, spectral_series(20), f, xs, tolerance=1e-4)
+        assert report.k_window == 28.0 and report.quad_estimate <= 1e-5
+        assert panels == [686, 1372]
+        panels.clear()
+    # the triangle on -5:5:0.01 (two cells): 10 panels a cell, then 20
+    ks = np.linspace(-5.0, 5.0, 1001)
+    assert np.max(np.abs(ft_compact(TriangleDensity(0.0, 1.0, 1.0), ks) - sinc(np.pi * ks) ** 2)) <= 1e-14
+    assert panels == [10, 10, 20, 20]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_sums_stay_small_in_memory():
+    # a dense x-by-nodes phase matrix peaked at 86 MB on criterion 2, and
+    # would take about 2 GB for the triangle on 20,001 frequencies
+    mu = build_example("ex_sinc_series", truncation=20)
+    f = tf_hat(0.0, 0.5, 1.0)
+    peak = _traced_peak(lambda: rl_crosscheck(mu, spectral_series(20), f, np.linspace(-3.0, 3.0, 241), 1e-4))
+    assert peak <= 8_000_000
+    ks = np.linspace(-200.0, 200.0, 20001)
+    peak = _traced_peak(lambda: ft_compact(TriangleDensity(0.0, 1.0, 1.0), ks))
+    assert peak <= 100_000_000
 
 
 def test_ft_hat_closed_form():
