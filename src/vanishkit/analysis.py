@@ -21,7 +21,7 @@ from .measures import (
     AtomSource,
     MeasureExpr,
     PurePoint,
-    convolve_grid,
+    _scan,
     sup_norm_K,
 )
 from .testfunctions import TestFunction, Window, tf_convolve, tf_hat, tf_reflect_conj
@@ -92,10 +92,12 @@ def _annulus_bounds(radii: Sequence[float]) -> list[tuple[float, float]]:
     return list(zip(rs, rs[1:] + [outer]))
 
 
-def _annulus_grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _annulus_count(lo: float, hi: float, step: float) -> int:
+    """How many of lo, lo + step, ... lie below hi (lo < hi)."""
     n = max(1, int(np.ceil((hi - lo) / step)))
-    xs = lo + step * np.arange(n)
-    return xs[xs < hi]
+    while lo + step * (n - 1) >= hi:
+        n -= 1
+    return n
 
 
 def decay_profile(
@@ -107,9 +109,9 @@ def decay_profile(
 ) -> DecayProfile:
     """Sups of |mu*f| over the annuli radii[i] <= |x| < radii[i+1].
 
-    Both signs of x are scanned.  The grid step defaults to half the test
-    function's own step; the reported lip_margin says how far the true
-    sup can sit above the grid sup.
+    Both signs of x are scanned, one block of grid points at a time.  The
+    grid step defaults to half the test function's own step; the reported
+    lip_margin says how far the true sup can sit above the grid sup.
     """
     if not (0 < epsilon < np.inf):
         raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
@@ -120,12 +122,12 @@ def decay_profile(
         raise InvalidArgument(f"annulus_step must be positive and finite, got {annulus_step}")
     entries: list[tuple[float, float]] = []
     for lo, hi in bounds:
-        xs = _annulus_grid(lo, hi, annulus_step)
-        sup = 0.0
-        if xs.size:
-            sup = float(np.max(np.abs(convolve_grid(mu, f, xs))))
-            neg = np.sort(-xs)
-            sup = max(sup, float(np.max(np.abs(convolve_grid(mu, f, neg)))))
+        n = _annulus_count(lo, hi, annulus_step)
+        sup = max(
+            float(np.max(np.abs(vals)))
+            for sign in (1, -1)
+            for _, vals in _scan(mu, f, lo, annulus_step, n, sign)
+        )
         entries.append((lo, sup))
     outer = bounds[-1][1]
     # |mu*f| is Lipschitz with constant Lip(f) * sup_x |mu|(x - supp f).
@@ -309,7 +311,9 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     """Trapezoid averages (1/2n) * integral of |mu*f| over [-n, n].
 
     One convolution grid at the test function's own step covers the whole
-    largest interval; each requested n reads off a prefix sum.
+    largest interval; each requested n reads off a prefix sum.  The grid is
+    scanned in blocks, each block's cumulative sum seeded with the total so
+    far, so only the prefix sums at the ends of the intervals are kept.
     """
     ns = [int(n) for n in n_list]
     if len(ns) == 0:
@@ -321,16 +325,20 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     if 2 * big >= np.iinfo(np.intp).max * h:
         raise InvalidArgument(f"horizon {big} needs too many grid points at step {h}")
     k_max = int(round(2 * big / h))
-    vals = np.abs(convolve_grid(mu, f, -big + h * np.arange(k_max + 1)))
-    # in place: at the default hat's step, n = 1000 is 2,048,001 points, 16 MB a float array
-    seg = vals[:-1] + vals[1:]
-    seg *= 0.5
-    seg *= h
-    cum = np.zeros(vals.size)
-    np.cumsum(seg, out=cum[1:])
-    entries: list[tuple[int, float]] = []
-    for n in ns:
-        i_lo = int(round((big - n) / h))
-        i_hi = int(round((big + n) / h))
-        entries.append((n, float((cum[i_hi] - cum[i_lo]) / (2.0 * n))))
+    # the grid indices of -n and n, for each n; the prefix sum at each
+    marks = np.array([[round((big - n) / h), round((big + n) / h)] for n in ns])
+    cum_at = np.zeros(marks.shape)
+    total, last = 0.0, np.empty(0)
+    for start, vals in _scan(mu, f, -big, h, k_max + 1):
+        mod = np.concatenate((last, np.abs(vals)))
+        seg = mod[:-1] + mod[1:]
+        seg *= 0.5
+        seg *= h
+        # cum[i] is the prefix sum at grid index base + i; cumsum adds in order
+        cum = np.cumsum(np.concatenate(([total], seg)))
+        base = start - last.size
+        here = (marks >= base) & (marks < base + cum.size)
+        cum_at[here] = cum[marks[here] - base]
+        total, last = cum[-1], mod[-1:]
+    entries = [(n, float((hi - lo) / (2.0 * n))) for n, (lo, hi) in zip(ns, cum_at)]
     return MeanTrace(tuple(entries), entries[-1][1])

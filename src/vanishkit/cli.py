@@ -15,7 +15,7 @@ significant digits in CSV.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import itertools
 import json
 import os
@@ -123,18 +123,19 @@ def _parse_ints(text: str, flag: str) -> list[int]:
     return values
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    """The --out file, opened for writing, or stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _csv_text(header: str, rows: Sequence[Sequence[float]]) -> str:
-    buf = io.StringIO()
-    specio.write_csv(buf, header, rows)
-    return buf.getvalue()
+def _emit(args: argparse.Namespace, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
 
 
 def _json_text(payload: dict) -> str:
@@ -169,18 +170,28 @@ def _indented(value: object, depth: int) -> str:
     return "[" + pad + text[1] + inner + text[2:-2] + pad + text[-2] + pad[:-2] + "]"
 
 
+# CSV rows formatted and written per block, so a long table never stands as
+# one string.
+_CSV_ROWS = 1 << 13
+
+
 def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:
     """One table, described once as named columns of equal length.
 
-    CSV is the column names joined as the header, then the rows; JSON is the
-    scalar fields plus ``rows``, one object per row keyed by the same names.
+    CSV is the column names joined as the header, then the rows, written in
+    blocks of _CSV_ROWS; JSON is the scalar fields plus ``rows``, one object
+    per row keyed by the same names.
     """
     names = list(columns)
-    rows = np.column_stack(list(columns.values())).tolist()
     if args.format == "json":
+        rows = np.column_stack(list(columns.values())).tolist()
         _emit(args, _json_text({**fields, "rows": [dict(zip(names, row)) for row in rows]}))
-    else:
-        _emit(args, _csv_text(",".join(names), rows))
+        return
+    with _output(args) as out:
+        out.write(",".join(names) + "\n")
+        for start in range(0, len(columns[names[0]]), _CSV_ROWS):
+            block = [col[start : start + _CSV_ROWS] for col in columns.values()]
+            specio.write_rows(out, np.column_stack(block).tolist())
 
 
 def _emit_profile(args: argparse.Namespace, report: dict, header: str) -> None:
@@ -188,7 +199,8 @@ def _emit_profile(args: argparse.Namespace, report: dict, header: str) -> None:
     if args.format == "json":
         _emit(args, _json_text(report))
     else:
-        _emit(args, _csv_text(header, report["entries"]))
+        with _output(args) as out:
+            specio.write_csv(out, header, report["entries"])
 
 
 def _default_annulus_step(f, radii: Sequence[float]) -> float:

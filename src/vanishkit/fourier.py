@@ -13,7 +13,6 @@ derivative is a sum of point masses s_j at its kinks c_j, so its transform is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,28 +309,35 @@ _J0_HANKEL_TERMS = 19
 def bessel_j0(x: float) -> float:
     """J0(x) to absolute accuracy better than 1e-12.
 
-    |x| <= 14 uses the power series in exact rational arithmetic (the
+    |x| <= 14 uses the power series in exact integer arithmetic (the
     alternating series cancels catastrophically in floats near the upper
     end); beyond 14 the Hankel asymptotic expansion truncated at its
     smallest useful term is already accurate to ~7e-13 and improves
     rapidly with x.
+
+    A float x is p / 2**e exactly, so q = x**2 / 4 = a / 2**s with a = p**2.
+    Term m of the series is (-q)**m / (m!)**2; over the common denominator
+    (m!)**2 * 2**(s*m) its numerator is (-a)**m, and the partial sum's
+    numerator is carried alongside.  The series stops once q < m**2 and
+    |term| < 1e-26, and the one int / int division at the end rounds the
+    exact sum correctly.
     """
     x = abs(float(x))
     if not np.isfinite(x):
         raise InvalidArgument(f"x must be finite, got {x}")
     if x <= _J0_SERIES_LIMIT:
-        q = Fraction(x) ** 2 / 4
-        term = Fraction(1)
-        total = Fraction(1)
+        p, d = x.as_integer_ratio()
+        a, two_s = p * p, 4 * d * d  # q = a / two_s
+        term, total, denom = 1, 1, 1  # term / denom and total / denom
         m = 1
-        bound = Fraction(1, 10**26)
         while True:
-            term = -term * q / (m * m)
-            total += term
-            if q < m * m and abs(term) < bound:
+            term = -term * a
+            total = total * (m * m * two_s) + term
+            denom *= m * m * two_s
+            if a < m * m * two_s and abs(term) * 10**26 < denom:
                 break
             m += 1
-        return float(total)
+        return total / denom
     return float(_j0_hankel(np.array([x]))[0])
 
 

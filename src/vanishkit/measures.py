@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -826,6 +826,30 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     return out
 
 
+# Grid points per block of a scan over an arithmetic grid (annulus sups,
+# interval means, seminorm_pg), so a scan holds one block of values and its
+# memory stays flat however far out it reaches.
+_SCAN_CHUNK = 1 << 16
+
+
+def _scan(
+    mu: MeasureExpr, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Values of mu*f at sign * (lo + step * k) for k = 0 .. n-1, a block of
+    _SCAN_CHUNK points at a time.
+
+    Yields each block's first k and its values in order of k.  Every point
+    is formed as one grid ``lo + step * np.arange(n)`` would form it, and each
+    block is one convolve_grid call, ascending in x whatever the sign.
+    """
+    for start in range(0, n, _SCAN_CHUNK):
+        xs = lo + step * np.arange(start, min(start + _SCAN_CHUNK, n))
+        if sign > 0:
+            yield start, convolve_grid(mu, f, xs, tol)
+        else:
+            yield start, convolve_grid(mu, f, -xs[::-1], tol)[::-1]
+
+
 def _mass_table(mu: MeasureExpr, hull: Window, rule: Callable) -> _MassTable:
     res = resolve_window(mu, hull)
     table = _MassTable(rule, res.positions, res.weights)
@@ -842,15 +866,17 @@ def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
     return float(_mass_table(mu, w, lambda piece, clip: _converged_cum(piece, clip, tol)).query(w.lo, w.hi)[0])
 
 
-def _search_grid(search: Window, step: float) -> np.ndarray:
-    """search.lo, search.lo + step, ..., closed by search.hi."""
+def _search_count(search: Window, step: float) -> int:
+    """How many of search.lo, search.lo + step, ... lie in search."""
     if not (step > 0):
         raise InvalidArgument(f"step must be positive, got {step}")
-    n = int(np.floor(search.width / step))
-    xs = search.lo + step * np.arange(n + 1)
-    if xs.size == 0 or xs[-1] < search.hi:
-        xs = np.append(xs, search.hi)
-    return xs
+    return int(np.floor(search.width / step)) + 1
+
+
+def _search_grid(search: Window, step: float) -> np.ndarray:
+    """search.lo, search.lo + step, ..., closed by search.hi."""
+    xs = search.lo + step * np.arange(_search_count(search, step))
+    return xs if xs[-1] >= search.hi else np.append(xs, search.hi)
 
 
 def sup_norm_K(mu: MeasureExpr, k: Window, search: Window, step: float) -> float:
@@ -876,7 +902,12 @@ def seminorm_pg(
     step: float | None = None,
     tol: float = 1e-8,
 ) -> float:
-    """sup over grid points x in search of |(mu * g)(x)|."""
-    xs = _search_grid(search, g.step if step is None else step)
-    vals = convolve_grid(mu, g, xs, tol=tol)
-    return float(np.max(np.abs(vals)))
+    """sup over grid points x in search of |(mu * g)(x)|, the grid of
+    sup_norm_K scanned in blocks."""
+    step = g.step if step is None else step
+    n = _search_count(search, step)
+    best = max(float(np.max(np.abs(vals))) for _, vals in _scan(mu, g, search.lo, step, n, tol=tol))
+    if search.lo + step * (n - 1) < search.hi:
+        # np.abs of an array, as over the grid: abs() of a complex scalar can round differently
+        best = max(best, float(np.abs(convolve_grid(mu, g, np.array([search.hi]), tol))[0]))
+    return best

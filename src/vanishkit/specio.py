@@ -48,6 +48,7 @@ __all__ = [
     "block_input_to_dict",
     "fmt",
     "write_csv",
+    "write_rows",
     "decay_report_dict",
     "mean_report_dict",
     "coeffs_report_dict",
@@ -339,9 +340,14 @@ def fmt(v: float) -> str:
 
 
 def write_csv(out: IO[str], header: str, rows: Sequence[Sequence[float]]) -> None:
-    """Header, then one line of fmt-formatted values per row; the rows share
-    their length, so one %-format pass over the flattened rows writes them all."""
+    """Header, then one line of fmt-formatted values per row."""
     out.write(header + "\n")
+    write_rows(out, rows)
+
+
+def write_rows(out: IO[str], rows: Sequence[Sequence[float]]) -> None:
+    """One line of fmt-formatted values per row; the rows share their
+    length, so one %-format pass over the flattened rows writes them all."""
     if rows:
         line = ",".join(["%.17g"] * len(rows[0])) + "\n"
         out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))

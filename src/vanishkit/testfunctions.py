@@ -34,6 +34,23 @@ __all__ = [
 ]
 
 
+# Most samples a constructed test function may hold.  A TestFunction keeps
+# about six arrays of its sample count, so 2**20 samples is about 100 MB.
+MAX_SAMPLES = 1 << 20
+
+
+def _cells(width: float, step: float) -> int:
+    """round(width / step), clamped to 2 * MAX_SAMPLES (which no count may
+    reach), so that a ratio too large for an int still gives one."""
+    return round(min(width / step, 2.0 * MAX_SAMPLES))
+
+
+def _check_samples(count: int, what: str) -> None:
+    """Refuse a test function of more than MAX_SAMPLES samples before allocating it."""
+    if count > MAX_SAMPLES:
+        raise InvalidArgument(f"{what} needs more than the {MAX_SAMPLES} samples a test function may hold")
+
+
 @dataclass(frozen=True)
 class Window:
     """A finite closed interval [lo, hi] used for all windowed queries."""
@@ -228,7 +245,8 @@ def tf_hat(center: float, halfwidth: float, height: complex = 1.0, step: float |
     else:
         if not (0 < step <= halfwidth):
             raise InvalidArgument(f"step must lie in (0, halfwidth], got {step}")
-        n_side = max(1, round(halfwidth / step))
+        n_side = max(1, _cells(halfwidth, step))
+    _check_samples(2 * n_side + 1, "tf_hat")
     actual = halfwidth / n_side
     k = np.arange(2 * n_side + 1)
     samples = height * (1.0 - np.abs(k - n_side) / n_side)
@@ -244,7 +262,8 @@ def tf_indicator(a: float, b: float, step: float = 1e-3) -> TestFunction:
         raise InvalidArgument(f"need b > a, got [{a}, {b}]")
     if not (0 < step <= (b - a)):
         raise InvalidArgument(f"step must lie in (0, b - a], got {step}")
-    m = max(1, round((b - a) / step))
+    m = max(1, _cells(b - a, step))
+    _check_samples(m + 3, "tf_indicator")
     inner = (b - a) / m
     samples = np.ones(m + 3, dtype=np.complex128)
     samples[0] = 0.0
@@ -273,11 +292,16 @@ def tf_convolve(f: TestFunction, g: TestFunction, refine: int = 12) -> TestFunct
         raise InvalidArgument(f"refine must be >= 1, got {refine}")
     h = min(f.step, g.step) / refine
 
+    def count(t: TestFunction) -> int:
+        return t.samples.size if t.step == h else _cells(t.hi - t.lo, h) + 1
+
+    # the result has one sample fewer than the resampled inputs together
+    _check_samples(count(f) + count(g) - 1, "tf_convolve")
+
     def resampled(t: TestFunction) -> np.ndarray:
         if t.step == h:
             return t.samples
-        n = round((t.hi - t.lo) / h)
-        return t.values(t.lo + h * np.arange(n + 1))
+        return t.values(t.lo + h * np.arange(count(t)))
 
     fs = resampled(f)
     gs = resampled(g)

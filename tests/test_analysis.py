@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vanishkit import measures
 from vanishkit.analysis import (
     NOT_VANISHING,
     VANISHING,
@@ -23,6 +24,7 @@ from vanishkit.measures import (
     LatticeComb,
     PurePoint,
     Scale,
+    convolve_grid,
 )
 from vanishkit.testfunctions import Window, tf_hat
 
@@ -190,10 +192,10 @@ def test_mean_abs_offset_pairs_shrinks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2,048,001 grid points at the hat's step, 16 MB a float array: the
-    # trapezoid sums run in place, so the convolution (32 MB, complex) and
-    # its modulus set the peak (83 MB with a fresh array per step)
-    assert peak <= 64_000_000
+    # 2,048,001 grid points at the hat's step, scanned in blocks of 65,536:
+    # one block's convolution and prefix sums set the peak (52 MB when the
+    # whole grid was held at once)
+    assert peak <= 8_000_000
     m100 = trace.entries[0][1]
     m1000 = trace.entries[1][1]
     assert m100 == pytest.approx(0.0709, abs=2e-3)
@@ -228,3 +230,87 @@ def test_coefficient_radius_stable_under_longer_scan(r_extra):
     large = coefficients_vanishing(src, 0.05, r_max=100.0 * r_extra)
     assert small.verdict == large.verdict == VANISHING
     assert small.radius == large.radius
+
+
+def test_decay_profile_memory_stays_flat_with_the_horizon():
+    mu = build_example("ex_a")
+    tracemalloc.start()
+    try:
+        profile = decay_profile(mu, tf_hat(0.0, 0.125), [125, 250, 500, 1000], 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2 x 2,048,000 points in the outer annulus at step 2**-11, scanned in
+    # blocks of 65,536 (83 MB when each annulus was held at once)
+    assert peak <= 16_000_000
+    assert profile.verdict == VANISHING
+
+
+# Block-scan consistency: a scan in blocks equals one convolve_grid call over
+# the whole grid, exactly where that value is a sum of atom pairs.
+
+MU_ATOMS = [
+    build_example("ex_a"),
+    PurePoint(FiniteAtoms([(-2.93, 1.0 - 0.5j), (-1.1, 0.75), (0.4, -2.0j), (1.6, 0.3), (2.95, -1.0)])),
+]
+F_COARSE = tf_hat(0.1, 0.25, 1.0, step=0.05)
+
+
+def _mean_one_shot(mu, f, ns):
+    """mean_abs over one grid: the prefix sums of the whole interval at once."""
+    big, h = ns[-1], f.step
+    vals = np.abs(convolve_grid(mu, f, -big + h * np.arange(int(round(2 * big / h)) + 1)))
+    cum = np.concatenate(([0.0], np.cumsum((vals[:-1] + vals[1:]) * 0.5 * h)))
+    return [(n, float((cum[round((big + n) / h)] - cum[round((big - n) / h)]) / (2.0 * n))) for n in ns]
+
+
+def _sups_one_shot(mu, f, bounds, step):
+    """Annulus sups over one grid per annulus and sign."""
+    sups = []
+    for lo, hi in bounds:
+        xs = lo + step * np.arange(int(np.ceil((hi - lo) / step)))
+        xs = xs[xs < hi]
+        pos, neg = convolve_grid(mu, f, xs), convolve_grid(mu, f, np.sort(-xs))
+        sups.append(max(float(np.max(np.abs(pos))), float(np.max(np.abs(neg)))))
+    return sups
+
+
+# the grid of [-4, 4] at step 0.05 has 161 points and marks at 0, 40, 60,
+# 100, 120 and 160: chunks of 20 put four marks on a block edge and leave one
+# point past the last block; 23 divides 161; 161 is one block; 7 is many
+@pytest.mark.parametrize("chunk", [7, 20, 23, 161, 1 << 16])
+@pytest.mark.parametrize("mu", MU_ATOMS)
+def test_mean_abs_in_blocks_equals_one_grid(monkeypatch, mu, chunk):
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
+    ns = [1, 2, 4]
+    assert mean_abs(mu, F_COARSE, ns).entries == tuple(_mean_one_shot(mu, F_COARSE, ns))
+
+
+@pytest.mark.parametrize("chunk", [40, 41, 1 << 16])
+@pytest.mark.parametrize("mu", MU_ATOMS)
+def test_decay_profile_in_blocks_equals_one_grid(monkeypatch, mu, chunk):
+    # 100 points in each annulus at step 0.01: three blocks on each sign
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
+    profile = decay_profile(mu, F_COARSE, [1.0, 2.0], 0.05, annulus_step=0.01)
+    assert list(profile.sups) == _sups_one_shot(mu, F_COARSE, [(1.0, 2.0), (2.0, 3.0)], 0.01)
+
+
+def test_annulus_grid_in_blocks_stops_below_its_outer_radius():
+    # (0.4 - 0.1) / 0.1 rounds above 3, so a fourth point lands on 0.4, where
+    # the atom at 0.3 puts the peak of mu*f; it belongs to the next annulus
+    mu = PurePoint(FiniteAtoms([(0.3, 1.0)]))
+    profile = decay_profile(mu, F_COARSE, [0.1, 0.4], 0.05, annulus_step=0.1)
+    assert list(profile.sups) == _sups_one_shot(mu, F_COARSE, [(0.1, 0.4), (0.4, 0.7)], 0.1)
+    assert profile.sups[0] == pytest.approx(0.6)
+
+
+def test_scans_in_blocks_match_one_grid_on_affine_cells(monkeypatch):
+    # cells are summed as ramps anchored at each call's first cell, so the
+    # values agree to rounding rather than bit for bit
+    mu = build_example("ex_bf")
+    f = tf_hat(0.0, 0.25, 1.0, step=0.01)
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", 64)
+    sups = decay_profile(mu, f, [1.0, 3.0], 0.05, annulus_step=0.01).sups
+    assert sups == pytest.approx(_sups_one_shot(mu, f, [(1.0, 3.0), (3.0, 5.0)], 0.01), rel=1e-12)
+    means = [avg for _, avg in mean_abs(mu, f, [1, 3]).entries]
+    assert means == pytest.approx([avg for _, avg in _mean_one_shot(mu, f, [1, 3])], rel=1e-12)

@@ -3,12 +3,18 @@
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vanishkit import constructions
+from vanishkit import cli, constructions, specio
 from vanishkit.cli import main
+from vanishkit.measures import convolve_grid
+from vanishkit.testfunctions import tf_hat
 
 EX_A = '{"expr": {"kind": "pp", "builder": "ex_a"}}'
 EX_NU = '{"expr": {"kind": "pp", "builder": "ex_nu"}}'
@@ -301,6 +307,46 @@ def test_output_deterministic_and_out_flag(tmp_path):
     code, _, _ = run(args + ["--out", str(target)])
     assert code == 0
     assert target.read_text() == first
+
+
+@pytest.mark.parametrize("rows", [16, 1 << 13])
+def test_convolve_csv_in_row_blocks_is_write_csv(monkeypatch, tmp_path, rows):
+    # 20,001 rows: 1,251 blocks of 16, or three of 8,192 with a short last one
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    xs = -100.0 + 0.01 * np.arange(20001)
+    values = convolve_grid(constructions.build_example("ex_a"), tf_hat(0.0, 0.25, 1.0), xs)
+    want = io.StringIO()
+    specio.write_csv(want, "x,re,im", np.column_stack((xs, values.real, values.imag)).tolist())
+    argv = ["convolve", "--spec", EX_A, "--grid", "-100:100:0.01"]
+    code, out, _ = run(argv)
+    assert code == 0
+    assert out == want.getvalue()
+    target = tmp_path / "table.csv"
+    assert run(argv + ["--out", str(target)])[:2] == (0, "")
+    assert target.read_bytes() == want.getvalue().encode()
+
+
+def test_huge_test_function_exits_one_before_allocating():
+    tracemalloc.start()
+    try:
+        code, out, err = run(["mean", "--spec", EX_A, "--f-step", "1e-9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert "samples" in err and len(err.strip().splitlines()) == 1
+    assert peak < 1_000_000  # a hat of 5e8 samples would be 8 GB
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vanishkit", "suite", "--only", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1/1 criteria passed" in proc.stdout
 
 
 def test_negative_grid_values_accepted():

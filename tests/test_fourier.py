@@ -278,6 +278,31 @@ def test_bessel_j0_against_scipy():
         assert bessel_j0(x) == pytest.approx(float(scipy_special.j0(x)), abs=5e-12)
 
 
+def _j0_series_fraction(x):
+    """The J0 power series summed in exact rationals, with the integer series' stop rule."""
+    from fractions import Fraction
+
+    q = Fraction(abs(x)) ** 2 / 4
+    term = total = Fraction(1)
+    m = 1
+    while True:
+        term = -term * q / (m * m)
+        total += term
+        if q < m * m and abs(term) < Fraction(1, 10**26):
+            return float(total)
+        m += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(-14.0, 14.0))
+@example(x=0.0)
+@example(x=5e-324)
+@example(x=2.404825557695773)
+@example(x=14.0)
+def test_bessel_j0_series_is_the_exact_sum_correctly_rounded(x):
+    assert bessel_j0(x) == _j0_series_fraction(x)
+
+
 def test_bessel_identity_small_radii():
     for r in (0.0, 0.7, 3.3):
         lhs, rhs = bessel_j0_check(r, quad_points=512)

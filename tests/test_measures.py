@@ -213,6 +213,18 @@ def test_seminorm_grid_sup():
     assert seminorm_pg(mu, f, Window(0.0, 3.0)) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("chunk", [100, 1 << 16])
+@pytest.mark.parametrize("search", [Window(0.3, 2.9), Window(0.3, 2.905)])
+@pytest.mark.parametrize("mu", [build_example("ex_a"), PurePoint(FiniteAtoms([(-1.0, 0.5), (2.805, 1.0)]))])
+def test_seminorm_in_blocks_equals_one_grid(monkeypatch, chunk, search, mu):
+    # 261 grid points, three blocks of 100; the second search is closed by
+    # one more point at its end, where the atom at 2.805 puts the sup
+    f = tf_hat(0.1, 0.25, 1.0 - 0.5j, step=0.05)
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
+    one_shot = float(np.max(np.abs(convolve_grid(mu, f, measures._search_grid(search, 0.01)))))
+    assert seminorm_pg(mu, f, search, step=0.01) == one_shot
+
+
 def test_seminorm_rejects_bad_step():
     mu = PurePoint(FiniteAtoms([(0.0, 1.0)]))
     with pytest.raises(InvalidArgument):

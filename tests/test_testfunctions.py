@@ -1,9 +1,13 @@
 """Geometry and calculus of the piecewise linear test functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vanishkit import testfunctions
+from vanishkit.errors import InvalidArgument
 from vanishkit.testfunctions import (
     Window,
     tf_convolve,
@@ -144,3 +148,37 @@ def test_convolve_matches_dense_quadrature(x, c, h):
     ss = np.linspace(g.lo, g.hi, 20001)
     dense = np.trapezoid(f.values(x - ss) * g.values(ss), ss)
     assert complex(conv(x)) == pytest.approx(dense, abs=1e-7)
+
+
+def test_sample_limit_counts_before_allocating(monkeypatch):
+    # 11 samples are allowed, 13 are not: a hat of 5 or 6 cells a side, an
+    # indicator of 8 or 10 inner cells, a convolution of 5 + 7 or 5 + 9
+    monkeypatch.setattr(testfunctions, "MAX_SAMPLES", 11)
+    assert tf_hat(0.0, 0.25, step=0.05).samples.size == 11
+    assert tf_indicator(0.0, 1.0, step=0.125).samples.size == 11
+    small = tf_hat(0.0, 0.25, step=0.125)  # 5 samples
+    assert tf_convolve(small, tf_hat(0.0, 0.375, step=0.125), refine=1).samples.size == 11
+    for make in (
+        lambda: tf_hat(0.0, 0.25, step=0.04),
+        lambda: tf_indicator(0.0, 1.0, step=0.1),
+        lambda: tf_convolve(small, tf_hat(0.0, 0.5, step=0.125), refine=1),
+    ):
+        with pytest.raises(InvalidArgument, match="samples"):
+            make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tf_hat(0.0, 0.25, step=1e-9),
+    lambda: tf_hat(0.0, 1e300, step=1e-300),  # a ratio too large for an int
+    lambda: tf_indicator(-1e308, 1e308, step=1.0),
+    lambda: tf_convolve(tf_hat(0.0, 0.25), tf_hat(0.0, 0.25), refine=10**6),
+])
+def test_sample_limit_refuses_huge_functions_without_allocating(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidArgument, match="samples"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
