@@ -80,8 +80,7 @@ def _load_measure(args: argparse.Namespace):
 
 
 def _test_function(args: argparse.Namespace):
-    step = args.f_step if args.f_step is not None else None
-    return tf_hat(args.f_center, args.f_halfwidth, args.f_height, step=step)
+    return tf_hat(args.f_center, args.f_halfwidth, args.f_height, step=args.f_step)
 
 
 def _parse_grid(text: str) -> np.ndarray:

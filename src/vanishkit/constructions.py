@@ -38,10 +38,12 @@ from .measures import (
     Sum,
     Translate,
     TriangleDensity,
+    _MAX_ATOMS,
     _affine_cells,
     _as_complex,
     _atom_columns,
     _cell_pairs,
+    _check_atom_count,
     _merge,
     _merge_runs,
     _piece_into_grid,
@@ -81,7 +83,9 @@ class OffsetPairComb(AtomSource):
     """
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        n = np.arange(math.floor(w.lo) - 2, math.ceil(w.hi) + 3, dtype=float)
+        first, last = math.floor(w.lo) - 2, math.ceil(w.hi) + 2
+        _check_atom_count(2 * (last - first + 1), self, w)
+        n = np.arange(first, last + 1, dtype=float)
         n = n[n != 0]
         pos = np.column_stack((n, n + 1.0 / n)).ravel()  # -1 at n, then +1 at n + 1/n
         wts = np.tile(np.array([-1.0, 1.0], dtype=np.complex128), n.size)
@@ -115,7 +119,9 @@ class RiemannComb(AtomSource):
         self.k_start = k_start
 
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
-        blocks = np.arange(max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 2)
+        first, last = max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 1
+        _check_atom_count((first + last) * max(0, last - first + 1) // 2, self, w)
+        blocks = np.arange(first, last + 1)
         n, ks = _runs(blocks)  # block n holds n atoms
         p = n + (ks + self.k_start) / n
         inside = (p >= w.lo) & (p <= w.hi)
@@ -375,6 +381,8 @@ class BlockSumInput:
             raise InvalidArgument("shifts must be real and finite")
         if not (gap_floor > 0):
             raise InvalidArgument(f"gap_floor must be positive, got {gap_floor}")
+        if not (pairing_tol > 0):
+            raise InvalidArgument(f"pairing_tol must be positive, got {pairing_tol}")
         self.window, self.counts, self.shifts = window, counts.astype(np.intp), shifts.real.copy()
         self.gap_floor, self.pairing_tol = gap_floor, pairing_tol
 
@@ -647,17 +655,13 @@ def generate_block_sum(
 # ---------------------------------------------------------------------------
 
 
-# The most atoms a recipe input may hold, 240 MB of columns; validation
-# evaluates each of its probes over all of them.
-_MAX_BLOCK_ATOMS = 10**7
-
-
 def _check_recipe(name: str, n: int, atoms: int) -> None:
-    """Reject a recipe size below 1 or one whose input would exceed _MAX_BLOCK_ATOMS."""
+    """Reject a recipe size below 1 or one whose input would exceed _MAX_ATOMS
+    (validation evaluates each of its probes over all of them)."""
     if n < 1:
         raise InvalidArgument(f"{name} block input needs n >= 1, got {n}")
-    if atoms > _MAX_BLOCK_ATOMS:
-        raise InvalidArgument(f"{name} block input with n = {n} holds {atoms} atoms, over the {_MAX_BLOCK_ATOMS} allowed")
+    if atoms > _MAX_ATOMS:
+        raise InvalidArgument(f"{name} block input with n = {n} holds {atoms} atoms, over the {_MAX_ATOMS} allowed")
 
 
 def _signed_labels(n: np.ndarray) -> np.ndarray:

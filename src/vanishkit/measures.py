@@ -32,6 +32,7 @@ value.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -104,6 +105,17 @@ class AtomSource(abc.ABC):
         """Return (positions, weights) arrays for atoms with position in w."""
 
 
+# The most atoms one window of a comb, or one block-sum input, may hold:
+# 240 MB of position and weight columns.
+_MAX_ATOMS = 10**7
+
+
+def _check_atom_count(count: int, source: AtomSource, w: Window) -> None:
+    """Refuse to enumerate more than _MAX_ATOMS candidates, counted in closed form."""
+    if count > _MAX_ATOMS:
+        raise InvalidArgument(f"{source!r} holds more than {_MAX_ATOMS} atoms in [{w.lo}, {w.hi}]")
+
+
 class FiniteAtoms(AtomSource):
     """An explicit finite atom list; coincident positions merge at build time."""
 
@@ -174,7 +186,9 @@ class LatticeComb(AtomSource):
         q_lo, q_hi = ((x - self.offset) / self.spacing for x in (w.lo, w.hi))
         if not (abs(q_lo) < lim and abs(q_hi) < lim):
             raise InvalidArgument(f"window {w} holds lattice indices beyond the index range")
-        n = np.arange(int(np.ceil(q_lo - 1e-9)), int(np.floor(q_hi + 1e-9)) + 1)
+        first, last = math.ceil(q_lo - 1e-9), math.floor(q_hi + 1e-9)
+        _check_atom_count(last - first + 1, self, w)
+        n = np.arange(first, last + 1)
         pos = self.offset + self.spacing * n
         keep = (pos >= w.lo) & (pos <= w.hi)
         n, pos = n[keep], pos[keep]
@@ -657,9 +671,9 @@ def _piece_into_grid(
 # The (source, grid point) pairs one scatter chunk expands, so its
 # temporaries stay near 256 kB whatever the source count and grid size (a
 # source reaching more grid points is split across chunks).  A steep cell's
-# pair expands to one GL2 sub-cell per knot interval of f it crosses; a steep
-# cell is narrower than (f.hi - f.lo) / 49,999 (see _steep_cells), so that is
-# at most 2 + (n - 1) / 49,999 for f with n samples.
+# pair expands to one GL2 sub-cell per knot interval of f it crosses, at most
+# f.knots.size - 1 (and 2 where the knots are further apart than a steep
+# cell is wide, under (f.hi - f.lo) / 49,999; see _steep_cells).
 # On a Xeon with 2 MB of L2 per core, chunks of 2^16 pairs made convolve_grid
 # about 30 % slower.
 _SCATTER_CHUNK = 1 << 14

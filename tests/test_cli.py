@@ -401,6 +401,20 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         _blocks({"recipe": "ex_nu", "n": 10**8}),
         _blocks({"recipe": "ex_b", "n": 10**8}),
         _blocks({"recipe": "ex_a", "n": 10**8}),
+        # extreme test functions, refused before any array arithmetic warns
+        ["decay", "--spec", EX_A, "--radii", "50,100", "--f-halfwidth", "1e308"],
+        ["decay", "--spec", EX_A, "--radii", "50,100", "--f-height", "inf"],
+        ["decay", "--spec", EX_A, "--radii", "50,100", "--f-center", "nan"],
+        ["decay", "--spec", EX_A, "--radii", "50,100", "--f-halfwidth", "1e307"],
+        # a step finer than MAX_SAMPLES allows, refused before a scan starts
+        ["mean", "--spec", EX_A, "--nlist", "10", "--f-step", "1e-9"],
+        # comb windows whose atom count is checked before any array exists
+        ["coeffs", "--spec", EX_A, "--rmax", "1e300"],
+        ["coeffs", "--spec", EX_A, "--rmax", "1e9"],
+        ["coeffs", "--spec", EX_NU, "--rmax", "1e9"],
+        ["coeffs", "--spec", COMB, "--rmax", "1e12"],
+        # a pairing tolerance no pairing can meet
+        _blocks({"window": [0, 1], "parts": [{"shift": 0, "atoms": [[0.5, 1, 0]]}], "pairing_tol": -1}),
     ],
 )
 def test_malformed_input_exits_one_with_one_line(argv):

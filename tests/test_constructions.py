@@ -225,7 +225,7 @@ def test_block_pairing_integrates_the_conjugate_probe():
     # with or without a density piece in the part
     samples = np.zeros(11, dtype=np.complex128)
     samples[2], samples[3] = 1.0, 1.0j
-    g = testfunctions.TestFunction(0.0, 0.1, samples)
+    g = testfunctions.TestFunction.from_samples(0.0, 0.1, samples)
     atoms = PurePoint(FiniteAtoms([(0.2, 1.0), (0.3, 1.0j)]))
     for part in (atoms, Sum((atoms, _NEGLIGIBLE))):
         assert _one_part_pairing(part, g) == pytest.approx(2.0, abs=1e-12)
@@ -355,11 +355,34 @@ _COLUMNS = dict(positions=[0.0, 0.5, 0.25], weights=[1.0, -1.0, 2.0j], counts=[2
         {"shifts": [0.0, -np.inf]},
         {"shifts": [0.0, 1.0j]},
         {"shifts": [], "counts": []},
+        {"pairing_tol": -1.0},
+        {"pairing_tol": np.nan},
     ],
 )
 def test_block_columns_reject_malformed_input(bad):
     with pytest.raises(InvalidArgument):
         BlockSumInput.from_columns(Window(0.0, 1.0), **{**_COLUMNS, **bad})
+
+
+@pytest.mark.parametrize("w", [Window(-3.2, 4.7), Window(0.0, 0.0), Window(2.5, 9.0), Window(-9.0, -2.5)])
+def test_comb_enumerations_count_their_candidates_before_allocating(monkeypatch, w):
+    # each comb counts, in closed form, the candidates its arrays hold: a
+    # limit of that count enumerates, one less refuses before any array
+    lo, hi = math.floor(w.lo), math.floor(w.hi)
+    combs = [
+        (constructions.OffsetPairComb(), 2 * len(range(lo - 2, math.ceil(w.hi) + 3))),
+        (constructions.RiemannComb(), sum(range(max(1, lo - 1), hi + 2))),
+        (measures.LatticeComb(0.3, 0.05), len([n for n in range(-100, 100) if w.lo <= 0.05 + 0.3 * n <= w.hi])),
+    ]
+    fulls = [comb.enumerate_window(w) for comb, _ in combs]
+    for (comb, count), full in zip(combs, fulls):
+        assert full[0].size <= count
+        monkeypatch.setattr(measures, "_MAX_ATOMS", count)
+        for got, want in zip(comb.enumerate_window(w), full):
+            assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(measures, "_MAX_ATOMS", count - 1)
+        with pytest.raises(InvalidArgument, match="atoms"):
+            comb.enumerate_window(w)
 
 
 def test_block_columns_view_as_parts():

@@ -836,8 +836,9 @@ def test_steep_cells_evaluate_f_once_per_chunk(monkeypatch):
 @pytest.mark.parametrize("f", [tf_hat(0.0, 1.0, 1.0), _autocorr_hat()], ids=["hat", "autocorr"])
 def test_steep_pairs_evaluate_f_within_the_chunk_bound(monkeypatch, f):
     # A steep pair evaluates f at two GL2 nodes on each knot interval of f
-    # it crosses, at most 2 + (n - 1) / 49,999 of them for n samples, so a
-    # chunk of _SCATTER_CHUNK pairs stays within a fixed multiple of its size.
+    # it crosses.  A steep cell is narrower than (f.hi - f.lo) / 49,999, so
+    # it crosses at most one interval more than the most knots such a window
+    # holds, and a chunk of _SCATTER_CHUNK pairs stays within that multiple.
     _take_path(monkeypatch, "pairs")
     chunks = _count_chunks(monkeypatch)
     calls = []
@@ -850,7 +851,8 @@ def test_steep_pairs_evaluate_f_within_the_chunk_bound(monkeypatch, f):
     monkeypatch.setattr(type(f), "values", counted)
     convolve_grid(build_example("ex_tent"), f, np.linspace(0.0, 52.0, 20801))
     assert max(chunks) == _SCATTER_CHUNK
-    assert 2 * _SCATTER_CHUNK <= max(calls) <= 2 * _SCATTER_CHUNK * (2 + (f.samples.size - 1) / 49_999)
+    reach = f.knots.searchsorted(f.knots + (f.hi - f.lo) / 49_999) - np.arange(f.knots.size)
+    assert 2 * _SCATTER_CHUNK <= max(calls) <= 2 * _SCATTER_CHUNK * (1 + int(reach.max()))
 
 
 def test_integral_and_moment_accept_scalars():
