@@ -104,6 +104,12 @@ def _runs(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return length, np.arange(length.size) - np.repeat(sizes.cumsum() - sizes, sizes)
 
 
+# Below this block, n + j/n rounds by less than half the spacing 1/n of the
+# block's atoms (n * ulp(n + 1) <= 1), so the closed-form range of j widened
+# by one holds every atom the window's filter keeps.
+_RESOLVED_BLOCK = 2**26
+
+
 class RiemannComb(AtomSource):
     """Block combs: for each n >= 1, atoms of weight 1/n at n + k/n.
 
@@ -118,12 +124,33 @@ class RiemannComb(AtomSource):
             raise InvalidArgument(f"k_start must be 0 or 1, got {k_start}")
         self.k_start = k_start
 
+    def _candidates(self, n: int, w: Window) -> tuple[int, int]:
+        """The j = k + k_start of block n whose atoms n + j/n may lie in w.
+
+        The closed form (w.lo - n) n <= j <= (w.hi - n) n, widened by one on
+        each side for the rounding of n + j/n, which stays below 1/n while
+        n < _RESOLVED_BLOCK; a block from there on is taken whole.
+        """
+        j0, j1 = self.k_start, n - 1 + self.k_start
+        if n < _RESOLVED_BLOCK:
+            j0 = max(j0, math.ceil((w.lo - n) * n) - 1)
+            j1 = min(j1, math.floor((w.hi - n) * n) + 1)
+        return j0, j1
+
     def enumerate_window(self, w: Window) -> tuple[np.ndarray, np.ndarray]:
         first, last = max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 1
-        _check_atom_count((first + last) * max(0, last - first + 1) // 2, self, w)
+        # blocks mid0 .. mid1 lie in w whole; the few others are cut
+        mid0, mid1 = max(first, math.ceil(w.lo)), math.floor(w.hi) - 1
+        edges = [*range(first, mid0), *range(max(mid0, mid1 + 1), last + 1)]
+        cut = [self._candidates(n, w) for n in edges]
+        whole = (mid0 + mid1) * max(0, mid1 - mid0 + 1) // 2
+        _check_atom_count(whole + sum(max(0, j1 - j0 + 1) for j0, j1 in cut), self, w)
         blocks = np.arange(first, last + 1)
-        n, ks = _runs(blocks)  # block n holds n atoms
-        p = n + (ks + self.k_start) / n
+        starts, sizes = np.full(blocks.size, self.k_start), blocks.copy()  # block n holds n atoms
+        for n, (j0, j1) in zip(edges, cut):
+            starts[n - first], sizes[n - first] = j0, max(0, j1 - j0 + 1)
+        n = np.repeat(blocks, sizes)
+        p = n + (np.repeat(starts - sizes.cumsum() + sizes, sizes) + np.arange(n.size)) / n
         inside = (p >= w.lo) & (p <= w.hi)
         return _merge(p[inside], (1.0 / n[inside]).astype(np.complex128))
 

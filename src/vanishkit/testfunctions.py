@@ -242,7 +242,13 @@ def tf_hat(center: float, halfwidth: float, height: complex = 1.0, step: float |
     n_side = 256 if step is None else max(1, _cells(halfwidth, step))
     _check_samples(2 * n_side + 1, "tf_hat")
     actual = halfwidth / n_side
-    return TestFunction(lo + actual * np.array([0.0, n_side, 2 * n_side]), np.array([0.0, height, 0.0]), actual)
+    knots = lo + actual * np.array([0.0, n_side, 2 * n_side])
+    if not (knots[0] < knots[1] < knots[2]):
+        raise InvalidArgument(
+            f"hat halfwidth {halfwidth} is below the float64 spacing {math.ulp(center)} at center {center}:"
+            " its knots do not ascend"
+        )
+    return TestFunction(knots, np.array([0.0, height, 0.0]), actual)
 
 
 def tf_indicator(a: float, b: float, step: float = 1e-3) -> TestFunction:

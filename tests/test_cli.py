@@ -415,6 +415,8 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["coeffs", "--spec", COMB, "--rmax", "1e12"],
         # a pairing tolerance no pairing can meet
         _blocks({"window": [0, 1], "parts": [{"shift": 0, "atoms": [[0.5, 1, 0]]}], "pairing_tol": -1}),
+        # a hat narrower than the float64 spacing at its center
+        ["decay", "--spec", EX_A, "--radii", "50,100", "--f-center", "1e308"],
     ],
 )
 def test_malformed_input_exits_one_with_one_line(argv):

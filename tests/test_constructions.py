@@ -112,6 +112,54 @@ def test_combs_enumerate_as_the_per_block_loop():
                 assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), (source, w)
 
 
+def _riemann_block_by_loop(n, w, k_start, pad):
+    """The atoms of block n in w, from every k within pad of the closed-form range."""
+    ks = np.arange(max(k_start, math.floor((w.lo - n) * n) - pad), min(n + k_start, math.ceil((w.hi - n) * n) + pad))
+    p = n + ks / n
+    inside = (p >= w.lo) & (p <= w.hi)
+    return p[inside], np.full(int(np.sum(inside)), 1.0 / n, dtype=np.complex128)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        Window(1e6, 1e6 + 0.01),
+        Window(4e6, 4e6 + 0.01),
+        Window(999_999.999_999_7, 1_000_001.000_000_3),
+        Window(123_456.3, 123_457.9),
+        Window(2.0**25 + 0.37, 2.0**25 + 0.37 + 1e-4),
+        Window(2.0**26 - 1.6, 2.0**26 - 1.6 + 1e-4),
+        # one atom each, where (p - n) * n rounds past its k
+        Window(7 + 4 / 7, 7 + 4 / 7),
+        Window(1000 + 805 / 1000, 1000 + 805 / 1000),
+        Window(999_983 + 22_652 / 999_983, 999_983 + 22_652 / 999_983),
+        Window(67_108_859 + 31_464_116 / 67_108_859, 67_108_859 + 31_464_116 / 67_108_859),
+    ],
+)
+def test_riemann_comb_far_windows_enumerate_their_candidates_only(monkeypatch, w):
+    # the closed-form k range of each block keeps every atom that a range
+    # 1000 wider keeps, bit for bit, and the guard counts at most two
+    # candidates a side of each block beyond the atoms
+    blocks = range(max(1, math.floor(w.lo) - 1), math.floor(w.hi) + 2)
+    for k_start in (0, 1):
+        chunks = [_riemann_block_by_loop(n, w, k_start, 1000) for n in blocks]
+        want = measures._merge(*(np.concatenate(c) for c in zip(*chunks)))
+        monkeypatch.setattr(measures, "_MAX_ATOMS", want[0].size + 4 * len(blocks))
+        got = constructions.RiemannComb(k_start).enumerate_window(w)
+        for g, r in zip(got, want):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
+def test_riemann_comb_refuses_blocks_it_cannot_resolve():
+    # from 2^26 on a block is a candidate whole, over 10^7 atoms
+    with pytest.raises(InvalidArgument, match="atoms"):
+        constructions.RiemannComb().enumerate_window(Window(2.0**26 + 0.5, 2.0**26 + 0.5))
+    with pytest.raises(InvalidArgument, match="atoms"):
+        constructions.RiemannComb().enumerate_window(Window(1e20, 1e20 + 10.0))
+    with pytest.raises(InvalidArgument, match="atoms"):
+        constructions.RiemannComb().enumerate_window(Window(0.0, 5000.0))
+
+
 def test_offset_pairs_convolution_peak():
     mu = build_example("ex_a")
     assert complex(convolve(mu, HAT, 100.0)).real == pytest.approx(-0.04, abs=1e-12)
@@ -368,10 +416,15 @@ def test_block_columns_reject_malformed_input(bad):
 def test_comb_enumerations_count_their_candidates_before_allocating(monkeypatch, w):
     # each comb counts, in closed form, the candidates its arrays hold: a
     # limit of that count enumerates, one less refuses before any array
+    # (a Riemann comb block n: the closed-form range of k, widened by one)
     lo, hi = math.floor(w.lo), math.floor(w.hi)
+    riemann = sum(
+        len(range(max(0, math.ceil((w.lo - n) * n) - 1), min(n - 1, math.floor((w.hi - n) * n) + 1) + 1))
+        for n in range(max(1, lo - 1), hi + 2)
+    )
     combs = [
         (constructions.OffsetPairComb(), 2 * len(range(lo - 2, math.ceil(w.hi) + 3))),
-        (constructions.RiemannComb(), sum(range(max(1, lo - 1), hi + 2))),
+        (constructions.RiemannComb(), riemann),
         (measures.LatticeComb(0.3, 0.05), len([n for n in range(-100, 100) if w.lo <= 0.05 + 0.3 * n <= w.hi])),
     ]
     fulls = [comb.enumerate_window(w) for comb, _ in combs]

@@ -1,5 +1,6 @@
 """Transforms, spectral densities, the Bessel identity, and cross-checks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -276,9 +277,81 @@ def test_bessel_j0_against_scipy():
     xs = np.linspace(0.0, 30.0, 601)
     got = bessel_j0_vec(xs)
     want = scipy_special.j0(xs)
-    assert np.max(np.abs(got - want)) < 5e-12
+    assert np.max(np.abs(got - want)) < 1e-13
     for x in (0.5, 7.3, 13.9, 14.1, 25.0):
-        assert bessel_j0(x) == pytest.approx(float(scipy_special.j0(x)), abs=5e-12)
+        assert bessel_j0(x) == pytest.approx(float(scipy_special.j0(x)), abs=1e-13)
+
+
+def _j0_table_row(a, width, degree):
+    """The t**0 .. t**degree coefficients, t = 2 (x - a) / width - 1, of the
+    interpolant of bessel_j0 at the Chebyshev points of [a, a + width],
+    solved in exact rationals from the float nodes and rounded."""
+    from fractions import Fraction
+
+    xs = [a + 0.5 * width * (1.0 + math.cos(math.pi * (j + 0.5) / (degree + 1))) for j in range(degree + 1)]
+    rows = [
+        [(2 * (Fraction(x) - Fraction(a)) / Fraction(width) - 1) ** k for k in range(degree + 1)] + [Fraction(bessel_j0(x))]
+        for x in xs
+    ]
+    for c in range(degree + 1):  # Gauss-Jordan; every pivot is nonzero (distinct nodes)
+        for r in range(degree + 1):
+            if r != c:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [u - f * v for u, v in zip(rows[r], rows[c])]
+    return [float(row[-1] / row[k]) for k, row in enumerate(rows)]
+
+
+def test_j0_table_is_rebuilt_from_bessel_j0():
+    degree, n_intervals = fourier._J0_TABLE.shape[0] - 1, fourier._J0_TABLE.shape[1]
+    width = 1.0 / fourier._J0_INV_WIDTH
+    assert n_intervals * width == fourier._J0_SERIES_LIMIT
+    rebuilt = np.array([_j0_table_row(i * width, width, degree) for i in range(n_intervals)]).T
+    assert np.max(np.abs(rebuilt - fourier._J0_TABLE)) <= 1e-15
+
+
+def test_gl8_literals_are_leggauss_8():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert fourier._GL8_NODES.tobytes() == nodes.tobytes()
+    assert fourier._GL8_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def _j0_vec_error(xs):
+    xs = np.asarray(xs, dtype=float)
+    return np.abs(bessel_j0_vec(xs) - np.array([bessel_j0(x) for x in xs]))
+
+
+def test_j0_vec_at_interval_ends_and_midpoints():
+    width = 1.0 / fourier._J0_INV_WIDTH
+    ends_and_mids = np.arange(2 * fourier._J0_TABLE.shape[1] + 1) * (0.5 * width)
+    assert ends_and_mids[-1] == 14.0
+    assert np.max(_j0_vec_error(np.concatenate([ends_and_mids, -ends_and_mids]))) <= 2e-15
+    assert np.max(_j0_vec_error([0.0, -0.0, 14.0, -14.0])) <= 2e-15
+    assert bessel_j0_vec(np.array([0.0]))[0] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(-14.0, 14.0))
+@example(x=5e-324)
+@example(x=np.nextafter(14.0, 0.0))
+@example(x=2.404825557695773)
+def test_j0_vec_within_2e_15_of_bessel_j0(x):
+    assert _j0_vec_error([x])[0] <= 2e-15
+
+
+def test_j0_vec_above_14_is_the_hankel_branch_bit_for_bit():
+    big = np.concatenate([[np.nextafter(14.0, 15.0), 14.5, 20.0, 1e3, 1e8], np.random.default_rng(4).uniform(14.0, 400.0, 500)])
+    big = big[big > 14.0]
+    want = fourier._j0_hankel(big)
+    assert bessel_j0_vec(big).tobytes() == want.tobytes()
+    assert bessel_j0_vec(-big).tobytes() == want.tobytes()
+    # in a mixed array each side takes its own branch, in place
+    small = np.linspace(0.0, 14.0, 7)
+    mixed = np.stack([np.concatenate([small, big[:7]]), np.concatenate([big[7:14], -small])])
+    got = bessel_j0_vec(mixed)
+    assert got.shape == mixed.shape
+    assert got[0, 7:].tobytes() == fourier._j0_hankel(big[:7]).tobytes()
+    assert got[1, :7].tobytes() == fourier._j0_hankel(big[7:14]).tobytes()
+    assert got[0, :7].tobytes() == bessel_j0_vec(small).tobytes() == got[1, 7:].tobytes()
 
 
 def _j0_series_fraction(x):

@@ -337,6 +337,13 @@ def test_extreme_test_functions_are_refused_without_warnings(make):
         make()
 
 
+@pytest.mark.parametrize("center, halfwidth", [(1e308, 0.25), (1e16, 0.25), (-3e20, 1000.0), (1.0, 1e-17)])
+def test_hat_narrower_than_the_spacing_at_its_center_names_both(center, halfwidth):
+    with pytest.raises(InvalidArgument, match="below the float64 spacing") as info:
+        tf_hat(center, halfwidth)
+    assert f"halfwidth {halfwidth} " in str(info.value) and f"center {center}" in str(info.value)
+
+
 def test_hat_and_indicator_are_three_and_four_knots():
     assert tf_hat(0.3, 0.4, 1.5 - 0.5j, step=1e-5).knots.size == 3
     f = tf_indicator(-1.0, 2.0, step=0.01)
