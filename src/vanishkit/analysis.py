@@ -17,13 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument
-from .measures import (
-    AtomSource,
-    MeasureExpr,
-    PurePoint,
-    _scan,
-    sup_norm_K,
-)
+from .masses import _trapezoid_rule
+from .measures import AtomSource, MeasureExpr, PurePoint, _Plan, _scan
 from .testfunctions import TestFunction, Window, tf_convolve, tf_hat, tf_reflect_conj
 
 __all__ = [
@@ -58,8 +53,11 @@ class DecayProfile:
     extends by the width of the previous one).  ``k_eps_estimate`` is the
     radius from which every inspected annulus stays below epsilon; it is
     set exactly when the verdict is vanishing-up-to-horizon.
-    ``lip_margin`` bounds how much a true sup can exceed the grid sup
-    (half grid step times a Lipschitz bound for mu*f).
+    ``lip_margin`` bounds how much |mu*f| between two neighbouring grid
+    points can exceed the larger of their values: half the grid step times
+    Lip(f) times the largest |mu| on the scanned blocks' windows, which lie
+    over the annuli only (smooth densities enter by a trapezoid table, not
+    a bound).
     """
 
     entries: tuple[tuple[float, float], ...]
@@ -109,9 +107,10 @@ def decay_profile(
 ) -> DecayProfile:
     """Sups of |mu*f| over the annuli radii[i] <= |x| < radii[i+1].
 
-    Both signs of x are scanned, one block of grid points at a time.  The
-    grid step defaults to half the test function's own step; the reported
-    lip_margin says how far the true sup can sit above the grid sup.
+    Both signs of x are scanned, one block of grid points at a time, from one
+    scan plan over every annulus.  The grid step defaults to half the test
+    function's own step; lip_margin, read from the same blocks, says how far
+    the true sup can sit above the grid sup.
     """
     if not (0 < epsilon < np.inf):
         raise InvalidArgument(f"epsilon must be positive and finite, got {epsilon}")
@@ -120,21 +119,26 @@ def decay_profile(
         annulus_step = f.step / 2.0
     if not (0 < annulus_step < np.inf):
         raise InvalidArgument(f"annulus_step must be positive and finite, got {annulus_step}")
+    # |mu*f| is Lipschitz with constant Lip(f) * |mu|([x - f.hi, x' - f.lo])
+    # between x < x'.  Each scanned block gives that |mu| between every r-th
+    # point and the next point out (_scan), at most max(1, annulus_step) apart.
+    outer = bounds[-1][1]
+    plan = _Plan(mu, Window(-outer - 2.0 * annulus_step - f.hi, outer + 2.0 * annulus_step - f.lo))
+    step = max(1.0, annulus_step)
+    r, rule = int(step // annulus_step), _trapezoid_rule(step)
     entries: list[tuple[float, float]] = []
+    mass_bound = 0.0
     for lo, hi in bounds:
         n = _annulus_count(lo, hi, annulus_step)
-        sup = max(
-            float(np.max(np.abs(vals)))
-            for sign in (1, -1)
-            for _, vals in _scan(mu, f, lo, annulus_step, n, sign)
-        )
+        sup = 0.0
+        for sign in (1, -1):
+            for start, vals, block in _scan(plan, f, lo, annulus_step, n, sign):
+                sup = max(sup, float(np.max(np.abs(vals))))
+                end = start + vals.size  # every r-th k from start, and end
+                x = sign * (lo + annulus_step * np.minimum(np.arange(start, end + r, r), end))
+                x0, x1 = (x[:-1], x[1:]) if sign > 0 else (x[1:], x[:-1])
+                mass_bound = max(mass_bound, float(np.max(block.masses(rule, x0 - f.hi, x1 - f.lo))))
         entries.append((lo, sup))
-    outer = bounds[-1][1]
-    # |mu*f| is Lipschitz with constant Lip(f) * sup_x |mu|(x - supp f).
-    # The sup runs over every x, not only the query points x_j, so each
-    # query window [x_j - f.hi, x_{j+1} - f.lo] reaches the next point.
-    step = max(1.0, annulus_step)
-    mass_bound = sup_norm_K(mu, Window(-f.hi, step - f.lo), Window(-outer, outer), step=step)
     lip_margin = 0.5 * annulus_step * f.lipschitz * mass_bound
     sups = [s for _, s in entries]
     if sups[-1] < epsilon:
@@ -329,7 +333,8 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     marks = np.array([[round((big - n) / h), round((big + n) / h)] for n in ns])
     cum_at = np.zeros(marks.shape)
     total, last = 0.0, np.empty(0)
-    for start, vals in _scan(mu, f, -big, h, k_max + 1):
+    plan = _Plan(mu, Window(-big - f.hi, -big + h * (k_max + 1) - f.lo))
+    for start, vals, _ in _scan(plan, f, -big, h, k_max + 1):
         mod = np.concatenate((last, np.abs(vals)))
         seg = mod[:-1] + mod[1:]
         seg *= 0.5

@@ -83,6 +83,11 @@ def _test_function(args: argparse.Namespace):
     return tf_hat(args.f_center, args.f_halfwidth, args.f_height, step=args.f_step)
 
 
+# The most points a --grid may hold: far above the largest catalog grid
+# (60,001 points), of the order of measures._MAX_ATOMS.
+_MAX_GRID_POINTS = 10**7
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -96,8 +101,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if step <= 0.0 or hi < lo:
         raise InvalidArgument("--grid expects lo <= hi and step > 0")
     span = (hi - lo) / step
-    if not span < np.iinfo(np.intp).max:
-        raise InvalidArgument("--grid spans too many points")
+    if not span + 1e-9 < _MAX_GRID_POINTS:  # floor(span + 1e-9) + 1 points, counted before any array
+        raise InvalidArgument(f"--grid holds more than {_MAX_GRID_POINTS} points")
     n = int(np.floor(span + 1e-9))
     return lo + step * np.arange(n + 1)
 
@@ -169,28 +174,35 @@ def _indented(value: object, depth: int) -> str:
     return "[" + pad + text[1] + inner + text[2:-2] + pad + text[-2] + pad[:-2] + "]"
 
 
-# CSV rows formatted and written per block, so a long table never stands as
-# one string.
+# Table rows formatted and written per block, so a long table never stands
+# as one string.
 _CSV_ROWS = 1 << 13
 
 
 def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:
     """One table, described once as named columns of equal length.
 
-    CSV is the column names joined as the header, then the rows, written in
-    blocks of _CSV_ROWS; JSON is the scalar fields plus ``rows``, one object
-    per row keyed by the same names.
+    CSV is the column names joined as the header, then the rows; JSON is the
+    scalar fields plus ``rows``, one object per row keyed by the same names,
+    as _json_text writes it.  Rows are written in blocks of _CSV_ROWS: a
+    JSON block is its rows' list without the brackets, in the place of a
+    placeholder for ``rows``.
     """
     names = list(columns)
-    if args.format == "json":
-        rows = np.column_stack(list(columns.values())).tolist()
-        _emit(args, _json_text({**fields, "rows": [dict(zip(names, row)) for row in rows]}))
-        return
     with _output(args) as out:
-        out.write(",".join(names) + "\n")
+        if args.format == "json":
+            head, tail = _json_text({**fields, "rows": "@"}).split('"@"')
+            out.write(head + "[")
+        else:
+            out.write(",".join(names) + "\n")
         for start in range(0, len(columns[names[0]]), _CSV_ROWS):
-            block = [col[start : start + _CSV_ROWS] for col in columns.values()]
-            specio.write_rows(out, np.column_stack(block).tolist())
+            rows = np.column_stack([col[start : start + _CSV_ROWS] for col in columns.values()]).tolist()
+            if args.format == "json":  # "[" + "\n    " + the rows + "\n  ]"
+                out.write(("," if start else "") + _indented([dict(zip(names, row)) for row in rows], 2)[1:-4])
+            else:
+                specio.write_rows(out, rows)
+        if args.format == "json":
+            out.write("\n  ]" + tail)
 
 
 def _emit_profile(args: argparse.Namespace, report: dict, header: str) -> None:

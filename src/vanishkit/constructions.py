@@ -39,15 +39,15 @@ from .measures import (
     Translate,
     TriangleDensity,
     _MAX_ATOMS,
-    _affine_cells,
+    _Plan,
     _as_complex,
     _atom_columns,
     _cell_pairs,
     _check_atom_count,
     _merge,
     _merge_runs,
-    _piece_into_grid,
     _resolve_parts,
+    _smooth_into_grid,
     _steep_cells,
 )
 from .testfunctions import TestFunction, Window, tf_hat, tf_reflect_conj
@@ -497,11 +497,11 @@ def _validate(
     every probe's support.  The atom columns are clipped to the span with a
     mask; only the parts' expressions are resolved, in one pass.  Their atoms
     join the columns part by part, and each part's atoms are merged as
-    _merge would.  The affine cells of the declared density pieces are built
-    once per distinct (density, transform, clip) and shared by every piece
-    that repeats it.  The pairing of a part with a probe g is (part * g~)(0),
-    the integral of conj(g) against the part: one evaluation of
-    g~ = tf_reflect_conj(g) at minus every atom position, and one
+    _merge would.  The affine cells of the declared density pieces come from
+    one _Plan over the span, so a density and transform that several pieces
+    repeat is cut into cells once.  The pairing of a part with a probe g is
+    (part * g~)(0), the integral of conj(g) against the part: one evaluation
+    of g~ = tf_reflect_conj(g) at minus every atom position, and one
     cell-kernel call on every cell that reaches 0, each summed per part; a
     smooth piece adds its one-point convolution with g~.  A part's variation
     is the |w| of its atoms inside the window, plus the window mass of its
@@ -538,18 +538,13 @@ def _validate(
     reflected = [tf_reflect_conj(g) for g in probes]
     pairs = np.array([_segment_sums(g.values(-pos) * wts, counts) for g in reflected])
     variations = _segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
-    declared = []  # (part, cells) per declared piece
-    smooth = []  # (part, piece) per smooth piece
-    built = {}  # cells (or None) per distinct density, transform and clip
+    declared, smooth = [], []  # (part, cells) per declared piece, (part, piece) per smooth one
+    plan = _Plan(None, span)
     for i, part_pieces in pieces.items():
         for piece in part_pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
-            clip = span if sup is None else span.intersect(sup)
-            key = (id(piece.base), piece.sign, piece.shift, piece.conj, piece.scale, clip.lo, clip.hi)
-            if key not in built:
-                built[key] = _affine_cells(piece, clip)
-            cells = built[key]
+            cells = plan.cells(piece)
             if cells is None:
                 smooth.append((i, piece))
             else:
@@ -574,7 +569,7 @@ def _validate(
         if clip is not None and clip.width > 0.0:  # adds its own |.|: an upper bound on |part|
             variations[i] += _converged_cum(piece, clip, _TOL)[1][-1]
         for j, g in enumerate(reflected):
-            _piece_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
+            _smooth_into_grid(piece, g, origin, pairs[j, i : i + 1], _TOL)
     trace = np.max(np.abs(pairs), axis=0)
     support_ok = not np.any(offends)
 

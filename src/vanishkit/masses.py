@@ -1,12 +1,14 @@
 """|mu|-masses of the subwindows of one window, exact for atoms and
 declared affine cells.
 
-Atoms enter as a cumulative sum of |w|.  A declared cell vc + beta t has
-the closed-form mass ``_cell_mass``; the cells of a window's declared pieces
-are added on the union of their edges before |.| is taken.  Smooth pieces
-enter through a trapezoid cumulative.  ``measures.variation_on`` and
-``measures.sup_norm_K`` read one ``_MassTable``; block-sum validation takes
-``_cells_sum`` and ``_cell_mass`` for the cells of all parts at once.
+A declared cell vc + beta t has the closed-form mass ``_cell_mass``; the
+cells of a window's declared pieces are added on the union of their edges
+(``_cells_sum``) before |.| is taken.  Smooth pieces enter through a
+trapezoid cumulative.  A block of a ``measures`` scan plan reads these on
+its own window, with atoms as a cumulative sum of |w|: ``variation_on`` and
+``sup_norm_K`` are one-block plans, and ``decay_profile`` takes the mass
+bound behind its ``lip_margin`` from the blocks it scans.  Block-sum
+validation takes them for the cells of all parts at once.
 
 Affine cells are arrays (a, b, vc, beta) as in ``measures``: density
 vc + beta * (s - center) on [a, b], center being the cell midpoint.
@@ -46,18 +48,24 @@ def _cell_mass(vc: np.ndarray, beta: np.ndarray, t0: np.ndarray, d: np.ndarray) 
     u0, b, d, cross = u0[live], b[live], d[live], cross[live]
     u1, b2, total = u0 + d, b * b, 2.0 * u0 + d
     s0, s1 = np.hypot(u0, b), np.hypot(u1, b)
-    with np.errstate(divide="ignore", invalid="ignore"):  # b = 0 takes no arsinh term
+    # b = 0 takes no arsinh term; u / b overflows only where b * b underflows to 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         prod = np.where(cross, u1 * s1 - u0 * s0, d * total * (u0 * u0 + u1 * u1 + b2) / (u1 * s1 + u0 * s0))
         arc = np.where(cross, np.arcsinh(u1 / b) - np.arcsinh(u0 / b), np.arcsinh(d * total / (u1 * s0 + u0 * s1)))
         out[live] = 0.5 * np.abs(beta[live]) * (prod + np.where(b2 > 0.0, b2 * arc, 0.0))
     return out
 
 
-def _trapezoid_cum(piece: TransformedDensity, clip: Window, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of n equal intervals on clip, and the trapezoid cumulative of
-    |density| at them."""
-    ts = np.linspace(clip.lo, clip.hi, n + 1)
-    return ts, _cumulate(ts, np.abs(piece.evalv(ts)))
+def _trapezoid_rule(step: float) -> Callable:
+    """The trapezoid table of a smooth piece for mass queries at spacing
+    step: intervals of about half the step, 2,048 to 4,000,000 of them."""
+
+    def table(piece: TransformedDensity, clip: Window) -> tuple[np.ndarray, np.ndarray]:
+        h = max(min(step / 2.0, clip.width / 2048.0), clip.width / 4_000_000.0)
+        ts = np.linspace(clip.lo, clip.hi, max(1, int(np.ceil(clip.width / h))) + 1 if h > 0.0 else 2)
+        return ts, _cumulate(ts, np.abs(piece.evalv(ts)))
+
+    return table
 
 
 def _cumulate(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -110,57 +118,3 @@ def _cells_sum(cells: list[_Cells]) -> _Cells:
         vc[on] += v[i] + s[i] * (center[on] - 0.5 * (a[i] + b[i]))
         beta[on] += s[i]
     return lo, hi, vc, beta
-
-
-class _MassTable:
-    """|mu|-mass of the subwindows of one window, for any number of queries.
-
-    Atoms are a cumulative sum of |w|.  The declared density pieces are
-    added on the union of their cell edges before taking |.|, so pieces that
-    cancel count as what they sum to; the sum is a cumulative sum of exact
-    cell masses, read between cells with searchsorted and on the partial cell
-    at each end of a query with the same closed form.  Each smooth piece is
-    the trapezoid cumulative that ``rule(piece, clip)`` builds, read by linear
-    interpolation, and adds its own |.|: with smooth pieces the mass is an
-    upper bound on |mu|, up to the rule's error.
-    """
-
-    def __init__(self, rule: Callable, positions: np.ndarray = np.empty(0), weights: np.ndarray = np.empty(0)):
-        self.rule = rule
-        self.pos = positions
-        self.cum_atoms = np.concatenate(([0.0], np.cumsum(np.abs(weights))))
-        self.cells: list[_Cells] = []  # per declared piece
-        self.smooth_to: list[Callable[[np.ndarray], np.ndarray]] = []  # per smooth piece, mass left of u
-
-    def add(self, piece: TransformedDensity, cells: _Cells | None, w: Window) -> None:
-        """Add the mass of piece inside w, from its cells on a window covering
-        w (None for a smooth piece, which the rule integrates on w)."""
-        if cells is None:
-            sup = piece.support
-            clip = w if sup is None else w.intersect(sup)
-            if clip is not None and clip.width > 0.0:
-                ts, cum = self.rule(piece, clip)
-                self.smooth_to.append(lambda u: np.interp(u, ts, cum))
-        elif cells[0].size:
-            self.cells.append(cells)
-
-    def _declared_to(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Mass left of u of the declared pieces' sum."""
-        a, b, vc, beta = _cells_sum(self.cells)
-        width = b - a
-        cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
-
-        def cells_to(u: np.ndarray) -> np.ndarray:
-            i = np.maximum(a.searchsorted(u, side="right") - 1, 0)
-            return cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(u - a[i], 0.0, width[i]))
-
-        return cells_to
-
-    def query(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
-        """Mass inside [lo, hi], elementwise, as a 1-d array."""
-        lo, hi = np.atleast_1d(lo, hi)
-        out = self.cum_atoms[self.pos.searchsorted(hi, side="right")] - self.cum_atoms[self.pos.searchsorted(lo)]
-        for mass_to in ([self._declared_to()] if self.cells else []) + self.smooth_to:
-            ends = mass_to(np.concatenate((lo, hi)))  # one pass for both ends
-            out += ends[lo.size :] - ends[: lo.size]
-        return out

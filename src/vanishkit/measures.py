@@ -39,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidArgument, QuadratureError
-from .masses import _converged_cum, _MassTable, _trapezoid_cum
+from .masses import _cell_mass, _cells_sum, _converged_cum, _trapezoid_rule
 from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps
 from .testfunctions import TestFunction, Window
 
@@ -484,6 +484,7 @@ def _resolve_parts(
             order = sorted(range(first, len(pos_parts)), key=lambda j: pos_parts[j][0])
             pos_parts[first:] = [pos_parts[j] for j in order]
             wt_parts[first:] = [wt_parts[j] for j in order]
+    del walk  # its closure holds itself; the cycle would keep these atoms until a GC pass
     n = len(exprs)
     if not pos_parts:
         return np.empty(0), np.empty(0, dtype=np.complex128), np.zeros(n, dtype=np.intp), pieces
@@ -630,25 +631,21 @@ def _smooth_convolution(
     raise QuadratureError("density quadrature did not converge", delta)
 
 
-def _piece_into_grid(
+def _smooth_into_grid(
     piece: TransformedDensity,
     f: TestFunction,
     grid: np.ndarray,
     out: np.ndarray,
     tol: float,
 ) -> None:
-    """Add the convolution of one density piece with f onto out (over grid)."""
+    """Add the convolution of one smooth density piece with f onto out (over grid)."""
     hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
     sup = piece.support
     clip = hull if sup is None else hull.intersect(sup)
     if clip is None:
         return
-    cells = _affine_cells(piece, clip)
-    if cells is not None:
-        _scatter_cells(cells, f, grid, out)
-        return
-    # Smooth path.  When the support covers every shifted window, the
-    # integral is sum_j W_j * rho(x - u_j) with x-independent nodes.
+    # When the support covers every shifted window, the integral is
+    # sum_j W_j * rho(x - u_j) with x-independent nodes.
     if sup is None or (sup.lo <= hull.lo and hull.hi <= sup.hi):
         out += _smooth_convolution(piece, f, grid, f.lo, f.hi, tol)
         return
@@ -796,8 +793,99 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Scan plans and the public operations that read them
 # ---------------------------------------------------------------------------
+
+
+class _Plan:
+    """mu read over a hull a block window at a time: atoms and pieces are
+    resolved per block (a whole hull's atoms are what cost memory), each
+    piece cut into cells, or tabled, once.  Without mu it only shares cells."""
+
+    def __init__(self, mu: MeasureExpr | None, hull: Window) -> None:
+        self.mu, self.hull, self._built = mu, hull, {}
+
+    def built(self, piece: TransformedDensity, build: Callable):
+        """build(piece, hull ∩ support), once per density, transform and build
+        (a resolution wraps its pieces afresh)."""
+        key = (id(piece.base), piece.sign, piece.shift, piece.conj, piece.scale, build)
+        if key not in self._built:
+            sup = piece.support
+            self._built[key] = build(piece, self.hull if sup is None else self.hull.intersect(sup))
+        return self._built[key]
+
+    def cells(self, piece: TransformedDensity, w: Window | None = None) -> _Cells | None:
+        """The cells of piece on the hull (None: smooth); given w, those that
+        overlap w, the end ones cut to w."""
+        cells = self.built(piece, _affine_cells)
+        if cells is None or w is None:
+            return cells
+        i, j = cells[1].searchsorted(w.lo, side="right"), cells[0].searchsorted(w.hi)
+        a, b, vc, beta = (c[i:j] for c in cells)
+        if a.size and (a[0] < w.lo or b[-1] > w.hi):  # a cut cell keeps its line
+            cut_a, cut_b = np.maximum(a, w.lo), np.minimum(b, w.hi)
+            a, b, vc = cut_a, cut_b, vc + beta * (0.5 * (cut_a + cut_b) - 0.5 * (a + b))
+        return a, b, vc, beta
+
+    def block(self, w: Window) -> _Block:
+        """mu resolved on w, a window inside the hull."""
+        return _Block(self, w, resolve_window(self.mu, w))
+
+
+class _Block:
+    """A plan's measure resolved on one window; answers mu*f and |mu| inside it."""
+
+    def __init__(self, plan: _Plan, w: Window, res: ResolvedWindow) -> None:
+        self.plan, self.window, self.res = plan, w, res
+
+    def convolve(self, f: TestFunction, grid: np.ndarray, tol: float) -> np.ndarray:
+        """convolve_grid on an ascending grid whose reach [grid[0] - f.hi,
+        grid[-1] - f.lo] lies in the window, from the sources inside the reach."""
+        reach = Window(grid[0] - f.hi, grid[-1] - f.lo)
+        out = np.zeros(grid.size, dtype=np.complex128)
+        lo, hi = self.res.positions.searchsorted(reach.lo), self.res.positions.searchsorted(reach.hi, side="right")
+        pos, wts = self.res.positions[lo:hi], self.res.weights[lo:hi]
+        i0 = grid.searchsorted(pos + f.lo, side="left")
+        i1 = grid.searchsorted(pos + f.hi, side="right")
+        span = _ramp_span(i0, i1, f, float(pos[-1] - pos[0]) if pos.size else 0.0)
+        if span is not None:
+            _ramp_into_grid(_Ramps(pos, wts, f.hi - f.lo), f, grid, span, out)
+        else:
+            _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
+        for piece in self.res.pieces:
+            cells = self.plan.cells(piece, reach)
+            if cells is None:
+                _smooth_into_grid(piece, f, grid, out, tol)
+            elif cells[0].size:
+                _scatter_cells(cells, f, grid, out)
+        return out
+
+    def masses(self, rule: Callable, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
+        """|mu| of [lo, hi] elementwise, for windows inside the window: exact
+        for atoms (a cumulative sum of |w|) and for the declared pieces' cells,
+        added on the union of their edges before |.| (_cells_sum).  A smooth
+        piece adds the |.| of its trapezoid table rule(piece, clip), built
+        once on the plan's hull: an upper bound on |mu|, up to its error."""
+        lo, hi = np.atleast_1d(lo, hi)
+        ends, pos = np.concatenate((lo, hi)), self.res.positions  # one pass for both ends
+        cum = np.concatenate(([0.0], np.cumsum(np.abs(self.res.weights))))
+        out = cum[pos.searchsorted(hi, side="right")] - cum[pos.searchsorted(lo)]
+        declared, mass_to = [], []
+        for piece in self.res.pieces:
+            cells = self.plan.cells(piece, self.window)
+            if cells is None:
+                mass_to.append(np.interp(ends, *self.plan.built(piece, rule)))
+            elif cells[0].size:
+                declared.append(cells)
+        if declared:
+            a, b, vc, beta = _cells_sum(declared)
+            width = b - a
+            cum = np.concatenate(([0.0], np.cumsum(_cell_mass(vc, beta, -0.5 * width, width))))
+            i = np.maximum(a.searchsorted(ends, side="right") - 1, 0)
+            mass_to.insert(0, cum[i] + _cell_mass(vc[i], beta[i], -0.5 * width[i], np.clip(ends - a[i], 0.0, width[i])))
+        for m in mass_to:
+            out += m[lo.size :] - m[: lo.size]
+        return out
 
 
 def _check_tol(tol: float) -> None:
@@ -825,19 +913,7 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise InvalidArgument("grid must be strictly ascending")
     hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
-    res = resolve_window(mu, hull)
-    out = np.zeros(grid.size, dtype=np.complex128)
-    pos, wts = res.positions, res.weights
-    i0 = grid.searchsorted(pos + f.lo, side="left")
-    i1 = grid.searchsorted(pos + f.hi, side="right")
-    span = _ramp_span(i0, i1, f, float(pos[-1] - pos[0]) if pos.size else 0.0)
-    if span is not None:
-        _ramp_into_grid(_Ramps(pos, wts, f.hi - f.lo), f, grid, span, out)
-    else:
-        _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
-    for piece in res.pieces:
-        _piece_into_grid(piece, f, grid, out, tol)
-    return out
+    return _Plan(mu, hull).block(hull).convolve(f, grid, tol)  # a one-block plan
 
 
 # Grid points per block of a scan over an arithmetic grid (annulus sups,
@@ -847,37 +923,27 @@ _SCAN_CHUNK = 1 << 16
 
 
 def _scan(
-    mu: MeasureExpr, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Values of mu*f at sign * (lo + step * k) for k = 0 .. n-1, a block of
-    _SCAN_CHUNK points at a time.
+    plan: _Plan, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8
+) -> Iterator[tuple[int, np.ndarray, _Block]]:
+    """Values of the plan's mu*f at sign * (lo + step * k) for k = 0 .. n-1,
+    a block of _SCAN_CHUNK points at a time.
 
-    Yields each block's first k and its values in order of k.  Every point
-    is formed as one grid ``lo + step * np.arange(n)`` would form it, and each
-    block is one convolve_grid call, ascending in x whatever the sign.
-    """
+    Yields each block's first k, its values in order of k, and its _Block:
+    points k = start .. end-1 resolved once, on their reach widened to the
+    next point out, sign * (lo + step * end).  Every point is formed as one
+    grid ``lo + step * np.arange(n)`` would form it."""
     for start in range(0, n, _SCAN_CHUNK):
-        xs = lo + step * np.arange(start, min(start + _SCAN_CHUNK, n))
-        if sign > 0:
-            yield start, convolve_grid(mu, f, xs, tol)
-        else:
-            yield start, convolve_grid(mu, f, -xs[::-1], tol)[::-1]
-
-
-def _mass_table(mu: MeasureExpr, hull: Window, rule: Callable) -> _MassTable:
-    res = resolve_window(mu, hull)
-    table = _MassTable(rule, res.positions, res.weights)
-    for piece in res.pieces:
-        sup = piece.support
-        table.add(piece, _affine_cells(piece, hull if sup is None else hull.intersect(sup)), hull)
-    return table
+        xs = sign * (lo + step * np.arange(start, min(start + _SCAN_CHUNK, n) + 1))  # and the next point out
+        block = plan.block(Window(min(xs[0], xs[-1]) - f.hi, max(xs[0], xs[-1]) - f.lo))
+        vals = block.convolve(f, xs[:-1] if sign > 0 else xs[-2::-1], tol)
+        yield start, vals if sign > 0 else vals[::-1], block
 
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
     """Total variation |mu|(w): exact for atoms and declared (real or complex)
     affine cells; smooth densities by trapezoid, doubled until converged to tol."""
     _check_tol(tol)
-    return float(_mass_table(mu, w, lambda piece, clip: _converged_cum(piece, clip, tol)).query(w.lo, w.hi)[0])
+    return float(_Plan(mu, w).block(w).masses(lambda piece, clip: _converged_cum(piece, clip, tol), w.lo, w.hi)[0])
 
 
 def _search_count(search: Window, step: float) -> int:
@@ -900,13 +966,8 @@ def sup_norm_K(mu: MeasureExpr, k: Window, search: Window, step: float) -> float
     densities contribute through a trapezoid table at about half the step.
     """
     xs = _search_grid(search, step)
-
-    def table(piece: TransformedDensity, clip: Window) -> tuple[np.ndarray, np.ndarray]:
-        h = max(min(step / 2.0, clip.width / 2048.0), clip.width / 4_000_000.0)
-        return _trapezoid_cum(piece, clip, max(1, int(np.ceil(clip.width / h))))
-
-    masses = _mass_table(mu, Window(search.lo + k.lo, search.hi + k.hi), table)
-    return float(np.max(masses.query(xs + k.lo, xs + k.hi)))
+    hull = Window(search.lo + k.lo, search.hi + k.hi)
+    return float(np.max(_Plan(mu, hull).block(hull).masses(_trapezoid_rule(step), xs + k.lo, xs + k.hi)))
 
 
 def seminorm_pg(
@@ -920,7 +981,8 @@ def seminorm_pg(
     sup_norm_K scanned in blocks."""
     step = g.step if step is None else step
     n = _search_count(search, step)
-    best = max(float(np.max(np.abs(vals))) for _, vals in _scan(mu, g, search.lo, step, n, tol=tol))
+    plan = _Plan(mu, Window(search.lo - g.hi, search.lo + step * n - g.lo))
+    best = max(float(np.max(np.abs(vals))) for _, vals, _ in _scan(plan, g, search.lo, step, n, tol=tol))
     if search.lo + step * (n - 1) < search.hi:
         # np.abs of an array, as over the grid: abs() of a complex scalar can round differently
         best = max(best, float(np.abs(convolve_grid(mu, g, np.array([search.hi]), tol))[0]))

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vanishkit import measures
 from vanishkit.analysis import (
@@ -20,11 +20,16 @@ from vanishkit.analysis import (
 from vanishkit.constructions import build_example
 from vanishkit.errors import InvalidArgument
 from vanishkit.measures import (
+    AbsCont,
     FiniteAtoms,
+    IndicatorDensity,
     LatticeComb,
     PurePoint,
     Scale,
+    Sum,
+    TriangleDensity,
     convolve_grid,
+    variation_on,
 )
 from vanishkit.testfunctions import Window, tf_hat
 
@@ -286,13 +291,30 @@ def test_mean_abs_in_blocks_equals_one_grid(monkeypatch, mu, chunk):
     assert mean_abs(mu, F_COARSE, ns).entries == tuple(_mean_one_shot(mu, F_COARSE, ns))
 
 
+def _pair_margin(mu, f, bounds, step):
+    """0.5 * step * Lip(f) * the largest |mu|([x - f.hi, x' - f.lo]) over the
+    neighbours x < x' of the annulus grids, each annulus's last point paired
+    with the next point out: the least margin the Lipschitz argument gives."""
+    mass = 0.0
+    for lo, hi in bounds:
+        xs = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+        xs = xs[: np.searchsorted(xs, hi, side="left") + 1]
+        for x0, x1 in zip(xs[:-1], xs[1:]):
+            for w in (Window(x0 - f.hi, x1 - f.lo), Window(-x1 - f.hi, -x0 - f.lo)):
+                mass = max(mass, variation_on(mu, w))
+    return 0.5 * step * f.lipschitz * mass
+
+
 @pytest.mark.parametrize("chunk", [40, 41, 1 << 16])
 @pytest.mark.parametrize("mu", MU_ATOMS)
 def test_decay_profile_in_blocks_equals_one_grid(monkeypatch, mu, chunk):
     # 100 points in each annulus at step 0.01: three blocks on each sign
     monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
     profile = decay_profile(mu, F_COARSE, [1.0, 2.0], 0.05, annulus_step=0.01)
-    assert list(profile.sups) == _sups_one_shot(mu, F_COARSE, [(1.0, 2.0), (2.0, 3.0)], 0.01)
+    bounds = [(1.0, 2.0), (2.0, 3.0)]
+    assert list(profile.sups) == _sups_one_shot(mu, F_COARSE, bounds, 0.01)
+    # the margin's windows, cut at block edges, still hold every pair
+    assert profile.lip_margin >= _pair_margin(mu, F_COARSE, bounds, 0.01)
 
 
 def test_annulus_grid_in_blocks_stops_below_its_outer_radius():
@@ -314,3 +336,118 @@ def test_scans_in_blocks_match_one_grid_on_affine_cells(monkeypatch):
     assert sups == pytest.approx(_sups_one_shot(mu, f, [(1.0, 3.0), (3.0, 5.0)], 0.01), rel=1e-12)
     means = [avg for _, avg in mean_abs(mu, f, [1, 3]).entries]
     assert means == pytest.approx([avg for _, avg in _mean_one_shot(mu, f, [1, 3])], rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [7, 20, 23, 40, 41, 64])
+def test_block_edges_cut_hull_cells_and_margin_windows(monkeypatch, chunk):
+    # ex_bf's cells are built once on the scan's hull and cut at every block
+    # edge; the values agree with one grid to rounding (ramps are anchored
+    # at each block's first cell).  The density is +-1 on [1, 15), so the
+    # mass bound is the longest margin window: min(chunk, r) steps between
+    # its ends, r = 99 points 1 // 0.01 apart, plus the 0.5 reach of f.
+    mu = build_example("ex_bf")
+    f = tf_hat(0.0, 0.25, 1.0, step=0.01)
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
+    bounds = [(1.0, 3.0), (3.0, 5.0)]
+    profile = decay_profile(mu, f, [1.0, 3.0], 0.05, annulus_step=0.01)
+    assert profile.sups == pytest.approx(_sups_one_shot(mu, f, bounds, 0.01), rel=1e-12)
+    assert profile.lip_margin == pytest.approx(0.5 * 0.01 * 4.0 * (min(chunk, 99) * 0.01 + 0.5), rel=1e-12)
+    assert profile.lip_margin >= _pair_margin(mu, f, bounds, 0.01)
+    means = [avg for _, avg in mean_abs(mu, f, [1, 3, 5]).entries]
+    assert means == pytest.approx([avg for _, avg in _mean_one_shot(mu, f, [1, 3, 5])], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.floats(-5.5, 5.5), st.complex_numbers(max_magnitude=3.0)), min_size=1, max_size=6
+    ),
+    tent=st.booleans(),
+    center=st.floats(-5.0, 5.0),
+    halfwidth=st.floats(0.05, 2.0),
+    height=st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0),
+    step=st.sampled_from([0.05, 0.13, 0.3, 1.25]),
+)
+# a complex tent whose cells, cut at block edges, hold the zero of a density
+# of phase within 1e-302 of one: its cell mass overflowed a divide
+@example(atoms=[(0.0, 0j)], tent=True, center=0.0, halfwidth=1.0, height=1.7361395981947791e-302 + 1j, step=0.05)
+def test_lip_margin_bounds_the_sup_between_grid_points(atoms, tent, center, halfwidth, height, step):
+    # Between two neighbouring grid points, |mu*f| exceeds the larger of its
+    # two grid values by at most lip_margin: checked on a grid 64 times
+    # finer, inside each annulus and across the gap from its last point to
+    # the next annulus's first.  Atoms and cells have exact masses, so the
+    # bound holds up to rounding (1e-12).
+    density = TriangleDensity(center, halfwidth, height) if tent else IndicatorDensity(
+        center - halfwidth, center + halfwidth, height)
+    mu = Sum((PurePoint(FiniteAtoms(atoms)), AbsCont(density)))
+    f = tf_hat(0.2, 0.4, 1.0 - 0.5j)
+    radii = [0.5, 2.0, 3.5]
+    profile = decay_profile(mu, f, radii, 1.0, annulus_step=step)
+    sups, margin = profile.sups, profile.lip_margin
+    bounds = list(zip(radii, radii[1:] + [5.0]))
+    for i, (lo, hi) in enumerate(bounds):
+        n = int(np.ceil((hi - lo) / step))
+        n -= lo + step * (n - 1) >= hi
+        fine = lo + step / 64.0 * np.arange(64 * (n - 1) + 1)
+        gap = np.linspace(lo + step * (n - 1), hi, 65)[1:-1]  # up to the next annulus's first point
+        for xs, bound in ((fine, sups[i]), (gap, max(sups[i : i + 2]))):
+            if i + 1 == len(bounds) and xs is gap:
+                continue  # nothing is scanned past the last annulus
+            got = max(np.max(np.abs(convolve_grid(mu, f, xs))), np.max(np.abs(convolve_grid(mu, f, -xs[::-1]))))
+            assert got <= bound + margin + 1e-12
+
+
+def test_decay_profile_resolves_each_block_once_within_its_reach(monkeypatch):
+    # 100, 250 and 250 points per annulus and sign, in blocks of 40: 3 + 7 +
+    # 7 blocks a sign.  Each block is resolved once, on its reach widened by
+    # one step (the next point out), and the margin reads that resolution.
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", 40)
+    windows = []
+    resolve = measures.resolve_window
+
+    def counted(mu, w):
+        windows.append(w)
+        return resolve(mu, w)
+
+    monkeypatch.setattr(measures, "resolve_window", counted)
+    f, step = F_COARSE, 0.01
+    decay_profile(build_example("ex_a"), f, [1.0, 2.0, 4.5], 0.05, annulus_step=step)
+    assert len(windows) == 2 * (3 + 7 + 7)
+    reach = f.hi - f.lo
+    assert all(w.width <= reach + 40 * step + 1e-9 for w in windows)
+    assert max(w.width for w in windows) >= reach + 40 * step - 1e-9
+
+
+def test_scans_build_cells_once(monkeypatch):
+    # mean_abs(ex_bf, ...) cut ex_bf's cells once per 65,536-point block, 32
+    # times; one plan builds them once on the scan's hull, as decay_profile's
+    # does for all its annuli and both signs
+    calls = []
+    cells = measures._affine_cells
+
+    def counted(piece, clip):
+        calls.append(clip)
+        return cells(piece, clip)
+
+    monkeypatch.setattr(measures, "_affine_cells", counted)
+    mu = build_example("ex_bf")
+    mean_abs(mu, tf_hat(0.0, 0.25), [10, 100, 1000])
+    assert len(calls) == 1
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", 64)
+    decay_profile(mu, tf_hat(0.0, 0.25, 1.0, step=0.01), [1.0, 3.0, 9.0], 0.05, annulus_step=0.01)
+    assert len(calls) == 2
+
+
+def test_decay_margin_resolves_no_more_than_a_block(monkeypatch):
+    # The margin's mass bound once resolved the whole hull [-750, 750] of
+    # ex_nu at once, about 560,000 atoms (27.7 MB traced); read from the
+    # scanned blocks of 1,000 points (50 units) it stays near one block's.
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", 1000)
+    tracemalloc.start()
+    try:
+        profile = decay_profile(build_example("ex_nu"), tf_hat(0.0, 0.5, 1.0), [250.0, 500.0], 0.05, annulus_step=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_000_000
+    assert profile.verdict == NOT_VANISHING and profile.lip_margin > 0.0

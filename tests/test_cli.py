@@ -13,6 +13,7 @@ import pytest
 
 from vanishkit import cli, constructions, specio
 from vanishkit.cli import main
+from vanishkit.errors import InvalidArgument
 from vanishkit.measures import convolve_grid
 from vanishkit.testfunctions import tf_hat
 
@@ -417,6 +418,11 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         _blocks({"window": [0, 1], "parts": [{"shift": 0, "atoms": [[0.5, 1, 0]]}], "pairing_tol": -1}),
         # a hat narrower than the float64 spacing at its center
         ["decay", "--spec", EX_A, "--radii", "50,100", "--f-center", "1e308"],
+        # grids beyond the point cap, refused before any array exists
+        ["convolve", "--spec", EX_A, "--grid", "0:1e12:1e-3"],
+        ["bessel", "--grid", "0:1e12:1e-3"],
+        ["rlcheck", "--grid", "0:1e12:1e-3"],
+        ["fourier", "--grid", "0:1:1e-12"],
     ],
 )
 def test_malformed_input_exits_one_with_one_line(argv):
@@ -459,9 +465,36 @@ def test_json_reports_match_the_indenting_encoder(monkeypatch):
 
     monkeypatch.setattr(cli, "_json_text", checked)
     for argv in _JSON_COMMANDS:
-        code, _, _ = run(argv + ["--format", "json"])
+        code, out, _ = run(argv + ["--format", "json"])
         assert code in (0, 2)
+        # tables write their rows around the payload's text: check the whole output too
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert len(seen) == len(_JSON_COMMANDS)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 13])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--spec", EX_A, "--grid", "-1:1:0.01"],
+        ["bessel", "--grid", "0:2:0.01"],
+        ["fourier", "--grid", "-1:1:0.01", "--truncation", "5"],
+        ["rlcheck"],
+    ],
+    ids=["convolve", "bessel", "fourier", "rlcheck"],
+)
+def test_json_tables_in_row_blocks_are_json_text(monkeypatch, tmp_path, argv, rows):
+    # 201 rows (rlcheck: its default grid), in blocks of 1, 7 (a short last
+    # one) or one block; the fields sort before and after "rows"
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    code, out, _ = run(argv + ["--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["rows"]) > 7
+    assert out == cli._json_text(payload)
+    target = tmp_path / "table.json"
+    assert run(argv + ["--format", "json", "--out", str(target)])[:2] == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_json_text_matches_the_indenting_encoder_on_edge_values():
@@ -478,3 +511,13 @@ def test_json_text_matches_the_indenting_encoder_on_edge_values():
     ]
     for payload in payloads:
         assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_grid_point_cap_counts_the_points_it_would_allocate(monkeypatch):
+    # lo:hi:step holds floor((hi - lo) / step + 1e-9) + 1 points
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 5)
+    assert cli._parse_grid("0:4:1").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert cli._parse_grid("0:0.4:0.1").size == 5
+    for text in ("0:5:1", "0:0.5:0.1", "0:1e300:1e-300"):
+        with pytest.raises(InvalidArgument, match="more than 5 points"):
+            cli._parse_grid(text)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vanishkit import constructions, masses, measures, testfunctions
+from vanishkit import constructions, measures, testfunctions
 from vanishkit.analysis import VANISHING, decay_profile
 from vanishkit.constructions import (
     EXAMPLE_NAMES,
@@ -212,6 +212,20 @@ def test_alternating_dyadic_blocks():
     # equal positive and negative parts: the block integrates to zero
     total = complex(convolve(mu, tf_hat(0.5, 0.5, 1.0), 4.0)).real
     assert abs(total) < 1e-9
+
+
+@pytest.mark.parametrize("hw", [0.125, 0.25, 0.5, 2.0])
+def test_alternating_dyadic_levels_past_the_cut_stay_below_the_truncation_bound(monkeypatch, hw):
+    # ex_bf drops the levels from 15 on, claiming they add less than
+    # Lip(f) * 2^-15 to |mu * f|.  With levels 15 to 18 kept, and x - supp f
+    # inside [15, 19], they add 7.6e-6 to 8.6e-6 against bounds of 2.4e-4
+    # (hw 0.125) down to 1.5e-5 (hw 2).
+    monkeypatch.setattr(constructions, "_BF_MAX_LEVEL", 18)
+    f = tf_hat(0.0, hw, 1.0)
+    xs = np.arange(15.0 + hw, 19.0 - hw + 2.0**-11, 2.0**-10)  # the one point 17 for hw 2
+    got = np.abs(measures.convolve_grid(build_example("ex_bf"), f, xs))
+    assert np.max(got) <= f.lipschitz * 2.0**-15
+    assert np.max(got) > 1e-6  # the levels are there
 
 
 def test_tent_cells_and_values_agree_at_the_last_levels():
@@ -513,23 +527,18 @@ def _validate_by_part(inp, probes):
     reflected = [testfunctions.tf_reflect_conj(g) for g in probes]
     segment_sums = constructions._segment_sums
     pairs = np.array([segment_sums(g.values(-pos) * wts, counts) for g in reflected])
-    variations = segment_sums(np.abs(wts[inside]), np.bincount(part[inside], minlength=n))
+    variations = np.array([variation_on(p.measure, k) for p in inp.parts])  # atoms and pieces
     origin = np.zeros(1)
     for i, rw in enumerate(resolved):
-        if not rw.pieces:
-            continue
-        density_mass = masses._MassTable(lambda piece, clip: masses._converged_cum(piece, clip, 1e-8))
         for piece in rw.pieces:
             sup = piece.support
             offends[i] |= sup is None or sup.lo < k.lo - 1e-12 or sup.hi > k.hi + 1e-12
             cells = _affine_cells(piece, span if sup is None else span.intersect(sup))
             for j, g in enumerate(reflected):
                 if cells is None:
-                    measures._piece_into_grid(piece, g, origin, pairs[j, i : i + 1], 1e-8)
+                    measures._smooth_into_grid(piece, g, origin, pairs[j, i : i + 1], 1e-8)
                 else:
                     measures._scatter_cells(cells, g, origin, pairs[j, i : i + 1])
-            density_mass.add(piece, cells, k)
-        variations[i] += density_mass.query(k.lo, k.hi)[0]
     return offends, variations, np.max(np.abs(pairs), axis=0), pos[inside], wts[inside], part[inside]
 
 
@@ -625,8 +634,7 @@ def _count_affine_cells(monkeypatch) -> list:
         calls.append(piece)
         return cells(piece, clip)
 
-    for module in (measures, constructions):
-        monkeypatch.setattr(module, "_affine_cells", counted)
+    monkeypatch.setattr(measures, "_affine_cells", counted)
     return calls
 
 
