@@ -53,11 +53,12 @@ class DecayProfile:
     extends by the width of the previous one).  ``k_eps_estimate`` is the
     radius from which every inspected annulus stays below epsilon; it is
     set exactly when the verdict is vanishing-up-to-horizon.
-    ``lip_margin`` bounds how much |mu*f| between two neighbouring grid
-    points can exceed the larger of their values: half the grid step times
-    Lip(f) times the largest |mu| on the scanned blocks' windows, which lie
-    over the annuli only (smooth densities enter by a trapezoid table, not
-    a bound).
+    ``lip_margin`` bounds how much |mu*f| anywhere in an annulus can exceed
+    the annulus's sup: between two neighbouring grid points, half the grid
+    step times Lip(f) times the largest |mu| on the scanned blocks' windows;
+    past the last grid point, up to the outer radius, the full step times
+    Lip(f) times the |mu| that gap reaches.  Both windows lie over the annuli
+    only (smooth densities enter by a trapezoid table, not a bound).
     """
 
     entries: tuple[tuple[float, float], ...]
@@ -91,10 +92,13 @@ def _annulus_bounds(radii: Sequence[float]) -> list[tuple[float, float]]:
 
 
 def _annulus_count(lo: float, hi: float, step: float) -> int:
-    """How many of lo, lo + step, ... lie below hi (lo < hi)."""
+    """How many of lo, lo + step, ... lie below hi (lo < hi): the next one,
+    lo + step * n, is at or past hi, so the last one is within a step of it."""
     n = max(1, int(np.ceil((hi - lo) / step)))
     while lo + step * (n - 1) >= hi:
         n -= 1
+    while lo + step * n < hi:
+        n += 1
     return n
 
 
@@ -121,15 +125,20 @@ def decay_profile(
         raise InvalidArgument(f"annulus_step must be positive and finite, got {annulus_step}")
     # |mu*f| is Lipschitz with constant Lip(f) * |mu|([x - f.hi, x' - f.lo])
     # between x < x'.  Each scanned block gives that |mu| between every r-th
-    # point and the next point out (_scan), at most max(1, annulus_step) apart.
+    # point and the next point out (_scan), at most max(1, annulus_step) apart;
+    # a point between two grid points is within half a step of one of them.
+    # The gap from an annulus's last point x to its outer radius (under one
+    # step, _annulus_count) is bounded from x alone, a full step out, by the
+    # |mu| of [x - f.hi, hi - f.lo], read from the last block of each sign.
     outer = bounds[-1][1]
     plan = _Plan(mu, Window(-outer - 2.0 * annulus_step - f.hi, outer + 2.0 * annulus_step - f.lo))
     step = max(1.0, annulus_step)
     r, rule = int(step // annulus_step), _trapezoid_rule(step)
     entries: list[tuple[float, float]] = []
-    mass_bound = 0.0
+    mass_bound = gap_mass = 0.0
     for lo, hi in bounds:
         n = _annulus_count(lo, hi, annulus_step)
+        last = lo + annulus_step * (n - 1)
         sup = 0.0
         for sign in (1, -1):
             for start, vals, block in _scan(plan, f, lo, annulus_step, n, sign):
@@ -138,8 +147,10 @@ def decay_profile(
                 x = sign * (lo + annulus_step * np.minimum(np.arange(start, end + r, r), end))
                 x0, x1 = (x[:-1], x[1:]) if sign > 0 else (x[1:], x[:-1])
                 mass_bound = max(mass_bound, float(np.max(block.masses(rule, x0 - f.hi, x1 - f.lo))))
+            g0, g1 = (last, hi) if sign > 0 else (-hi, -last)
+            gap_mass = max(gap_mass, float(block.masses(rule, g0 - f.hi, g1 - f.lo)[0]))
         entries.append((lo, sup))
-    lip_margin = 0.5 * annulus_step * f.lipschitz * mass_bound
+    lip_margin = annulus_step * f.lipschitz * max(0.5 * mass_bound, gap_mass)
     sups = [s for _, s in entries]
     if sups[-1] < epsilon:
         j = len(sups)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -378,7 +379,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if passed == len(results) else 2
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process and shared by every main
+    call: parse_args reads it and keeps nothing, so callers must not change it."""
     parser = _Parser(prog="vanishkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -510,11 +514,10 @@ def _join_negative_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
+        args = build_parser().parse_args(_join_negative_values(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -342,18 +342,32 @@ def bessel_j0(x: float) -> float:
 
 
 def _j0_hankel(xa: np.ndarray) -> np.ndarray:
-    """J0 on an array of arguments above _J0_SERIES_LIMIT (Hankel expansion)."""
-    p_sum = np.zeros_like(xa)
+    """J0 on an array of arguments above _J0_SERIES_LIMIT (Hankel expansion).
+
+    Term m is u_m = u_{m-1} (2m - 1)**2 / (8 m x), added to P (m even) or Q
+    (m odd) with sign (-1)**(m // 2) resp. (-1)**((m + 1) // 2).  It is
+    updated in place, in the order of the textbook loop, and adding -u is
+    subtracting u, so the result is bit for bit that loop's."""
+    p_sum = np.ones_like(xa)  # term 0
     q_sum = np.zeros_like(xa)
     u = np.ones_like(xa)
-    for m in range(_J0_HANKEL_TERMS):
-        if m % 2 == 0:
-            p_sum += (-1.0) ** (m // 2) * u
+    d = np.empty_like(xa)
+    for m in range(1, _J0_HANKEL_TERMS):
+        u *= (2 * m - 1) ** 2
+        u /= np.multiply(8.0 * m, xa, out=d)
+        acc = q_sum if m % 2 else p_sum
+        if m % 4 in (0, 3):
+            acc += u
         else:
-            q_sum += (-1.0) ** ((m + 1) // 2) * u
-        u = u * (2 * m + 1) ** 2 / (8.0 * (m + 1) * xa)
+            acc -= u
     omega = xa - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * xa)) * (np.cos(omega) * p_sum - np.sin(omega) * q_sum)
+    p_sum *= np.cos(omega, out=d)
+    q_sum *= np.sin(omega, out=omega)
+    p_sum -= q_sum
+    np.multiply(np.pi, xa, out=d)
+    np.divide(2.0, d, out=d)
+    p_sum *= np.sqrt(d, out=d)
+    return p_sum
 
 
 # J0 on [0, _J0_SERIES_LIMIT] as 28 polynomials of degree 10, one per interval

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import measures
+from vanishkit import analysis, measures
 from vanishkit.analysis import (
     NOT_VANISHING,
     VANISHING,
@@ -77,6 +77,17 @@ def test_lip_margin_covers_points_between_queries():
     atom = PurePoint(FiniteAtoms([(-3.0, 1.0)]))
     prof = decay_profile(atom, tf_hat(5.0, 0.25, 1.0), [1.0, 2.0], epsilon=0.05, annulus_step=0.3)
     assert prof.lip_margin >= 0.6
+
+
+def test_lip_margin_bounds_the_gap_past_each_annulus_s_last_point():
+    # Grid points 1, 1.3, 1.6, 1.9 all miss the atom at 2.15, but
+    # |mu*f|(2.15) = 1 lies in [1, 2.19): the gap from 1.9 to the outer
+    # radius takes a full step, 0.3 * Lip(f) 4 * mass 1.
+    atom = PurePoint(FiniteAtoms([(2.15, 1.0)]))
+    prof = decay_profile(atom, HAT, [1.0, 2.19], epsilon=0.05, annulus_step=0.3)
+    assert prof.sups[0] == 0.0
+    assert prof.lip_margin == pytest.approx(1.2)
+    assert abs(convolve_grid(atom, HAT, np.array([2.15]))[0]) <= prof.sups[0] + prof.lip_margin
 
 
 @pytest.mark.parametrize(
@@ -326,6 +337,15 @@ def test_annulus_grid_in_blocks_stops_below_its_outer_radius():
     assert profile.sups[0] == pytest.approx(0.6)
 
 
+def test_annulus_grid_reaches_within_a_step_of_its_outer_radius():
+    # (hi - lo) / 0.01 rounds to 286 here, yet lo + 0.01 * 286 lies below hi:
+    # that point belongs to the annulus, and without it the gap the margin
+    # bounds from the last point would be wider than a step
+    lo, hi, step = 0.27334664675546183, 3.133346646755462, 0.01
+    n = analysis._annulus_count(lo, hi, step)
+    assert lo + step * (n - 1) < hi <= lo + step * n
+
+
 def test_scans_in_blocks_match_one_grid_on_affine_cells(monkeypatch):
     # cells are summed as ramps anchored at each call's first cell, so the
     # values agree to rounding rather than bit for bit
@@ -345,13 +365,17 @@ def test_block_edges_cut_hull_cells_and_margin_windows(monkeypatch, chunk):
     # at each block's first cell).  The density is +-1 on [1, 15), so the
     # mass bound is the longest margin window: min(chunk, r) steps between
     # its ends, r = 99 points 1 // 0.01 apart, plus the 0.5 reach of f.
+    # Each annulus's outer gap, one step from its last point 2.99 or 4.99 to
+    # its outer radius, plus the reach, takes a full step: it sets the margin
+    # unless half a step of the longest window is more (chunk >= 53).
     mu = build_example("ex_bf")
     f = tf_hat(0.0, 0.25, 1.0, step=0.01)
     monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
     bounds = [(1.0, 3.0), (3.0, 5.0)]
     profile = decay_profile(mu, f, [1.0, 3.0], 0.05, annulus_step=0.01)
     assert profile.sups == pytest.approx(_sups_one_shot(mu, f, bounds, 0.01), rel=1e-12)
-    assert profile.lip_margin == pytest.approx(0.5 * 0.01 * 4.0 * (min(chunk, 99) * 0.01 + 0.5), rel=1e-12)
+    pair_mass, gap_mass = min(chunk, 99) * 0.01 + 0.5, 0.01 + 0.5
+    assert profile.lip_margin == pytest.approx(0.01 * 4.0 * max(0.5 * pair_mass, gap_mass), rel=1e-12)
     assert profile.lip_margin >= _pair_margin(mu, f, bounds, 0.01)
     means = [avg for _, avg in mean_abs(mu, f, [1, 3, 5]).entries]
     assert means == pytest.approx([avg for _, avg in _mean_one_shot(mu, f, [1, 3, 5])], rel=1e-12)
@@ -373,10 +397,11 @@ def test_block_edges_cut_hull_cells_and_margin_windows(monkeypatch, chunk):
 @example(atoms=[(0.0, 0j)], tent=True, center=0.0, halfwidth=1.0, height=1.7361395981947791e-302 + 1j, step=0.05)
 def test_lip_margin_bounds_the_sup_between_grid_points(atoms, tent, center, halfwidth, height, step):
     # Between two neighbouring grid points, |mu*f| exceeds the larger of its
-    # two grid values by at most lip_margin: checked on a grid 64 times
-    # finer, inside each annulus and across the gap from its last point to
-    # the next annulus's first.  Atoms and cells have exact masses, so the
-    # bound holds up to rounding (1e-12).
+    # two grid values by at most lip_margin, and past an annulus's last grid
+    # point, up to its outer radius, it exceeds that point's value by at most
+    # lip_margin: checked on a grid 64 times finer, in every annulus, the
+    # last included.  Atoms and cells have exact masses, so the bound holds
+    # up to rounding (1e-12).
     density = TriangleDensity(center, halfwidth, height) if tent else IndicatorDensity(
         center - halfwidth, center + halfwidth, height)
     mu = Sum((PurePoint(FiniteAtoms(atoms)), AbsCont(density)))
@@ -386,15 +411,12 @@ def test_lip_margin_bounds_the_sup_between_grid_points(atoms, tent, center, half
     sups, margin = profile.sups, profile.lip_margin
     bounds = list(zip(radii, radii[1:] + [5.0]))
     for i, (lo, hi) in enumerate(bounds):
-        n = int(np.ceil((hi - lo) / step))
-        n -= lo + step * (n - 1) >= hi
+        n = analysis._annulus_count(lo, hi, step)
         fine = lo + step / 64.0 * np.arange(64 * (n - 1) + 1)
-        gap = np.linspace(lo + step * (n - 1), hi, 65)[1:-1]  # up to the next annulus's first point
-        for xs, bound in ((fine, sups[i]), (gap, max(sups[i : i + 2]))):
-            if i + 1 == len(bounds) and xs is gap:
-                continue  # nothing is scanned past the last annulus
+        gap = np.linspace(lo + step * (n - 1), hi, 65)[1:-1]  # up to the outer radius
+        for xs in (fine, gap):
             got = max(np.max(np.abs(convolve_grid(mu, f, xs))), np.max(np.abs(convolve_grid(mu, f, -xs[::-1]))))
-            assert got <= bound + margin + 1e-12
+            assert got <= sups[i] + margin + 1e-12
 
 
 def test_decay_profile_resolves_each_block_once_within_its_reach(monkeypatch):

@@ -339,15 +339,50 @@ def test_huge_test_function_exits_one_before_allocating():
     assert peak < 1_000_000  # a hat of 5e8 samples would be 8 GB
 
 
-def test_python_dash_m_runs_the_command_line():
+def _alone(argv):
+    """argv's exit code, stdout and stderr from a fresh `python -m vanishkit`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "vanishkit", "suite", "--only", "1"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "vanishkit", *argv], env=env, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "1/1 criteria passed" in proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_python_dash_m_runs_the_command_line():
+    code, out, err = _alone(["suite", "--only", "1"])
+    assert code == 0, err
+    assert "1/1 criteria passed" in out
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "vanishkit":  # the top parser, not a subcommand's
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    for argv in (["bessel", "--grid", "0:1:0.5"], ["frobnicate"], ["suite", "--only", "1"]):
+        run(argv)
+    assert len(built) == 1 and cli.build_parser() is built[0]
+
+
+def test_shared_parser_keeps_nothing_between_calls():
+    # a JSON call, a usage error and a call that takes the default format:
+    # neither the format nor the error carries over to the next call
+    sequence = [
+        ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1", "--format", "json"],
+        ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1", "--format", "yaml"],
+        ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1"],
+    ]
+    got = [run(argv) for argv in sequence]
+    assert [code for code, _, _ in got] == [0, 1, 0]
+    assert got[2][1].startswith("x,re,im\n")
+    assert got == [_alone(argv) for argv in sequence]
 
 
 def test_negative_grid_values_accepted():
