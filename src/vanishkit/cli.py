@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
-import itertools
 import json
 import os
 import sys
@@ -138,41 +138,35 @@ def _output(args: argparse.Namespace):
         yield sys.stdout
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _csv_field(value: object) -> str:
+    """A report value as CSV text: numbers (not bools) in 17 significant
+    digits, a list as its bracketed items, anything else as str."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_csv_field, value)) + "]"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return specio.fmt(value)
+    return str(value)
+
+
+def _emit_report(args: argparse.Namespace, report: dict, header: str, rows: Sequence[Sequence]) -> None:
+    """A report as json.dumps(indent=2, sort_keys=True), or as CSV: header,
+    then one line per row, a field holding a comma quoted."""
     with _output(args) as out:
-        out.write(text)
+        if args.format == "json":
+            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        else:
+            out.write(header + "\n")
+            csv.writer(out, lineterminator="\n").writerows([map(_csv_field, row) for row in rows])
 
 
-def _json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` and a newline, byte
-    for byte, for payloads whose dict keys are strings.
-
-    With an indent, json falls back to its pure-Python encoder.  Here a list
-    of nonempty containers that hold no container (the rows of a table) is
-    written by the C encoder in one call, with a newline and the indentation
-    of the rows' items as the item separator.  An encoded string never holds
-    a newline, and only the separators between rows follow a closing
-    bracket, so those are found by text and given the rows' indentation.
-    """
-    return _indented(payload, 1) + "\n"
-
-
-def _indented(value: object, depth: int) -> str:
-    """value as json.dumps(indent=2, sort_keys=True) writes it, its items indented depth levels."""
-    nested = (dict, list, tuple)
-    if not isinstance(value, nested) or not value:
-        return json.dumps(value)
-    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        items = [json.dumps(k) + ": " + _indented(v, depth + 1) for k, v in sorted(value.items())]
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    rows = [v.values() if isinstance(v, dict) else v for v in value if isinstance(v, nested) and v]
-    if len(rows) < len(value) or any(issubclass(t, nested) for t in set(map(type, itertools.chain(*rows)))):
-        return "[" + pad + ("," + pad).join([_indented(v, depth + 1) for v in value]) + pad[:-2] + "]"
-    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
-    for close, open_ in itertools.product("]}", "[{"):
-        text = text.replace(close + "," + inner + open_, pad + close + "," + pad + open_ + inner)
-    return "[" + pad + text[1] + inner + text[2:-2] + pad + text[-2] + pad[:-2] + "]"
+def _json_rows(rows: list[dict]) -> str:
+    """Rows of flat objects as json.dumps(indent=2) writes them as the items
+    of a report's "rows", without the brackets, from one C-encoder call.
+    The item separator puts each key on its own line; an encoded value holds
+    no newline, so only a separator after a closing brace ends a row, and
+    those are re-indented by text."""
+    text = json.dumps(rows, sort_keys=True, separators=(",\n      ", ": "))
+    return "\n    {\n      " + text[2:-2].replace("},\n      {", "\n    },\n    {\n      ") + "\n    }"
 
 
 # Table rows formatted and written per block, so a long table never stands
@@ -185,34 +179,25 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
 
     CSV is the column names joined as the header, then the rows; JSON is the
     scalar fields plus ``rows``, one object per row keyed by the same names,
-    as _json_text writes it.  Rows are written in blocks of _CSV_ROWS: a
-    JSON block is its rows' list without the brackets, in the place of a
+    as json.dumps(indent=2, sort_keys=True) writes it.  Rows are written in
+    blocks of _CSV_ROWS: a JSON block is _json_rows, in the place of a
     placeholder for ``rows``.
     """
     names = list(columns)
     with _output(args) as out:
         if args.format == "json":
-            head, tail = _json_text({**fields, "rows": "@"}).split('"@"')
+            head, tail = json.dumps({**fields, "rows": "@"}, indent=2, sort_keys=True).split('"@"')
             out.write(head + "[")
         else:
             out.write(",".join(names) + "\n")
         for start in range(0, len(columns[names[0]]), _CSV_ROWS):
             rows = np.column_stack([col[start : start + _CSV_ROWS] for col in columns.values()]).tolist()
-            if args.format == "json":  # "[" + "\n    " + the rows + "\n  ]"
-                out.write(("," if start else "") + _indented([dict(zip(names, row)) for row in rows], 2)[1:-4])
+            if args.format == "json":
+                out.write(("," if start else "") + _json_rows([dict(zip(names, row)) for row in rows]))
             else:
                 specio.write_rows(out, rows)
         if args.format == "json":
-            out.write("\n  ]" + tail)
-
-
-def _emit_profile(args: argparse.Namespace, report: dict, header: str) -> None:
-    """A profile report as JSON, or its ``entries`` as CSV rows under header."""
-    if args.format == "json":
-        _emit(args, _json_text(report))
-    else:
-        with _output(args) as out:
-            specio.write_csv(out, header, report["entries"])
+            out.write("\n  ]" + tail + "\n")
 
 
 def _default_annulus_step(f, radii: Sequence[float]) -> float:
@@ -229,14 +214,14 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decay(args: argparse.Namespace) -> int:
+def _cmd_profile(args: argparse.Namespace) -> int:
+    """decay and rajchman: args.profile is decay_profile or rajchman_check."""
     mu = _load_measure(args)
     f = _test_function(args)
     radii = _parse_floats(args.radii, "--radii")
-    profile = decay_profile(
-        mu, f, radii, args.epsilon, annulus_step=_default_annulus_step(f, radii)
-    )
-    _emit_profile(args, specio.decay_report_dict(profile), "R,sup")
+    profile = args.profile(mu, f, radii, args.epsilon, annulus_step=_default_annulus_step(f, radii))
+    report = specio.decay_report_dict(profile)
+    _emit_report(args, report, "R,sup", report["entries"])
     return 0 if profile.verdict == VANISHING else 2
 
 
@@ -245,14 +230,8 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     if not isinstance(mu, PurePoint):
         raise InvalidArgument("coeffs expects a pure-point measure spec")
     cv = coefficients_vanishing(mu.source, args.epsilon, r_max=args.rmax)
-    if args.format == "json":
-        _emit(args, _json_text(specio.coeffs_report_dict(cv)))
-    else:
-        _emit(
-            args,
-            "verdict,radius,scanned\n"
-            f"{cv.verdict},{specio.fmt(cv.radius)},{cv.scanned}\n",
-        )
+    report = specio.coeffs_report_dict(cv)
+    _emit_report(args, report, "verdict,radius,scanned", [[report["verdict"], report["radius"], report["scanned"]]])
     return 0 if cv.verdict == VANISHING else 2
 
 
@@ -260,8 +239,8 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     mu = _load_measure(args)
     f = _test_function(args)
     n_list = _parse_ints(args.nlist, "--nlist")
-    trace = mean_abs(mu, f, n_list)
-    _emit_profile(args, specio.mean_report_dict(trace), "n,average")
+    report = specio.mean_report_dict(mean_abs(mu, f, n_list))
+    _emit_report(args, report, "n,average", report["entries"])
     return 0
 
 
@@ -332,18 +311,6 @@ def _cmd_rlcheck(args: argparse.Namespace) -> int:
     return 0 if report.max_deviation <= args.tolerance else 2
 
 
-def _cmd_rajchman(args: argparse.Namespace) -> int:
-    mu = _load_measure(args)
-    f = _test_function(args)
-    radii = _parse_floats(args.radii, "--radii")
-    profile = rajchman_check(
-        mu, f, radii, epsilon=args.epsilon,
-        annulus_step=_default_annulus_step(f, radii),
-    )
-    _emit_profile(args, specio.decay_report_dict(profile), "R,sup")
-    return 0 if profile.verdict == VANISHING else 2
-
-
 def _cmd_blocks(args: argparse.Namespace) -> int:
     if not args.spec:
         raise InvalidArgument("--spec is required for this command")
@@ -354,16 +321,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     if report.overall:
         payload["covered"] = [generated.covered.lo, generated.covered.hi]
         payload["n_parts"] = generated.n_parts
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        lines = ["field,value"]
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, float):
-                value = specio.fmt(value)
-            lines.append(f"{key},{value}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit_report(args, payload, "field,value", sorted(payload.items()))
     return 0 if report.overall else 2
 
 
@@ -373,9 +331,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         only = _parse_ints(args.only, "--only")
     results = run_all(only=only)
     passed = sum(1 for r in results if r.passed)
-    text = format_results(results)
-    text += f"\n{passed}/{len(results)} criteria passed\n"
-    _emit(args, text)
+    with _output(args) as out:
+        out.write(format_results(results) + f"\n{passed}/{len(results)} criteria passed\n")
     return 0 if passed == len(results) else 2
 
 
@@ -415,7 +372,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--radii", default="50,100,200", help="comma-separated radii")
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.set_defaults(func=_cmd_decay)
+    p.set_defaults(func=_cmd_profile, profile=decay_profile)
 
     p = sub.add_parser(
         "coeffs",
@@ -469,7 +426,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--radii", default="6,12,24,48", help="comma-separated radii")
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.set_defaults(func=_cmd_rajchman)
+    p.set_defaults(func=_cmd_profile, profile=rajchman_check)
 
     p = sub.add_parser(
         "blocks",

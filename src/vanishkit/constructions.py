@@ -38,6 +38,7 @@ from .measures import (
     Sum,
     Translate,
     TriangleDensity,
+    resolve_window,
     _MAX_ATOMS,
     _Plan,
     _as_complex,
@@ -46,7 +47,6 @@ from .measures import (
     _check_atom_count,
     _merge,
     _merge_runs,
-    _resolve_parts,
     _smooth_into_grid,
     _steep_cells,
 )
@@ -495,19 +495,20 @@ def _validate(
 
     Everything is read on a span that covers the window with a margin and
     every probe's support.  The atom columns are clipped to the span with a
-    mask; only the parts' expressions are resolved, in one pass.  Their atoms
-    join the columns part by part, and each part's atoms are merged as
-    _merge would.  The affine cells of the declared density pieces come from
-    one _Plan over the span, so a density and transform that several pieces
-    repeat is cut into cells once.  The pairing of a part with a probe g is
-    (part * g~)(0), the integral of conj(g) against the part: one evaluation
-    of g~ = tf_reflect_conj(g) at minus every atom position, and one
-    cell-kernel call on every cell that reaches 0, each summed per part; a
-    smooth piece adds its one-point convolution with g~.  A part's variation
-    is the |w| of its atoms inside the window, plus the window mass of its
-    declared pieces added on common edges (_cells_sum), from one pass over
-    the cells of all parts, plus each smooth piece's own mass.  Returns
-    (report, positions, weights, part index) of the atoms inside the window.
+    mask; only the parts' expressions are resolved, each once, by
+    resolve_window.  Their atoms join the columns part by part, and each
+    part's atoms are merged as _merge would (_merge_runs).  The affine cells
+    of the declared density pieces come from one _Plan over the span, so a
+    density and transform that several pieces repeat is cut into cells once.
+    The pairing of a part with a probe g is (part * g~)(0), the integral of
+    conj(g) against the part: one evaluation of g~ = tf_reflect_conj(g) at
+    minus every atom position, and one cell-kernel call on every cell that
+    reaches 0, each summed per part; a smooth piece adds its one-point
+    convolution with g~.  A part's variation is the |w| of its atoms inside
+    the window, plus the window mass of its declared pieces added on common
+    edges (_cells_sum), from one pass over the cells of all parts, plus each
+    smooth piece's own mass.  Returns (report, positions, weights, part
+    index) of the atoms inside the window.
     """
     if probes is None:
         probes = default_probes(inp.window)
@@ -520,15 +521,15 @@ def _validate(
     part = np.repeat(np.arange(n), inp.counts)
     clip = (inp.positions >= span.lo) & (inp.positions <= span.hi)
     pos, wts, part = inp.positions[clip], inp.weights[clip], part[clip]
-    with_expr = [i for i, e in enumerate(inp.exprs) if e is not None]
-    pieces: dict[int, list] = {}
-    if with_expr:
-        e_pos, e_wts, e_counts, e_pieces = _resolve_parts([inp.exprs[i] for i in with_expr], span)
-        pieces = {i: pp for i, pp in zip(with_expr, e_pieces) if pp}
-        if e_pos.size:
-            part = np.concatenate((part, np.repeat(with_expr, e_counts)))
-            order = np.argsort(part, kind="stable")  # part by part, the columns first
-            pos, wts, part = np.concatenate((pos, e_pos))[order], np.concatenate((wts, e_wts))[order], part[order]
+    resolved = {i: resolve_window(e, span) for i, e in enumerate(inp.exprs) if e is not None}
+    pieces = {i: rw.pieces for i, rw in resolved.items() if rw.pieces}
+    e_counts = [rw.positions.size for rw in resolved.values()]
+    if sum(e_counts):
+        part = np.concatenate((part, np.repeat(list(resolved), e_counts)))
+        order = np.argsort(part, kind="stable")  # part by part, the columns first
+        pos = np.concatenate((pos, *(rw.positions for rw in resolved.values())))[order]
+        wts = np.concatenate((wts, *(rw.weights for rw in resolved.values())))[order]
+        part = part[order]
     pos, wts, counts = _merge_runs(pos, wts, np.bincount(part, minlength=n))
     part = np.repeat(np.arange(n), counts)
     inside = (pos >= k.lo) & (pos <= k.hi)

@@ -426,72 +426,6 @@ def _merge(pos: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq[keep], acc[keep]
 
 
-def _resolve_parts(
-    exprs: Sequence[MeasureExpr], w: Window
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[list[TransformedDensity]]]:
-    """Resolve several expressions against one window in one pass.
-
-    Walks each tree once, pushing the combinator stack down to the leaves:
-    atom sources are enumerated on the pre-image of the window (a reflected
-    leaf is reversed, so it comes out ascending too), and each reachable
-    density is wrapped with its accumulated transform.  The atoms of all
-    expressions are laid out flat, expression by expression, the leaves of
-    one expression in the order of their first atoms, and each expression's
-    atoms are merged on their own (_merge_runs).
-    Returns (positions, weights, atom count per expression, pieces per
-    expression).
-    """
-    pos_parts: list[np.ndarray] = []
-    wt_parts: list[np.ndarray] = []
-    owners: list[int] = []
-    pieces: list[list[TransformedDensity]] = [[] for _ in exprs]
-
-    def walk(node: MeasureExpr, i: int, sign: int, shift: float, conj: int, scale: complex) -> None:
-        if isinstance(node, PurePoint):
-            if sign == 1:
-                pre = Window(w.lo - shift, w.hi - shift)
-            else:
-                pre = Window(shift - w.hi, shift - w.lo)
-            pos, wts = node.source.enumerate_window(pre)
-            if pos.size:
-                wts = np.conj(wts) if conj else np.asarray(wts, dtype=np.complex128)
-                pos, wts = sign * pos + shift, scale * wts
-                pos_parts.append(pos if sign == 1 else pos[::-1])
-                wt_parts.append(wts if sign == 1 else wts[::-1])
-                owners.append(i)
-        elif isinstance(node, AbsCont):
-            piece = TransformedDensity(node.density, sign, shift, conj, scale)
-            sup = piece.support
-            if sup is None or sup.intersect(w) is not None:
-                pieces[i].append(piece)
-        elif isinstance(node, Translate):
-            walk(node.child, i, sign, shift + sign * node.t, conj, scale)
-        elif isinstance(node, ReflectConj):
-            walk(node.child, i, -sign, shift, 1 - conj, scale)
-        elif isinstance(node, Scale):
-            c = np.conj(node.c) if conj else node.c
-            walk(node.child, i, sign, shift, conj, scale * complex(c))
-        elif isinstance(node, Sum):
-            for child in node.children:
-                walk(child, i, sign, shift, conj, scale)
-        else:
-            raise InvalidArgument(f"unknown measure expression node: {node!r}")
-
-    for i, mu in enumerate(exprs):
-        first = len(pos_parts)
-        walk(mu, i, 1, 0.0, 0, 1.0 + 0.0j)
-        if len(pos_parts) - first > 1:  # leaves by first atom: disjoint ones need no merge
-            order = sorted(range(first, len(pos_parts)), key=lambda j: pos_parts[j][0])
-            pos_parts[first:] = [pos_parts[j] for j in order]
-            wt_parts[first:] = [wt_parts[j] for j in order]
-    del walk  # its closure holds itself; the cycle would keep these atoms until a GC pass
-    n = len(exprs)
-    if not pos_parts:
-        return np.empty(0), np.empty(0, dtype=np.complex128), np.zeros(n, dtype=np.intp), pieces
-    counts = np.bincount(np.repeat(owners, [p.size for p in pos_parts]), minlength=n)
-    return (*_merge_runs(np.concatenate(pos_parts), np.concatenate(wt_parts), counts), pieces)
-
-
 def _merge_runs(pos: np.ndarray, wts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_merge on each run of atoms, run i counts[i] long, in one vectorised pass.
 
@@ -528,10 +462,56 @@ def _merge_runs(pos: np.ndarray, wts: np.ndarray, counts: np.ndarray) -> tuple[n
 
 def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:
     """Resolve an expression against a window: its merged atoms and its
-    density pieces (see _resolve_parts, of which this is the one-expression
-    case)."""
-    pos, wts, _, pieces = _resolve_parts((mu,), w)
-    return ResolvedWindow(pos, wts, tuple(pieces[0]))
+    density pieces.
+
+    Walks the tree once, pushing the combinator stack down to the leaves:
+    atom sources are enumerated on the pre-image of the window (a reflected
+    leaf is reversed, so it comes out ascending too), and each reachable
+    density is wrapped with its accumulated transform.  The leaves are taken
+    in the order of their first atoms, so disjoint ones come out sorted, and
+    merged (_merge).
+    """
+    pos_parts: list[np.ndarray] = []
+    wt_parts: list[np.ndarray] = []
+    pieces: list[TransformedDensity] = []
+
+    def walk(node: MeasureExpr, sign: int, shift: float, conj: int, scale: complex) -> None:
+        if isinstance(node, PurePoint):
+            if sign == 1:
+                pre = Window(w.lo - shift, w.hi - shift)
+            else:
+                pre = Window(shift - w.hi, shift - w.lo)
+            pos, wts = node.source.enumerate_window(pre)
+            if pos.size:
+                wts = np.conj(wts) if conj else np.asarray(wts, dtype=np.complex128)
+                pos, wts = sign * pos + shift, scale * wts
+                pos_parts.append(pos if sign == 1 else pos[::-1])
+                wt_parts.append(wts if sign == 1 else wts[::-1])
+        elif isinstance(node, AbsCont):
+            piece = TransformedDensity(node.density, sign, shift, conj, scale)
+            sup = piece.support
+            if sup is None or sup.intersect(w) is not None:
+                pieces.append(piece)
+        elif isinstance(node, Translate):
+            walk(node.child, sign, shift + sign * node.t, conj, scale)
+        elif isinstance(node, ReflectConj):
+            walk(node.child, -sign, shift, 1 - conj, scale)
+        elif isinstance(node, Scale):
+            c = np.conj(node.c) if conj else node.c
+            walk(node.child, sign, shift, conj, scale * complex(c))
+        elif isinstance(node, Sum):
+            for child in node.children:
+                walk(child, sign, shift, conj, scale)
+        else:
+            raise InvalidArgument(f"unknown measure expression node: {node!r}")
+
+    walk(mu, 1, 0.0, 0, 1.0 + 0.0j)
+    del walk  # its closure holds itself; the cycle would keep these atoms until a GC pass
+    if not pos_parts:
+        return ResolvedWindow(np.empty(0), np.empty(0, dtype=np.complex128), tuple(pieces))
+    order = sorted(range(len(pos_parts)), key=lambda j: pos_parts[j][0])
+    pos, wts = _merge(np.concatenate([pos_parts[j] for j in order]), np.concatenate([wt_parts[j] for j in order]))
+    return ResolvedWindow(pos, wts, tuple(pieces))
 
 
 def atoms_in(mu: MeasureExpr, w: Window) -> list[Atom]:

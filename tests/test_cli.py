@@ -1,9 +1,14 @@
 """Exit codes, output schemas, and determinism of the command line tool."""
 
+import argparse
+import contextlib
+import csv
 import io
 import json
-import contextlib
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -484,27 +489,13 @@ _JSON_COMMANDS = [
 ]
 
 
-def test_json_reports_match_the_indenting_encoder(monkeypatch):
-    # every command's JSON report is json.dumps(indent=2, sort_keys=True)
-    # byte for byte
-    from vanishkit import cli
-
-    seen = []
-    fast = cli._json_text
-
-    def checked(payload):
-        text = fast(payload)
-        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        seen.append(payload)
-        return text
-
-    monkeypatch.setattr(cli, "_json_text", checked)
+def test_json_reports_match_the_indenting_encoder():
+    # every command's JSON output is json.dumps(indent=2, sort_keys=True)
+    # byte for byte, tables (whose rows are written around it) included
     for argv in _JSON_COMMANDS:
         code, out, _ = run(argv + ["--format", "json"])
         assert code in (0, 2)
-        # tables write their rows around the payload's text: check the whole output too
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-    assert len(seen) == len(_JSON_COMMANDS)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 1 << 13])
@@ -526,26 +517,125 @@ def test_json_tables_in_row_blocks_are_json_text(monkeypatch, tmp_path, argv, ro
     assert code == 0
     payload = json.loads(out)
     assert len(payload["rows"]) > 7
-    assert out == cli._json_text(payload)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     target = tmp_path / "table.json"
     assert run(argv + ["--format", "json", "--out", str(target)])[:2] == (0, "")
     assert target.read_bytes() == out.encode()
 
 
-def test_json_text_matches_the_indenting_encoder_on_edge_values():
-    from vanishkit.cli import _json_text
-
-    z = np.array([complex(1.5, -0.0), complex(np.nan, np.inf), complex(-np.inf, 1e-320)])
-    rows = np.column_stack((z.real, z.imag, np.abs(z))).tolist()
-    payloads = [
-        {"rows": [dict(zip(("re", "im", "abs"), r)) for r in rows], "max": np.float64(np.nan), "none": None},
-        {"entries": rows, "flag": True, "text": 'a "quoted"\nline, ] }', "k": (1.0, -0.0)},
-        {"empty": [], "nothing": {}, "nested": {"a": [1, {"b": []}, [[]], [{}]], "c": [[1.0], [2.0, [3.0]]]}},
-        {"mixed": [1.0, [2.0], {"x": -np.inf}], "rows": [[0.1], ["]", "}"]], "one": [{"k": 1}]},
-        {},
+def test_json_tables_match_the_indenting_encoder_on_edge_values(monkeypatch):
+    # _emit_table against json.dumps of the whole table: NaN, +-inf, -0.0 and
+    # a subnormal in rows and fields, a one-row table, fields sorting before
+    # and after "rows", in row blocks of 1, 7 (a short last one) and 8,192
+    z = np.array([complex(1.5, -0.0), complex(np.nan, np.inf), complex(-np.inf, 1e-320)] * 5)
+    tables = [
+        ({"re": z.real, "im": z.imag, "abs": np.abs(z)}, {"max": float("nan"), "none": None, "flag": True}),
+        ({"x": np.array([-0.0])}, {"k": 1e-320, "zero": -0.0}),
+        ({"x": np.linspace(-1.0, 1.0, 9)}, {}),
     ]
-    for payload in payloads:
-        assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    args = argparse.Namespace(format="json", out=None)
+    for rows in (1, 7, 1 << 13):
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+        for columns, fields in tables:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._emit_table(args, columns, **fields)
+            names = list(columns)
+            table = {**fields, "rows": [dict(zip(names, r)) for r in np.column_stack(list(columns.values())).tolist()]}
+            assert out.getvalue() == json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
+HARMONIC = '{"expr": {"kind": "pp", "builder": "lattice", "weights": "harmonic"}}'
+_PASSING_PARTS = {"window": [-0.5, 0.5], "parts": [{"shift": float(n), "atoms": [[0.0, 2.0**-n, 0.0]]} for n in range(1, 13)]}
+_OFF_WINDOW_PART = {"window": [-0.5, 0.5], "parts": [{"shift": 0.0, "atoms": [[0.75, 1.0, 0.0]]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["decay", "--spec", EX_A, "--radii", "50,100"], 0, "R,sup\n50,0.080000000000012506\n100,0.040000000000020464\n"),
+        (["rajchman", "--spec", FINITE, "--radii", "4,8"], 0, "R,sup\n4,0\n8,0\n"),
+        (["mean", "--spec", COMB, "--nlist", "5,10"], 0, "n,average\n5,0.25\n10,0.25\n"),
+        (["coeffs", "--spec", HARMONIC, "--rmax", "200"], 0, "verdict,radius,scanned\nvanishing-up-to-horizon,19,401\n"),
+        (
+            _blocks({"recipe": "ex_nu", "n": 25}), 2,
+            "field,value\nh_bounded,True\nh_support,True\nh_udiscrete,True\nh_vague_null,False\nmin_shift_gap,1\n"
+            "overall,False\nsup_variation,1.0000000000000002\nsupport_offender,None\nworst_pairing,0.5\n",
+        ),
+        (
+            _blocks(_PASSING_PARTS), 0,
+            'field,value\ncovered,"[0.5, 12.5]"\nh_bounded,True\nh_support,True\nh_udiscrete,True\nh_vague_null,True\n'
+            "min_shift_gap,1\nn_parts,12\noverall,True\nsup_variation,0.5\nsupport_offender,None\nworst_pairing,0.0009765625\n",
+        ),
+        (
+            _blocks(_OFF_WINDOW_PART), 2,
+            "field,value\nh_bounded,True\nh_support,False\nh_udiscrete,True\nh_vague_null,False\nmin_shift_gap,inf\n"
+            "overall,False\nsup_variation,0\nsupport_offender,0\nworst_pairing,0.5\n",
+        ),
+    ],
+    ids=["decay", "rajchman", "mean", "coeffs", "blocks_failing", "blocks_passing", "blocks_one_part"],
+)
+def test_report_csv_bytes(argv, code, text):
+    # numbers (ints too) in 17 significant digits, bools and None as str;
+    # only the blocks "covered" row differs from the hand-built CSVs before
+    # the one report writer: one quoted field, not "[0.5, 12.5]" split in two
+    assert run(argv)[:2] == (code, text)
+
+
+@pytest.mark.parametrize(
+    "spec", [{"recipe": "ex_b", "n": 800}, _PASSING_PARTS, _OFF_WINDOW_PART], ids=["ex_b", "passing", "one_part"]
+)
+def test_blocks_csv_rows_are_two_fields_holding_the_json_values(spec):
+    _, csv_out, _ = run(_blocks(spec))
+    _, json_out, _ = run(_blocks(spec) + ["--format", "json"])
+    report = json.loads(json_out)
+    rows = list(csv.reader(io.StringIO(csv_out)))
+    assert rows[0] == ["field", "value"] and all(len(row) == 2 for row in rows)
+    fields = dict(rows[1:])
+    assert list(fields) == sorted(report)
+    for key, value in report.items():
+        if isinstance(value, list):  # covered: [lo, hi] in 17 significant digits
+            assert json.loads(fields[key]) == value
+        elif value is None or isinstance(value, bool):
+            assert fields[key] == str(value)
+        else:
+            assert float(fields[key]) == value
+    if "recipe" in spec:
+        assert fields["covered"] == "[-801, 801]"
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """The ``$ vanishkit ...`` examples of README.md as (argv, the output
+    shown): a command runs on until its quotes close and its last line ends
+    without a backslash."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(\$ vanishkit .*?)```", text, re.S):
+        lines = block.splitlines()
+        for end in range(1, len(lines) + 1):
+            command = "\n".join(lines[:end])[2:].replace("\\\n", " ")
+            if not command.endswith("\\"):
+                try:
+                    argv = shlex.split(command)[1:]
+                except ValueError:  # a quote still open
+                    continue
+                break
+        examples.append((argv, "\n".join(lines[end:]) + "\n"))
+    return examples
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"\[\d+\.\d+s\]", "[N.Ns]", text)  # the suite's timings
+
+
+@pytest.mark.parametrize("argv, shown", [pytest.param(*ex, id=ex[0][0]) for ex in _readme_examples()])
+def test_readme_example_prints_what_the_readme_shows(argv, shown):
+    _, out, _ = run(argv)
+    assert _masked(out) == _masked(shown)
+
+
+def test_readme_shows_an_example_of_each_documented_command():
+    assert [argv[0] for argv, _ in _readme_examples()] == ["convolve", "coeffs", "bessel", "blocks", "suite"]
 
 
 def test_grid_point_cap_counts_the_points_it_would_allocate(monkeypatch):

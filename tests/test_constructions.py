@@ -304,27 +304,26 @@ def test_block_pairing_reaches_past_the_window():
     "inp, n_exprs", [(ex_b_block_input(6), 13), (nu_block_input(8), 0)], ids=["mixed", "pure_point"]
 )
 def test_block_validation_resolves_each_part_once(monkeypatch, inp, n_exprs):
-    # one flat resolution that receives exactly the parts' expressions, in
-    # order, and none when every part is atom columns only; resolve_window
-    # goes through _resolve_parts too, so any other resolution is counted
+    # one resolve_window per part expression, in part order, and none when
+    # every part is atom columns only
     calls = []
-    resolve = measures._resolve_parts
+    resolve = measures.resolve_window
 
-    def counted(exprs, w):
-        calls.append([id(mu) for mu in exprs])
-        return resolve(exprs, w)
+    def counted(mu, w):
+        calls.append(id(mu))
+        return resolve(mu, w)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("block validation called a whole-measure convolution")
 
     for module in (measures, constructions):
-        monkeypatch.setattr(module, "_resolve_parts", counted)
+        monkeypatch.setattr(module, "resolve_window", counted)
         for name in ("convolve", "convolve_grid"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     validate_block_sum(inp)
     exprs = [id(e) for e in inp.exprs if e is not None]
     assert len(exprs) == n_exprs
-    assert calls == ([exprs] if exprs else [])
+    assert calls == exprs
 
 
 def _recipe_parts_by_loop(recipe, n_max):
@@ -376,21 +375,21 @@ def test_offset_pair_input_is_built_and_validated_as_columns(monkeypatch):
     # no FiniteAtoms per part is built, and no part is resolved as a tree
     built, resolved = [], []
     init = FiniteAtoms.__init__
-    resolve = measures._resolve_parts
+    resolve = measures.resolve_window
 
     def counted_init(self, atoms):
         built.append(len(atoms))
         init(self, atoms)
 
-    def counted_resolve(exprs, w):
-        resolved.append(len(exprs))
-        return resolve(exprs, w)
+    def counted_resolve(mu, w):
+        resolved.append(mu)
+        return resolve(mu, w)
 
     monkeypatch.setattr(FiniteAtoms, "__init__", counted_init)
     inp = ex_a_block_input(8000)
     assert built == [] and inp.counts.size == 16000 and inp.positions.size == 32000
     for module in (measures, constructions):
-        monkeypatch.setattr(module, "_resolve_parts", counted_resolve)
+        monkeypatch.setattr(module, "resolve_window", counted_resolve)
     assert validate_block_sum(inp).overall
     assert built == [] and resolved == []
 
