@@ -12,6 +12,7 @@ derivative is a sum of point masses s_j at its kinks c_j, so its transform is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgument, QuadratureError, TruncationTailError
 from .measures import DensitySource, MeasureExpr, TransformedDensity, convolve_grid, _affine_cells, _check_tol
-from .testfunctions import TestFunction, Window, tf_convolve, tf_reflect_conj
+from .testfunctions import MAX_SAMPLES, TestFunction, Window, tf_convolve, tf_reflect_conj
 
 __all__ = [
     "sinc",
@@ -548,20 +549,36 @@ def rl_crosscheck(
     density(k) * |f_hat(k)|^2 over [-K, K], with K sized so the neglected
     frequency tail stays below tolerance/10 (|f_hat| <= C/k^2 with C from
     the slope jumps of f).  Agreement corroborates that the measure's
-    transform is the given density.
+    transform is the given density.  An f too narrow or steep for a
+    spectral side of at most MAX_SAMPLES quadrature nodes raises
+    InvalidArgument before any array is built.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise InvalidArgument("x_grid must be a nonempty 1-d array")
     if not (tolerance > 0):
         raise InvalidArgument(f"tolerance must be positive, got {tolerance}")
+    c_decay = f.slope_jump_total() / (4.0 * np.pi**2)
+    c_sq = c_decay * c_decay  # a Python float product overflows to inf, where ** would raise
+    if not math.isfinite(c_sq):
+        raise InvalidArgument("rl_crosscheck: the squared slope-jump bound of the test function overflows float64")
+    k_window = max(4.0, (20.0 * density.sup_bound * c_sq / (3.0 * tolerance)) ** (1.0 / 3.0))
+    k_window = float(np.ceil(k_window))
+    xmax = float(np.max(np.abs(xs)))
+    rate = density.osc_rate + xmax + (f.hi - f.lo)
+    base_rate = max(rate / 2.0, 1.0)
+    refinements = (2.0, 4.0)
+    # the finest quadrature level has 8 nodes per panel; size it before any array
+    finest_nodes = 8.0 * np.ceil(2.0 * k_window * (base_rate * refinements[-1]))
+    if not (finest_nodes <= MAX_SAMPLES):
+        raise InvalidArgument(
+            f"rl_crosscheck needs {finest_nodes:.3g} quadrature nodes, more than {MAX_SAMPLES}:"
+            " the test function is too narrow or steep for its spectral side"
+        )
     g = tf_convolve(f, tf_reflect_conj(f))
     direct = convolve_grid(mu, g, xs)
 
-    c_decay = f.slope_jump_total() / (4.0 * np.pi**2)
-    k_window = max(4.0, (20.0 * density.sup_bound * c_decay**2 / (3.0 * tolerance)) ** (1.0 / 3.0))
-    k_window = float(np.ceil(k_window))
-    freq_tail = density.sup_bound * 2.0 * c_decay**2 / (3.0 * k_window**3)
+    freq_tail = density.sup_bound * 2.0 * c_sq / (3.0 * k_window**3)
     g0 = float(np.real(g(0.0)))
     tail_estimate = freq_tail + density.tail_bound * g0
     if tail_estimate > tolerance:
@@ -570,9 +587,6 @@ def rl_crosscheck(
             tail_estimate,
         )
 
-    xmax = float(np.max(np.abs(xs)))
-    rate = density.osc_rate + xmax + (f.hi - f.lo)
-
     def spectral_values(panels_per_unit: float) -> np.ndarray:
         n_panels = max(8, int(np.ceil(2.0 * k_window * panels_per_unit)))
         h = k_window / n_panels
@@ -580,10 +594,9 @@ def rl_crosscheck(
         wvals = density(nodes) * np.abs(_ft_testfunction(f, nodes)) ** 2
         return _panel_exp_sum(xs, -k_window, h, (h * _GL8_WEIGHTS) * wvals.reshape(n_panels, 8), 1)
 
-    base_rate = max(rate / 2.0, 1.0)
     prev = spectral_values(base_rate)
     quad_estimate = np.inf
-    for mult in (2.0, 4.0):
+    for mult in refinements:
         cur = spectral_values(base_rate * mult)
         quad_estimate = float(np.max(np.abs(cur - prev)))
         if quad_estimate <= tolerance / 10.0:

@@ -47,7 +47,6 @@ __all__ = [
     "parse_block_spec",
     "block_input_to_dict",
     "fmt",
-    "write_csv",
     "write_rows",
     "decay_report_dict",
     "mean_report_dict",
@@ -337,12 +336,6 @@ def block_input_to_dict(inp: BlockSumInput) -> dict:
 def fmt(v: float) -> str:
     """17-significant-digit decimal, locale independent."""
     return format(float(v), ".17g")
-
-
-def write_csv(out: IO[str], header: str, rows: Sequence[Sequence[float]]) -> None:
-    """Header, then one line of fmt-formatted values per row."""
-    out.write(header + "\n")
-    write_rows(out, rows)
 
 
 def write_rows(out: IO[str], rows: Sequence[Sequence[float]]) -> None:

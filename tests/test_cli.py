@@ -123,6 +123,16 @@ def test_rlcheck_json_schema():
     assert report["max_deviation"] <= 1e-4
 
 
+def test_rlcheck_direct_column_is_exactly_real():
+    # the autocorrelation of a real hat is exactly real, so mu * g is too:
+    # every direct_im is 0.0, and none is written -0.0
+    code, out, _ = run(["rlcheck", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 241
+    assert all(row["direct_im"] == 0.0 for row in rows) and '"direct_im": -0.0' not in out
+
+
 FINITE = '{"expr": {"kind": "pp", "builder": "finite_atoms", "atoms": [[0.0, 1.0, 0.0], [0.5, 0.25, -1.0]]}}'
 TENT = '{"expr": {"kind": "ac", "builder": "triangle", "center": 0.5, "halfwidth": 1.0, "height": 2.0}}'
 
@@ -316,13 +326,14 @@ def test_output_deterministic_and_out_flag(tmp_path):
 
 
 @pytest.mark.parametrize("rows", [16, 1 << 13])
-def test_convolve_csv_in_row_blocks_is_write_csv(monkeypatch, tmp_path, rows):
+def test_convolve_csv_in_row_blocks_is_header_and_write_rows(monkeypatch, tmp_path, rows):
     # 20,001 rows: 1,251 blocks of 16, or three of 8,192 with a short last one
     monkeypatch.setattr(cli, "_CSV_ROWS", rows)
     xs = -100.0 + 0.01 * np.arange(20001)
     values = convolve_grid(constructions.build_example("ex_a"), tf_hat(0.0, 0.25, 1.0), xs)
     want = io.StringIO()
-    specio.write_csv(want, "x,re,im", np.column_stack((xs, values.real, values.imag)).tolist())
+    want.write("x,re,im\n")
+    specio.write_rows(want, np.column_stack((xs, values.real, values.imag)).tolist())
     argv = ["convolve", "--spec", EX_A, "--grid", "-100:100:0.01"]
     code, out, _ = run(argv)
     assert code == 0
@@ -358,6 +369,33 @@ def test_python_dash_m_runs_the_command_line():
     code, out, err = _alone(["suite", "--only", "1"])
     assert code == 0, err
     assert "1/1 criteria passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["rajchman", "--spec", EX_A, "--f-height", "1e200"],
+    ["rlcheck", "--f-height", "1e160"],
+])
+def test_autocorrelation_overflow_exits_one_with_one_line(argv):
+    # in a fresh process, where a numpy RuntimeWarning would reach stderr
+    code, out, err = _alone(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows float64" in err
+
+
+@pytest.mark.parametrize("halfwidth, cause", [("1e-300", "overflows float64"), ("1e-9", "1.33e+10 quadrature nodes")])
+def test_rlcheck_too_narrow_exits_one_before_allocating(halfwidth, cause):
+    # 1e-300: the slope-jump bound squared overflows; 1e-9: the finest
+    # quadrature level would hold 1.33e10 nodes; both are refused before
+    # the autocorrelation and the spectral side are built
+    tracemalloc.start()
+    try:
+        code, out, err = run(["rlcheck", "--f-halfwidth", halfwidth])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert cause in err and err.count("\n") == 1
+    assert peak < 1_000_000
 
 
 def test_main_builds_one_parser_per_process(monkeypatch):

@@ -141,16 +141,18 @@ def test_fmt_seventeen_significant_digits():
     assert float(specio.fmt(np.pi)) == np.pi  # round trips exactly
 
 
-def test_write_csv_matches_fmt_per_value():
+def test_header_and_write_rows_match_fmt_per_value():
     import io
 
     values = [0.1, -0.0, 1.0, 3, 2.0**-1074, -1e308, np.inf, -np.inf, np.nan, np.float64(np.pi), 123456789.0, 7e-5]
     rows = [values[i : i + 3] for i in range(0, len(values), 3)]
     out = io.StringIO()
-    specio.write_csv(out, "a,b,c", rows)
+    out.write("a,b,c\n")
+    specio.write_rows(out, rows)
     assert out.getvalue() == "a,b,c\n" + "".join(",".join(specio.fmt(v) for v in row) + "\n" for row in rows)
     empty = io.StringIO()
-    specio.write_csv(empty, "x,re,im", [])
+    empty.write("x,re,im\n")
+    specio.write_rows(empty, [])
     assert empty.getvalue() == "x,re,im\n"
 
 

@@ -155,6 +155,97 @@ def test_convolve_matches_dense_quadrature(x, c, h):
     assert complex(conv(x)) == pytest.approx(dense, abs=1e-7)
 
 
+# ---------------------------------------------------------------------------
+# The FFT convolution against the direct stencil and the closed form
+# ---------------------------------------------------------------------------
+
+
+def _tf_convolve_direct(f, g):
+    """The O(n_f n_g) stencil: np.convolve of the resampled inputs, the knot
+    stencil, and from_samples, as tf_convolve computed it before its FFT."""
+    h = min(f.step, g.step) / testfunctions._REFINE
+    counts = [testfunctions._cells(t.hi - t.lo, h) + 1 for t in (f, g)]
+    fs, gs = (t.values(t.lo + h * np.arange(n)) for t, n in zip((f, g), counts))
+    c = np.convolve(fs, gs)
+    padded = np.concatenate(([0.0], c, [0.0]))
+    samples = h * ((2.0 / 3.0) * c + (1.0 / 6.0) * (padded[:-2] + padded[2:]))
+    samples[0] = 0.0
+    samples[-1] = 0.0
+    return testfunctions.TestFunction.from_samples(f.lo + g.lo, h, samples)
+
+
+def _height(real):
+    part = st.floats(-4, 4).filter(lambda v: abs(v) >= 1e-3)
+    return part if real else st.builds(complex, part, part)
+
+
+@st.composite
+def _test_functions(draw, real):
+    """A hat (off-grid centre, explicit step), an indicator, or the
+    interpolant of up to 400 random samples."""
+    kind = draw(st.sampled_from(["hat", "indicator", "samples"]))
+    if kind == "hat":
+        half = draw(st.floats(0.01, 1.0))
+        return tf_hat(draw(st.floats(-3, 3)), half, draw(_height(real)), step=half * draw(st.floats(0.05, 1.0)))
+    if kind == "indicator":
+        a = draw(st.floats(-2, 2))
+        b = a + draw(st.floats(0.05, 2.0))
+        return tf_indicator(a, b, step=(b - a) / draw(st.integers(1, 80)))
+    n = draw(st.integers(1, 398))
+    parts = st.lists(st.integers(-8, 8), min_size=n, max_size=n)
+    values = np.array(draw(parts)) + (0 if real else 1j * np.array(draw(parts)))
+    ys = np.concatenate(([0.0], draw(_height(real)) * values, [0.0]))
+    return testfunctions.TestFunction.from_samples(draw(st.floats(-5, 5)), draw(st.floats(0.01, 0.05)), ys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(real=st.booleans(), reflect=st.booleans(), data=st.data())
+def test_fft_convolution_is_the_direct_stencil(real, reflect, data):
+    f = data.draw(_test_functions(real))
+    g = tf_reflect_conj(f) if reflect else data.draw(_test_functions(real))
+    want, got = _tf_convolve_direct(f, g), tf_convolve(f, g)
+    assert got.step == want.step
+    assert got.knots.tolist() == want.knots.tolist()
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-14 * np.max(np.abs(want.samples))
+    if real:
+        # exactly real: every imaginary part is 0.0, none of them -0.0
+        assert not got.samples.imag.any() and not np.signbit(got.samples.imag).any()
+
+
+def test_fine_hat_autocorrelation_is_the_cubic_b_spline_at_every_knot():
+    # hat(0, w) * hat(0, w)~ is w M4(x / w), M4 the centred cubic B-spline on
+    # unit knots: 2/3 - u^2 + |u|^3 / 2 on |u| <= 1, (2 - |u|)^3 / 6 on 1..2
+    w = 0.25
+    f = tf_hat(0.0, w, step=w / 5400)
+    g = tf_convolve(f, tf_reflect_conj(f))
+    # a cubic kinks at every grid point, so nearly all 259,201 are knots
+    assert g.knots.size >= 250_000
+    u = np.abs(g.knots / w)
+    m4 = np.where(u <= 1.0, 2.0 / 3.0 - u**2 + u**3 / 2.0, (2.0 - np.minimum(u, 2.0)) ** 3 / 6.0)
+    assert np.max(np.abs(g.samples - w * m4)) <= 1e-13 * (2.0 * w / 3.0)
+    assert not g.samples.imag.any()
+    assert g.mass == pytest.approx(w * w, rel=1e-13)
+    assert g.lo == -2.0 * w and g.hi == pytest.approx(2.0 * w, abs=1e-15)
+
+
+def test_fft_convolution_keeps_the_range_of_the_direct_stencil():
+    # The transforms of hats of height 1e151 reach 6e154 and their products
+    # overflow; the inputs are scaled by powers of two first, so the result
+    # (peak 1e302 / 6) is the direct stencil's.
+    f = tf_hat(0.0, 0.25, 1e151)
+    got, want = tf_convolve(f, tf_reflect_conj(f)), _tf_convolve_direct(f, tf_reflect_conj(f))
+    assert got.knots.tolist() == want.knots.tolist()
+    assert np.max(np.abs(got.samples - want.samples)) <= 1e-14 * np.max(np.abs(want.samples))
+
+
+@pytest.mark.parametrize("height", [1e160, 1e200, 1e300 + 1e300j])
+def test_convolution_beyond_float64_is_refused_without_warnings(height):
+    # warnings are errors in this suite, so an overflow on the way fails it
+    f = tf_hat(0.0, 0.25, height)
+    with pytest.raises(InvalidArgument, match="overflows float64"):
+        tf_convolve(f, tf_reflect_conj(f))
+
+
 def test_sample_limit_counts_before_allocating(monkeypatch):
     # MAX_SAMPLES bounds the resolution grid, support / step + 1, not the
     # knots: 11 grid points are allowed, 13 are not.  A hat of 5 or 6 cells a
@@ -336,6 +427,8 @@ def test_constructor_rejects_malformed_tables(knots, samples, step):
     lambda: tf_indicator(0.0, 1.5e308, step=1.5e308),
     lambda: testfunctions.TestFunction.from_samples(0.0, 1e308, [0.0, 1.0, 0.0]),
     lambda: testfunctions.TestFunction.from_samples(0.0, 0.1, [0.0, np.inf, 0.0]),
+    lambda: testfunctions.TestFunction.from_samples(0.0, 1e-10, [0.0, 1e300, 0.0]),  # its slope overflows
+    lambda: testfunctions.TestFunction.from_samples(0.0, 1.0, [0.0, 1.7e308, -1.7e308, 0.0]),  # so does a difference
 ])
 def test_extreme_test_functions_are_refused_without_warnings(make):
     # warnings are errors in this suite, so an overflow on the way fails it
