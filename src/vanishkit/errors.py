@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
+import numpy as np
+
 
 class VanishkitError(Exception):
     """Base class for all vanishkit-specific failures."""
@@ -20,6 +24,25 @@ class QuadratureError(VanishkitError):
     def __init__(self, message: str, residual: float) -> None:
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
+
+
+def _refine(levels: Iterable, tol: float, what: str) -> tuple:
+    """The value of the first level that agrees with the one before it to
+    tol, and that difference.
+
+    ``levels`` yields (estimate, value) pairs, finer and finer, each built
+    only when asked for; two agree when max |estimate - previous| <= tol.
+    If none does, QuadratureError names the ``what`` quadrature and carries
+    the last difference as its residual.
+    """
+    prev, delta = None, np.inf
+    for estimate, value in levels:
+        if prev is not None:
+            delta = float(np.max(np.abs(estimate - prev)))
+            if delta <= tol:
+                return value, delta
+        prev = estimate
+    raise QuadratureError(f"{what} quadrature did not converge", delta)
 
 
 class TruncationTailError(VanishkitError):

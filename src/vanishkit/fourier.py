@@ -18,9 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, QuadratureError, TruncationTailError
-from .measures import DensitySource, MeasureExpr, TransformedDensity, convolve_grid, _affine_cells, _check_tol
-from .testfunctions import MAX_SAMPLES, TestFunction, Window, tf_convolve, tf_reflect_conj
+from .errors import InvalidArgument, TruncationTailError, _refine
+from .measures import DensitySource, MeasureExpr, TransformedDensity, convolve_grid, _affine_cells, _check_tol, _GL
+from .testfunctions import TestFunction, Window, tf_convolve, tf_reflect_conj
 
 __all__ = [
     "sinc",
@@ -73,21 +73,10 @@ def exp_sum(positions, weights, k):
     return out.reshape(karr.shape)
 
 
-# Gauss-Legendre 8 on [-1, 1], as np.polynomial.legendre.leggauss(8) gives it
-_GL8_NODES = np.array(
-    [-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
-     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]
-)
-_GL8_WEIGHTS = np.array(
-    [0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
-     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]
-)
-
-
 def _panel_nodes(lo: float, h: float, n_panels: int) -> np.ndarray:
     """The GL8 nodes lo + h (2p + 1 + x_q) of n_panels panels of width 2h
     from lo, as an (n_panels, 8) array."""
-    return lo + h * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL8_NODES)
+    return lo + h * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL[8][0])
 
 
 def _panel_exp_sum(x: np.ndarray, lo: float, h: float, vals: np.ndarray, sign: int) -> np.ndarray:
@@ -157,12 +146,49 @@ def _ft_testfunction(f: TestFunction, k) -> np.ndarray:
     return np.exp(-2j * np.pi * karr * mid) * out
 
 
+# The most nodes one GL8 level may hold, as many as the atoms of a window
+# (measures._MAX_ATOMS): about 0.5 GB of node, value and weight arrays.
+_MAX_NODES = 10**7
+
+
+def _gl8_panels(spans: list, rate: float, what: str) -> list[int]:
+    """The panel counts max(1, ceil(width * rate)) of the spans at one
+    level, refused with InvalidArgument before any array when their 8 nodes
+    each come to more than _MAX_NODES (or to NaN)."""
+    counts = np.maximum(1.0, np.ceil(np.array([b - a for a, b in spans]) * rate))
+    nodes = 8.0 * counts.sum()
+    if not nodes <= _MAX_NODES:
+        raise InvalidArgument(f"the {what} quadrature needs {nodes:.3g} nodes at one level, more than {_MAX_NODES}")
+    return counts.astype(int).tolist()
+
+
+def _gl8_integral(spans: list, weight: Callable, xs: np.ndarray, sign: int, rates: list, tol: float, what: str):
+    """Integral of weight(t) e^{sign 2 pi i x t} over the spans at each x,
+    and the difference between its last two levels (_refine).
+
+    Level r puts GL8 on ceil(width * r) equal panels of each span, sized by
+    _gl8_panels just before it is built; its node sum is one _panel_exp_sum
+    per span.
+    """
+
+    def level(rate: float) -> np.ndarray:
+        total = np.zeros(xs.size, dtype=np.complex128)
+        for (a, b), n_panels in zip(spans, _gl8_panels(spans, rate, what)):
+            h = 0.5 * (b - a) / n_panels
+            nodes = _panel_nodes(a, h, n_panels)
+            vals = (h * _GL[8][1]) * weight(nodes.ravel()).reshape(nodes.shape)
+            total += _panel_exp_sum(xs, a, h, vals, sign)
+        return total
+
+    return _refine(((v, v) for v in map(level, rates)), tol, what)
+
+
 def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
     """Transform of a compactly supported density by panelled Gauss rule.
 
     GL8 on equal panels of each cell between the declared knots (or of the
-    whole support), the panel count doubled until two levels agree to tol at
-    every k; each level's node sum is one _panel_exp_sum per cell.
+    whole support), the panel count doubled three times at most
+    (_gl8_integral).
     """
     sup = d.support
     if sup is None:
@@ -174,25 +200,8 @@ def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
     kmax = float(np.max(np.abs(karr))) if karr.size else 0.0
     # panels short enough that each sees at most ~half an oscillation
     per_unit = max(2.0 * kmax, 4.0 / max(sup.width, 1e-12))
-
-    def quad(scale: float) -> np.ndarray:
-        total = np.zeros(karr.size, dtype=np.complex128)
-        for a, b in spans:
-            n_panels = max(1, int(np.ceil((b - a) * per_unit * scale)))
-            h = 0.5 * (b - a) / n_panels
-            nodes = _panel_nodes(a, h, n_panels)
-            vals = (h * _GL8_WEIGHTS) * piece.evalv(nodes.ravel()).reshape(nodes.shape)
-            total += _panel_exp_sum(karr, a, h, vals, -1)
-        return total
-
-    prev = quad(1.0)
-    for scale in (2.0, 4.0, 8.0):
-        cur = quad(scale)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError("transform quadrature did not converge", delta)
+    rates = [per_unit * scale for scale in (1.0, 2.0, 4.0, 8.0)]
+    return _gl8_integral(spans, piece.evalv, karr, -1, rates, tol, "transform")[0]
 
 
 def ft_compact(g, k, direction: str = "forward", tol: float = 1e-8):
@@ -244,10 +253,9 @@ def series_density(x, n_trunc: int):
     if n_trunc < 0:
         raise InvalidArgument(f"n_trunc must be nonnegative, got {n_trunc}")
     xa = np.asarray(x, dtype=float)
-    s = sinc(np.pi * xa)
     total = np.zeros(xa.shape)
     for n in range(n_trunc + 1):
-        total += (0.5**n) * (1.0 + 2.0 * np.cos(np.pi * xa * (2 * n + 1)) * s + s * s)
+        total += (0.5**n) * sinc_autocorr_density(n, xa)
     if np.ndim(x) == 0:
         return float(total)
     return total
@@ -549,9 +557,9 @@ def rl_crosscheck(
     density(k) * |f_hat(k)|^2 over [-K, K], with K sized so the neglected
     frequency tail stays below tolerance/10 (|f_hat| <= C/k^2 with C from
     the slope jumps of f).  Agreement corroborates that the measure's
-    transform is the given density.  An f too narrow or steep for a
-    spectral side of at most MAX_SAMPLES quadrature nodes raises
-    InvalidArgument before any array is built.
+    transform is the given density.  A spectral level of more than
+    _MAX_NODES quadrature nodes raises InvalidArgument before it is built;
+    the first, the smallest, is sized before the autocorrelation.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -567,14 +575,8 @@ def rl_crosscheck(
     xmax = float(np.max(np.abs(xs)))
     rate = density.osc_rate + xmax + (f.hi - f.lo)
     base_rate = max(rate / 2.0, 1.0)
-    refinements = (2.0, 4.0)
-    # the finest quadrature level has 8 nodes per panel; size it before any array
-    finest_nodes = 8.0 * np.ceil(2.0 * k_window * (base_rate * refinements[-1]))
-    if not (finest_nodes <= MAX_SAMPLES):
-        raise InvalidArgument(
-            f"rl_crosscheck needs {finest_nodes:.3g} quadrature nodes, more than {MAX_SAMPLES}:"
-            " the test function is too narrow or steep for its spectral side"
-        )
+    spans, rates = [(-k_window, k_window)], [base_rate * mult for mult in (1.0, 2.0, 4.0)]
+    _gl8_panels(spans, rates[0], "spectral")  # refuse an oversized first level before the autocorrelation
     g = tf_convolve(f, tf_reflect_conj(f))
     direct = convolve_grid(mu, g, xs)
 
@@ -587,25 +589,9 @@ def rl_crosscheck(
             tail_estimate,
         )
 
-    def spectral_values(panels_per_unit: float) -> np.ndarray:
-        n_panels = max(8, int(np.ceil(2.0 * k_window * panels_per_unit)))
-        h = k_window / n_panels
-        nodes = _panel_nodes(-k_window, h, n_panels).ravel()
-        wvals = density(nodes) * np.abs(_ft_testfunction(f, nodes)) ** 2
-        return _panel_exp_sum(xs, -k_window, h, (h * _GL8_WEIGHTS) * wvals.reshape(n_panels, 8), 1)
-
-    prev = spectral_values(base_rate)
-    quad_estimate = np.inf
-    for mult in refinements:
-        cur = spectral_values(base_rate * mult)
-        quad_estimate = float(np.max(np.abs(cur - prev)))
-        if quad_estimate <= tolerance / 10.0:
-            prev = cur
-            break
-        prev = cur
-    else:
-        raise QuadratureError("spectral quadrature did not converge", quad_estimate)
-    spectral = prev
+    spectral, quad_estimate = _gl8_integral(
+        spans, lambda k: density(k) * np.abs(_ft_testfunction(f, k)) ** 2, xs, 1, rates, tolerance / 10.0, "spectral"
+    )
     gap = direct - spectral
     # np.hypot rounds as Python's abs does; np.abs of complex128 can be 2 ulps away
     deviation = np.hypot(gap.real, gap.imag)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import _refine
 from .testfunctions import Window
 
 if TYPE_CHECKING:
@@ -80,24 +80,26 @@ def _converged_cum(piece: TransformedDensity, clip: Window, tol: float) -> tuple
     midpoints, which np.linspace would place at the same points; the
     cumulative is built once, on the level that converges.
     """
-    n = 128
-    step = clip.width / n
-    ts = np.arange(n + 1) * step + clip.lo
-    ts[-1] = clip.hi
-    vals = np.abs(piece.evalv(ts))
-    total = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    for _ in range(15):
-        step = 0.5 * step
-        mids = np.abs(piece.evalv(np.arange(1, 2 * n, 2) * step + clip.lo))
-        both = np.empty(2 * n + 1)
-        both[0::2], both[1::2] = vals, mids
-        n, vals, prev = 2 * n, both, total
-        total = 0.5 * prev + step * mids.sum()
-        delta = abs(total - prev)
-        if delta <= tol:
-            ts = np.linspace(clip.lo, clip.hi, n + 1)
-            return ts, _cumulate(ts, vals)
-    raise QuadratureError("variation quadrature did not converge", delta)
+
+    def levels():
+        n, step = 128, clip.width / 128
+        ts = np.arange(n + 1) * step + clip.lo
+        ts[-1] = clip.hi
+        vals = np.abs(piece.evalv(ts))
+        total = step * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+        yield total, vals
+        for _ in range(15):
+            step = 0.5 * step
+            mids = np.abs(piece.evalv(np.arange(1, 2 * n, 2) * step + clip.lo))
+            both = np.empty(2 * n + 1)
+            both[0::2], both[1::2] = vals, mids
+            n, vals = 2 * n, both
+            total = 0.5 * total + step * mids.sum()
+            yield total, vals
+
+    vals = _refine(levels(), tol, "variation")[0]
+    ts = np.linspace(clip.lo, clip.hi, vals.size)
+    return ts, _cumulate(ts, vals)
 
 
 def _cells_sum(cells: list[_Cells]) -> _Cells:

@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, QuadratureError
+from .errors import InvalidArgument, _refine
 from .masses import _cell_mass, _cells_sum, _converged_cum, _trapezoid_rule
 from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps
 from .testfunctions import TestFunction, Window
@@ -70,15 +70,17 @@ __all__ = [
     "seminorm_pg",
 ]
 
-_GL2 = (-0.5773502691896257, 0.5773502691896257)  # Gauss-Legendre 2 on [-1, 1]
-
-# Gauss-Legendre 4 on [-1, 1]
-_GL4_NODES = np.array(
-    [-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]
-)
-_GL4_WEIGHTS = np.array(
-    [0.3478548451374538, 0.6521451548625461, 0.6521451548625461, 0.3478548451374538]
-)
+# Gauss-Legendre rules on [-1, 1], n: (nodes, weights), each bit for bit as
+# np.polynomial.legendre.leggauss(n) gives it
+_GL = {
+    2: (np.array([-0.5773502691896257, 0.5773502691896257]), np.array([1.0, 1.0])),
+    4: (np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]),
+        np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])),
+    8: (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                  0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]),
+        np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                  0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])),
+}
 
 
 class Atom(NamedTuple):
@@ -561,18 +563,6 @@ def _affine_cells(piece: TransformedDensity, clip: Window) -> _Cells | None:
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(edges: np.ndarray, splits: int) -> tuple[np.ndarray, np.ndarray]:
-    """GL4 nodes and weights in u on the panels between consecutive edges,
-    each panel split 2**splits ways."""
-    sub = 2**splits
-    width = np.diff(edges) / sub
-    mid = (edges[:-1, None] + width[:, None] * (np.arange(sub) + 0.5)[None, :]).ravel()
-    half = np.repeat(0.5 * width, sub)
-    nodes = (mid[:, None] + half[:, None] * _GL4_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL4_WEIGHTS[None, :]).ravel()
-    return nodes, weights
-
-
 def _smooth_convolution(
     piece: TransformedDensity, f: TestFunction, xs: np.ndarray, u_lo: float, u_hi: float, tol: float
 ) -> np.ndarray:
@@ -592,8 +582,12 @@ def _smooth_convolution(
     depth = 6 + max(0, cells - 1).bit_length()
 
     def values(splits: int) -> np.ndarray:
-        nodes, weights = _panel_nodes(edges, splits)
-        wf = weights * f.values(nodes)
+        sub = 2**splits
+        width = np.diff(edges) / sub
+        mid = (edges[:-1, None] + width[:, None] * (np.arange(sub) + 0.5)[None, :]).ravel()
+        half = np.repeat(0.5 * width, sub)[:, None]
+        nodes = (mid[:, None] + half * _GL[4][0][None, :]).ravel()
+        wf = (half * _GL[4][1][None, :]).ravel() * f.values(nodes)
         acc = np.empty(xs.size, dtype=np.complex128)
         chunk = max(1, int(2_000_000 // max(nodes.size, 1)))
         for start in range(0, xs.size, chunk):
@@ -601,14 +595,7 @@ def _smooth_convolution(
             acc[start : start + chunk] = (piece.evalv(part[:, None] - nodes[None, :]) * wf).sum(axis=1)
         return acc
 
-    prev = values(0)
-    for splits in range(1, depth + 1):
-        cur = values(splits)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError("density quadrature did not converge", delta)
+    return _refine(((v, v) for v in map(values, range(depth + 1))), tol, "density")[0]
 
 
 def _smooth_into_grid(
@@ -729,7 +716,7 @@ def _cell_pairs(cells: _Cells, steep: np.ndarray, f: TestFunction, s: np.ndarray
         pair, left, right = pair[good], left[good], right[good]
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
-        u1, u2 = mid + _GL2[0] * half, mid + _GL2[1] * half
+        u1, u2 = mid + _GL[2][0][:, None] * half
         c = s[pair]
         rel = x[pair] - 0.5 * (a[c] + b[c])
         fu = f.values(np.concatenate((u1, u2)))

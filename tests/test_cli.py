@@ -382,11 +382,11 @@ def test_autocorrelation_overflow_exits_one_with_one_line(argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows float64" in err
 
 
-@pytest.mark.parametrize("halfwidth, cause", [("1e-300", "overflows float64"), ("1e-9", "1.33e+10 quadrature nodes")])
+@pytest.mark.parametrize("halfwidth, cause", [("1e-300", "overflows float64"), ("1e-9", "3.31e+09 nodes at one level")])
 def test_rlcheck_too_narrow_exits_one_before_allocating(halfwidth, cause):
-    # 1e-300: the slope-jump bound squared overflows; 1e-9: the finest
-    # quadrature level would hold 1.33e10 nodes; both are refused before
-    # the autocorrelation and the spectral side are built
+    # 1e-300: the slope-jump bound squared overflows; 1e-9: the first
+    # spectral level would hold 3.31e9 nodes; both are refused before the
+    # autocorrelation and the spectral side are built
     tracemalloc.start()
     try:
         code, out, err = run(["rlcheck", "--f-halfwidth", halfwidth])
@@ -395,6 +395,29 @@ def test_rlcheck_too_narrow_exits_one_before_allocating(halfwidth, cause):
         tracemalloc.stop()
     assert (code, out) == (1, "")
     assert cause in err and err.count("\n") == 1
+    assert peak < 1_000_000
+
+
+def test_rlcheck_narrow_hat_that_fits_exits_zero():
+    # refused while the cap was the finest level's count (1.33M nodes, over
+    # 2^20); its spectral side converges at the second level, of 663k nodes
+    code, out, err = run(["rlcheck", "--f-halfwidth", "1e-3", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["max_deviation"] <= 1e-4
+
+
+@pytest.mark.parametrize("grid, cause", [("0:1e9:1e8", "3.2e+10 nodes"), ("0:1e6:1e5", "3.2e+07 nodes")])
+def test_fourier_at_extreme_frequencies_exits_one_before_allocating(grid, cause):
+    # the first transform level of the triangle holds 8 nodes per panel and
+    # 2 k_max panels per unit length, on its two unit cells
+    tracemalloc.start()
+    try:
+        code, out, err = run(["fourier", "--spec", TRIANGLE, "--grid", grid])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert cause + " at one level" in err and err.count("\n") == 1
     assert peak < 1_000_000
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import fourier
+from vanishkit import fourier, measures
 from vanishkit.acceptance import run_all
 from vanishkit.constructions import build_example
 from vanishkit.errors import InvalidArgument, TruncationTailError
@@ -311,9 +311,12 @@ def test_j0_table_is_rebuilt_from_bessel_j0():
 
 
 def test_gl8_literals_are_leggauss_8():
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    assert fourier._GL8_NODES.tobytes() == nodes.tobytes()
-    assert fourier._GL8_WEIGHTS.tobytes() == weights.tobytes()
+    # the one Gauss-Legendre table, every rule in it (GL2, GL4, GL8)
+    assert sorted(measures._GL) == [2, 4, 8]
+    for n, (nodes, weights) in measures._GL.items():
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
 
 
 def _j0_vec_error(xs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vanishkit import masses, measures, ramps
+from vanishkit import errors, fourier, masses, measures, ramps
 from vanishkit.constructions import AlternatingDyadicDensity, build_example
 from vanishkit.errors import InvalidArgument, QuadratureError
 from vanishkit.fourier import bessel_j0_vec
@@ -356,6 +356,50 @@ def test_variation_quadrature_error_reports_the_last_residual():
     with pytest.raises(QuadratureError) as info:
         variation_on(AbsCont(step), Window(0.0, 1.0))
     assert info.value.residual > 0.0
+
+
+def _jump(xs):
+    return np.where(np.asarray(xs) < 0.3, 1.0, 0.0)
+
+
+_NOT_CONVERGING = {
+    # quadrature: (its call on a jump inside its domain, the levels it builds);
+    # the hat's panels are 256 of its steps wide, so splits run 0 to 6 + 8
+    "density": (lambda: convolve_grid(AbsCont(FunctionDensity(np.sign)), tf_hat(0.0, 0.25, 1.0), np.array([0.05])), 15),
+    "variation": (lambda: variation_on(AbsCont(FunctionDensity(_jump, Window(0.0, 1.0))), Window(0.0, 1.0)), 16),
+    "transform": (lambda: fourier.ft_compact(FunctionDensity(_jump, Window(0.0, 1.0)), np.array([0.0, 1.0])), 4),
+    "spectral": (
+        lambda: fourier.rl_crosscheck(
+            PurePoint(FiniteAtoms([(0.0, 1.0)])), fourier.SpectralDensity(_jump, 1.0, 0.0), tf_hat(0.0, 0.25, 1.0),
+            np.array([0.0]),
+        ),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_NOT_CONVERGING))
+def test_quadrature_error_carries_the_last_level_difference(what, monkeypatch):
+    # every adaptive quadrature runs its levels through errors._refine; a
+    # jump keeps two levels from agreeing, and the residual is the
+    # difference between the last two
+    call, n_levels = _NOT_CONVERGING[what]
+    seen = []
+
+    def recorded(levels, tol, name):
+        def tee():
+            for estimate, value in levels:
+                seen.append(np.copy(estimate))
+                yield estimate, value
+
+        return errors._refine(tee(), tol, name)
+
+    for module in (measures, masses, fourier):
+        monkeypatch.setattr(module, "_refine", recorded)
+    with pytest.raises(QuadratureError, match=f"^{what} quadrature did not converge") as info:
+        call()
+    assert len(seen) == n_levels
+    assert info.value.residual == float(np.max(np.abs(seen[-1] - seen[-2]))) > 0.0
 
 
 class _CountingStep:
