@@ -168,8 +168,11 @@ def _gl8_integral(spans: list, weight: Callable, xs: np.ndarray, sign: int, rate
 
     Level r puts GL8 on ceil(width * r) equal panels of each span, sized by
     _gl8_panels just before it is built; its node sum is one _panel_exp_sum
-    per span.
+    per span.  No one level can converge, so the first two are both sized
+    before the first is built.
     """
+    for rate in rates[:2]:
+        _gl8_panels(spans, rate, what)
 
     def level(rate: float) -> np.ndarray:
         total = np.zeros(xs.size, dtype=np.complex128)
@@ -237,11 +240,15 @@ def sinc_autocorr_density(n: int, x):
     if n < 0:
         raise InvalidArgument(f"n must be nonnegative, got {n}")
     xa = np.asarray(x, dtype=float)
-    s = sinc(np.pi * xa)
-    val = 1.0 + 2.0 * np.cos(np.pi * xa * (2 * n + 1)) * s + s * s
+    val = _sinc_autocorr(n, xa, sinc(np.pi * xa))
     if np.ndim(x) == 0:
         return float(val)
     return val
+
+
+def _sinc_autocorr(n: int, xa: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sinc_autocorr_density(n, xa) from s = sinc(pi xa), computed once per call."""
+    return 1.0 + 2.0 * np.cos(np.pi * xa * (2 * n + 1)) * s + s * s
 
 
 def series_density(x, n_trunc: int):
@@ -253,9 +260,10 @@ def series_density(x, n_trunc: int):
     if n_trunc < 0:
         raise InvalidArgument(f"n_trunc must be nonnegative, got {n_trunc}")
     xa = np.asarray(x, dtype=float)
+    s = sinc(np.pi * xa)
     total = np.zeros(xa.shape)
     for n in range(n_trunc + 1):
-        total += (0.5**n) * sinc_autocorr_density(n, xa)
+        total += (0.5**n) * _sinc_autocorr(n, xa, s)
     if np.ndim(x) == 0:
         return float(total)
     return total
@@ -559,7 +567,8 @@ def rl_crosscheck(
     the slope jumps of f).  Agreement corroborates that the measure's
     transform is the given density.  A spectral level of more than
     _MAX_NODES quadrature nodes raises InvalidArgument before it is built;
-    the first, the smallest, is sized before the autocorrelation.
+    the first two, which any convergence needs, are sized before the
+    autocorrelation.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -576,7 +585,8 @@ def rl_crosscheck(
     rate = density.osc_rate + xmax + (f.hi - f.lo)
     base_rate = max(rate / 2.0, 1.0)
     spans, rates = [(-k_window, k_window)], [base_rate * mult for mult in (1.0, 2.0, 4.0)]
-    _gl8_panels(spans, rates[0], "spectral")  # refuse an oversized first level before the autocorrelation
+    for rate in rates[:2]:  # refuse an oversized first or second level before the autocorrelation
+        _gl8_panels(spans, rate, "spectral")
     g = tf_convolve(f, tf_reflect_conj(f))
     direct = convolve_grid(mu, g, xs)
 

@@ -827,6 +827,38 @@ class _Block:
                 _scatter_cells(cells, f, grid, out)
         return out
 
+    def corners(self, f: TestFunction, lo: float, step: float, start: int, stop: int, sign: int, keep=()):
+        """The scan indices k in [start, stop) of the points sign * (lo + step * k)
+        next to a breakpoint p + c of mu*f, p an atom of the block and c a kink
+        of f, ascending: k_b - 1 .. k_b + 2 for k_b = floor((sign * (p + c) - lo)
+        / step), so rounding cannot skip the points that bracket it; and start,
+        stop - 1 and the indices in keep.  No breakpoint lies between two
+        consecutive corners, so mu*f is linear there.  None where a density
+        piece is resolved, or where the corners would be every point: of the
+        block, or of the (f.hi - f.lo) / step that each atom reaches (its
+        pairs are then all the scatter evaluates).
+
+        The kinks are taken in strided passes of about a quarter block of
+        breakpoints each (one kink of f against every atom at least), so a
+        block whose atoms are dense is given up early."""
+        size, kinks = stop - start, f.kinks[0]
+        if self.res.pieces or size < 2 or 4 * kinks.size >= (f.hi - f.lo) / step:
+            return None
+        mark = np.zeros(size + 7, dtype=bool)  # point start + i at 3 + i; the rest catch what falls off
+        inside = mark[3 : 3 + size]
+        keep = np.asarray(keep, dtype=np.intp) - start
+        inside[keep[(keep >= 0) & (keep < size)]] = True
+        inside[0] = inside[-1] = True
+        pos = self.res.positions
+        passes = max(1, min(kinks.size, -(-4 * pos.size * kinks.size // size)))
+        for i in range(passes):
+            b = (pos[:, None] + kinks[i::passes]).ravel()
+            near = np.minimum(np.maximum(np.floor((sign * b - lo) / step) - start, -2.0), size + 1.0).astype(np.intp)
+            mark[near + 2] = mark[near + 3] = mark[near + 4] = mark[near + 5] = True  # k_b - 1 .. k_b + 2
+            if np.count_nonzero(inside) == size:
+                return None
+        return start + np.flatnonzero(inside)
+
     def masses(self, rule: Callable, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
         """|mu| of [lo, hi] elementwise, for windows inside the window: exact
         for atoms (a cumulative sum of |w|) and for the declared pieces' cells,
@@ -890,20 +922,28 @@ _SCAN_CHUNK = 1 << 16
 
 
 def _scan(
-    plan: _Plan, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8
-) -> Iterator[tuple[int, np.ndarray, _Block]]:
+    plan: _Plan, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8,
+    keep: np.ndarray | tuple = (), real: bool = False,
+) -> Iterator[tuple[int, int, np.ndarray | None, np.ndarray, _Block]]:
     """Values of the plan's mu*f at sign * (lo + step * k) for k = 0 .. n-1,
     a block of _SCAN_CHUNK points at a time.
 
-    Yields each block's first k, its values in order of k, and its _Block:
-    points k = start .. end-1 resolved once, on their reach widened to the
-    next point out, sign * (lo + step * end).  Every point is formed as one
-    grid ``lo + step * np.arange(n)`` would form it."""
+    Yields each block's start and stop, its corners, the values there in
+    order of k, and its _Block: points k = start .. stop-1 resolved once, on
+    their reach widened to the next point out, sign * (lo + step * stop).  A
+    block of atoms only is read at its corners (_Block.corners, with the
+    indices in keep), where real asks it to be read so only if its weights
+    and f are real; any other block at every k, with corners None.  Every
+    point is formed as one grid ``lo + step * np.arange(n)`` would form it."""
     for start in range(0, n, _SCAN_CHUNK):
-        xs = sign * (lo + step * np.arange(start, min(start + _SCAN_CHUNK, n) + 1))  # and the next point out
-        block = plan.block(Window(min(xs[0], xs[-1]) - f.hi, max(xs[0], xs[-1]) - f.lo))
-        vals = block.convolve(f, xs[:-1] if sign > 0 else xs[-2::-1], tol)
-        yield start, vals if sign > 0 else vals[::-1], block
+        stop = min(start + _SCAN_CHUNK, n)
+        ends = sign * (lo + step * np.array([start, stop]))  # the first point and the next point out
+        block = plan.block(Window(float(ends.min()) - f.hi, float(ends.max()) - f.lo))
+        complex_ = np.count_nonzero(block.res.weights.imag) or np.count_nonzero(f.samples.imag)
+        ks = None if real and complex_ else block.corners(f, lo, step, start, stop, sign, keep)
+        xs = sign * (lo + step * (np.arange(start, stop) if ks is None else ks))
+        vals = block.convolve(f, xs if sign > 0 else xs[::-1], tol)
+        yield start, stop, ks, vals if sign > 0 else vals[::-1], block
 
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
@@ -945,11 +985,12 @@ def seminorm_pg(
     tol: float = 1e-8,
 ) -> float:
     """sup over grid points x in search of |(mu * g)(x)|, the grid of
-    sup_norm_K scanned in blocks."""
+    sup_norm_K scanned in blocks; a block of atoms only at its corners, as
+    decay_profile reads it."""
     step = g.step if step is None else step
     n = _search_count(search, step)
     plan = _Plan(mu, Window(search.lo - g.hi, search.lo + step * n - g.lo))
-    best = max(float(np.max(np.abs(vals))) for _, vals, _ in _scan(plan, g, search.lo, step, n, tol=tol))
+    best = max(float(np.max(np.abs(vals))) for *_, vals, _ in _scan(plan, g, search.lo, step, n, tol=tol))
     if search.lo + step * (n - 1) < search.hi:
         # np.abs of an array, as over the grid: abs() of a complex scalar can round differently
         best = max(best, float(np.abs(convolve_grid(mu, g, np.array([search.hi]), tol))[0]))

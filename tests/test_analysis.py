@@ -1,12 +1,13 @@
 """Decay profiles, coefficient verdicts, cross-checks, and interval means."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import analysis, measures
+from vanishkit import analysis, measures, testfunctions
 from vanishkit.analysis import (
     NOT_VANISHING,
     VANISHING,
@@ -31,7 +32,7 @@ from vanishkit.measures import (
     convolve_grid,
     variation_on,
 )
-from vanishkit.testfunctions import Window, tf_hat
+from vanishkit.testfunctions import Window, tf_convolve, tf_hat, tf_reflect_conj
 
 
 HAT = tf_hat(0.0, 0.25, 1.0)
@@ -297,7 +298,9 @@ def _sups_one_shot(mu, f, bounds, step):
 @pytest.mark.parametrize("chunk", [7, 20, 23, 161, 1 << 16])
 @pytest.mark.parametrize("mu", MU_ATOMS)
 def test_mean_abs_in_blocks_equals_one_grid(monkeypatch, mu, chunk):
+    # on the dense path: corner runs sum in closed form, equal only to rounding
     monkeypatch.setattr(measures, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(measures._Block, "corners", lambda *args, **kwargs: None)
     ns = [1, 2, 4]
     assert mean_abs(mu, F_COARSE, ns).entries == tuple(_mean_one_shot(mu, F_COARSE, ns))
 
@@ -473,3 +476,124 @@ def test_decay_margin_resolves_no_more_than_a_block(monkeypatch):
         tracemalloc.stop()
     assert peak <= 12_000_000
     assert profile.verdict == NOT_VANISHING and profile.lip_margin > 0.0
+
+
+# Corner scans: a block of atoms only is read at the grid points next to each
+# atom + knot of f and at its ends; the sups, the margin and (to rounding)
+# the means are those of every grid point.
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    step=st.floats(0.003, 0.05),
+    chunk=st.sampled_from([5, 17, 64, 1 << 16]),
+    polygon=st.booleans(),
+)
+def test_corner_sups_and_margin_equal_the_dense_scan(data, step, chunk, polygon):
+    if polygon:
+        values = data.draw(st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=6))
+        f = testfunctions.TestFunction.from_samples(
+            data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(0.02, 0.3)), np.array([0.0, *values, 0.0]))
+    else:
+        f = tf_hat(data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(0.02, 0.6)),
+                   data.draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=3.0)))
+    weight = st.one_of(st.floats(-3.0, 3.0), st.complex_numbers(max_magnitude=3.0))
+    free = st.tuples(st.floats(-2.5, 2.5), weight)
+    on_grid = st.tuples(st.integers(-400, 400).map(lambda k: 0.5 + step * k), weight)
+    atoms = data.draw(st.lists(st.one_of(free, on_grid), min_size=1, max_size=8))
+    atoms += data.draw(st.lists(st.sampled_from(atoms), max_size=2))  # coincident atoms merge
+    mu = PurePoint(FiniteAtoms(atoms))
+    radii = [0.5, 1.0, 1.7]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_SCAN_CHUNK", chunk)
+        got = decay_profile(mu, f, radii, 0.05, annulus_step=step)
+        sup = measures.seminorm_pg(mu, f, Window(-1.0, 1.0), step=step)
+        mp.setattr(measures._Block, "corners", lambda *args, **kwargs: None)
+        want = decay_profile(mu, f, radii, 0.05, annulus_step=step)
+        want_sup = measures.seminorm_pg(mu, f, Window(-1.0, 1.0), step=step)
+    scale = 1e-13 * sum(abs(complex(w)) for _, w in atoms) * f.sup_norm
+    assert got.sups == pytest.approx(want.sups, rel=0.0, abs=scale)
+    assert sup == pytest.approx(want_sup, rel=0.0, abs=scale)
+    assert got.lip_margin == want.lip_margin
+
+
+def _exact_mean(atoms, center, halfwidth, height, h, ns):
+    """The trapezoid averages of mean_abs in rational arithmetic."""
+    big = ns[-1]
+    grid = [Fraction(-big) + h * k for k in range(int(2 * big / h) + 1)]
+
+    def f(u):
+        return max(Fraction(0), 1 - abs(u - center) / halfwidth) * height
+
+    vals = [abs(sum(w * f(x - p) for p, w in atoms)) for x in grid]
+    cum = [Fraction(0)]
+    for a, b in zip(vals, vals[1:]):
+        cum.append(cum[-1] + (a + b) * h / 2)
+    return [(cum[round((big + n) / h)] - cum[round((big - n) / h)]) / (2 * n) for n in ns]
+
+
+def test_closed_form_means_equal_the_rational_trapezoid(monkeypatch):
+    # hat(1/8, 1, 3/2) at step 1/64 on the grid -4 + k/64: each atom puts its
+    # breakpoints 64 points apart, so the runs between corners are long.  mu*f
+    # changes sign inside the grid intervals 233 .. 234 (of the run 218 ..
+    # 255) and 334 .. 335 (of the run 320 .. 343, which starts at the mark of
+    # n = 1).  The linear stretch 346 .. 375 crosses the block edge at 352.
+    # The marks 64, 320, 384 and 448 have no breakpoint near; 128 and 192 are
+    # breakpoints of the atom at -9/8.
+    atoms = [(Fraction(-9, 8), Fraction(1)), (Fraction(1, 4), Fraction(-5, 4)), (Fraction(7, 4), Fraction(1, 2))]
+    center, halfwidth, height, h = Fraction(1, 8), Fraction(1), Fraction(3, 2), Fraction(1, 64)
+    f = tf_hat(float(center), float(halfwidth), float(height), step=float(h))
+    assert f.step == float(h)
+    mu = PurePoint(FiniteAtoms([(float(p), float(w)) for p, w in atoms]))
+    ns = [1, 2, 3, 4]
+    monkeypatch.setattr(measures, "_SCAN_CHUNK", 352)
+    sent = []
+    convolve = measures._Block.convolve
+    monkeypatch.setattr(measures._Block, "convolve", lambda self, f, grid, tol: sent.append(grid) or convolve(self, f, grid, tol))
+    got = [avg for _, avg in mean_abs(mu, f, ns).entries]
+    assert sum(g.size for g in sent) < 0.5 * (2 * 4 * 64 + 1)  # the corner path ran
+    corners = np.round((np.concatenate(sent) + 4.0) * 64.0)
+    assert {64, 192, 320, 351, 352} <= set(corners.tolist())
+    assert not {233, 234, 334, 335, 360} & set(corners.tolist())
+    want = _exact_mean(atoms, center, halfwidth, height, h, ns)
+    assert got == pytest.approx([float(w) for w in want], rel=1e-13)
+
+
+def _points_sent(monkeypatch):
+    sent = [0]
+    convolve = measures._Block.convolve
+
+    def counted(self, f, grid, tol):
+        sent[0] += grid.size
+        return convolve(self, f, grid, tol)
+
+    monkeypatch.setattr(measures._Block, "convolve", counted)
+    return sent
+
+
+def test_corner_scans_evaluate_few_points(monkeypatch):
+    # ex_a's pairs are about one per unit: 11,264,000 grid points of the
+    # hat(0, 0.125) decay to r 1000 and 2,048,001 of the hat(0, 0.25) mean
+    # to n 1000 hold a few breakpoints per unit each
+    mu = build_example("ex_a")
+    sent = _points_sent(monkeypatch)
+    decay_profile(mu, tf_hat(0.0, 0.125), [125, 250, 500, 1000], 0.05)
+    assert sent[0] <= 0.01 * 11_264_000
+    sent[0] = 0
+    mean_abs(mu, tf_hat(0.0, 0.25), [100, 1000])
+    assert sent[0] <= 0.025 * 2_048_001
+
+
+def test_declined_blocks_send_the_full_grid(monkeypatch):
+    # ex_bf's cells are densities: mu*f is not piecewise linear at atoms +
+    # knots.  An autocorrelation has a kink at about every point of its grid,
+    # so the corners would be every point that an atom of ex_a reaches.
+    sent = _points_sent(monkeypatch)
+    mean_abs(build_example("ex_bf"), tf_hat(0.0, 0.25, 1.0, step=0.01), [1, 3])
+    assert sent[0] == 601
+    sent[0] = 0
+    hat = tf_hat(0.0, 0.125, 1.0)
+    g = tf_convolve(hat, tf_reflect_conj(hat))
+    mean_abs(build_example("ex_a"), g, [1, 2])
+    assert sent[0] == round(4 / g.step) + 1

@@ -406,10 +406,14 @@ def test_rlcheck_narrow_hat_that_fits_exits_zero():
     assert json.loads(out)["max_deviation"] <= 1e-4
 
 
-@pytest.mark.parametrize("grid, cause", [("0:1e9:1e8", "3.2e+10 nodes"), ("0:1e6:1e5", "3.2e+07 nodes")])
+@pytest.mark.parametrize(
+    "grid, cause",
+    [("0:1e9:1e8", "3.2e+10 nodes"), ("0:1e6:1e5", "3.2e+07 nodes"), ("0:3e5:1e5", "1.92e+07 nodes")],
+)
 def test_fourier_at_extreme_frequencies_exits_one_before_allocating(grid, cause):
     # the first transform level of the triangle holds 8 nodes per panel and
-    # 2 k_max panels per unit length, on its two unit cells
+    # 2 k_max panels per unit length, on its two unit cells; at k_max 3e5 it
+    # fits (9.6e6 nodes) and the second does not, so neither is built
     tracemalloc.start()
     try:
         code, out, err = run(["fourier", "--spec", TRIANGLE, "--grid", grid])
