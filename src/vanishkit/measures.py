@@ -19,9 +19,9 @@ Conventions used throughout:
 Convolution against a piecewise-linear test function is exact (to
 rounding) whenever a density declares its own piecewise-affine structure
 through ``knots``; genuinely smooth densities fall back to Gauss-Legendre
-quadrature on the panels between the kinks of the test function, with
-refinement-based error control.  Where atoms and shallow cells are dense,
-they are summed by repeated integration instead (``ramps``).
+quadrature on panels, with refinement-based error control.  Where atoms and
+shallow cells are dense, and for the panels of a smooth density without
+bounds on its support, sums are taken by repeated integration (``ramps``).
 
 Affine cells are always tracked as (value at cell center, slope).  A
 global intercept would lose all precision on steep narrow cells far from
@@ -598,6 +598,98 @@ def _smooth_convolution(
     return _refine(((v, v) for v in map(values, range(depth + 1))), tol, "density")[0]
 
 
+# Entries of the query array x_i - c_k that one chunk of grid points builds,
+# and of one level's GL4 nodes built at a time, so each temporary stays
+# near 32 MB however many points and kinks there are.
+_PANEL_CHUNK = 1 << 21
+
+# Width, in steps of f, of the buckets in which query floats are merged into
+# one cut (the largest of them): x_i - c_k and x_j - c_l that agree in exact
+# arithmetic differ by rounding, and would otherwise cut slivers of rounding
+# width, each a panel of its own.
+_BUCKET = 2.0**-20
+
+
+def _panel_values(
+    piece: TransformedDensity, f: TestFunction, x: np.ndarray, left: np.ndarray, width: np.ndarray, splits: int
+) -> np.ndarray:
+    """(piece * f)(x) as ramp sums over the panels [left, left + width], their
+    mass and first moment about the left edge from GL4 on 2**splits equal
+    sub-panels, _PANEL_CHUNK nodes at a time."""
+    sub = 2**splits
+    t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + _GL[4][0])) / sub).ravel()  # nodes on [0, 1]
+    w = np.tile(0.5 * _GL[4][1] / sub, sub)
+    rule = np.stack((w, w * t))  # the integrals of 1 and of t
+    sums = np.empty((2, left.size, 2))  # (1, t) x panel x (real, imag)
+    rows = max(1, _PANEL_CHUNK // t.size)
+    for i in range(0, left.size, rows):
+        rho = np.ascontiguousarray(piece.evalv(left[i : i + rows] + width[i : i + rows] * t[:, None]), np.complex128)
+        # einsum, not BLAS: a threaded zgemm spins a second core for these thin products
+        sums[:, i : i + rows] = np.einsum("km,mnc->knc", rule, rho.view(np.float64).reshape(*rho.shape, 2))
+    mass, first = sums.view(np.complex128)[..., 0]
+    acc = np.zeros(x.size, dtype=np.complex128)
+    _ramp_into_grid(_Ramps(left, width * mass, f.hi - f.lo, first=width * width * first), f, x, (0, x.size), acc)
+    return acc
+
+
+def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Left edges and widths of the panels between the cuts of the reaches
+    of x, ascending, that lie inside some point's reach (_smooth_panels)."""
+    bucket = _BUCKET * f.step
+    q = np.empty((x.size, at.size + 1))
+    np.subtract(x[:, None], at, out=q[:, 1:])
+    starts = q[:, 0] = x - f.hi
+    ends = q[:, 1].copy()  # x - at[0]
+    q = q.ravel()
+    q.sort()
+    cut = np.diff(q) > bucket
+    key = q - q[0]
+    key /= bucket
+    key += 0.5  # q[0] at a bucket's middle, so that cuts on its lattice are too
+    np.floor(key, out=key)
+    cut |= key[1:] != key[:-1]
+    del key
+    cuts = q[np.append(np.flatnonzero(cut), q.size - 1)]
+    # the reach that starts last at or before a panel ends last: the panel
+    # lies inside a reach if it starts before that reach's end
+    inside = ends[starts.searchsorted(cuts[:-1], side="right") - 1] > cuts[:-1]
+    return cuts[:-1][inside], np.diff(cuts)[inside]
+
+
+def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray, out: np.ndarray, tol: float) -> None:
+    """Add (piece * f)(x) onto out for each x in grid, for a piece without
+    bounds on its support: ramp sums over panels.
+
+    A chunk of grid points cuts its reach at the floats x - f.hi and x - c_k
+    (c_k a kink of f below f.hi) that _ramp_into_grid reads the prefix sums
+    at, and keeps the panels between consecutive cuts that lie inside some
+    point's reach (_panels).  Floats in one bucket of width _BUCKET * f.step
+    make one cut, the largest, so a read at any of them sums whole panels up
+    to that cut.  Moving a read by d <= the bucket changes (mu * f)(x) by
+    O(d (d + ulp(x)) max|density| sum|s_k|): the integrand of R_k vanishes
+    at x - c_k, and at x - f.hi, where all R_k read, the sum of theirs is
+    f(f.hi) = 0.
+
+    Each panel's mass and first moment come from GL4 on 2**s equal
+    sub-panels, and the chunk's values from _Ramps.  Levels s = 0, 1, ... run
+    until two agree to tol at every point of the chunk.  The deepest level is
+    6 + ceil(log2(widest panel / f.step)), which splits every panel into
+    pieces no wider than f.step / 64.
+    """
+    at = f.kinks[0][f.kinks[0] < f.hi]
+    if not at.size:  # f vanishes
+        return
+    rows = max(1, _PANEL_CHUNK // (at.size + 1))
+    for start in range(0, grid.size, rows):
+        x = grid[start : start + rows]
+        left, width = _panels(x, at, f)
+        if not left.size:
+            continue
+        depth = 6 + max(0, int(np.ceil(float(np.max(width)) / f.step - 1e-9)) - 1).bit_length()
+        levels = (_panel_values(piece, f, x, left, width, s) for s in range(depth + 1))
+        out[start : start + x.size] += _refine(((v, v) for v in levels), tol, "density")[0]
+
+
 def _smooth_into_grid(
     piece: TransformedDensity,
     f: TestFunction,
@@ -611,9 +703,13 @@ def _smooth_into_grid(
     clip = hull if sup is None else hull.intersect(sup)
     if clip is None:
         return
-    # When the support covers every shifted window, the integral is
-    # sum_j W_j * rho(x - u_j) with x-independent nodes.
-    if sup is None or (sup.lo <= hull.lo and hull.hi <= sup.hi):
+    if sup is None:
+        _smooth_panels(piece, f, grid, out, tol)
+        return
+    # A bounded support keeps the per-point rule, so that a grid and its
+    # points one at a time give the same values whether or not the hull
+    # sticks out of it.
+    if sup.lo <= hull.lo and hull.hi <= sup.hi:
         out += _smooth_convolution(piece, f, grid, f.lo, f.hi, tol)
         return
     # Bounded smooth support that the hull sticks out of: point by point,
@@ -903,7 +999,8 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     Atoms and the affine cells of density pieces are scattered in chunks of
     (source, grid point) pairs, or, where they make many pairs per kink of f
     and grid point, summed as ramps over the kink table of f (steep cells
-    always scatter); smooth pieces add quadrature.
+    always scatter); smooth pieces add quadrature, on panels summed as ramps
+    where their support has no bounds.
     """
     _check_tol(tol)
     grid = np.asarray(grid, dtype=float)

@@ -283,6 +283,19 @@ def test_bessel_j0_against_scipy():
         assert bessel_j0(x) == pytest.approx(float(scipy_special.j0(x)), abs=1e-13)
 
 
+@pytest.mark.parametrize("x", [20.0, 1e3, 1e6, 1e8, 1e14])
+def test_bessel_j0_accuracy_range_against_mpmath(x):
+    # the docstring's two statements: better than 1e-12 up to 1e8, and past
+    # that no worse than the phase rounding, ulp(x) / 2 * sqrt(2 / (pi x))
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        err = abs(float(mpmath.mpf(bessel_j0(x)) - mpmath.besselj(0, x)))
+    assert err <= 1e-13 + 0.5 * math.ulp(x) * math.sqrt(2.0 / (math.pi * x))
+    if x <= 1e8:
+        assert err < 1e-12
+    assert float(bessel_j0_vec(np.array([x]))[0]) == bessel_j0(x)
+
+
 def _j0_table_row(a, width, degree):
     """The t**0 .. t**degree coefficients, t = 2 (x - a) / width - 1, of the
     interpolant of bessel_j0 at the Chebyshev points of [a, a + width],

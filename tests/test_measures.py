@@ -513,7 +513,9 @@ class _CountingJ0:
 @pytest.mark.parametrize(
     "autocorr, ceiling",
     [
-        (False, 64),  # two panels of the hat; 6,144 with one panel per sample cell
+        # the two panels of each point's reach, 0.25 wide, at levels 0 to 2
+        # (levels 0 and 1 differ by 5.7e-8); 6,144 with one panel per sample cell
+        (False, 56),
         (True, 147_456),  # every knot of the autocorrelation is a kink
     ],
 )
@@ -526,6 +528,75 @@ def test_smooth_density_work_ceiling(autocorr, ceiling):
     xs = np.linspace(-2.0, 2.0, 5)
     convolve_grid(mu, f, xs)
     assert j0.points <= ceiling * xs.size
+
+
+def test_smooth_density_dense_grid_work_ceiling():
+    # mean_abs's grid for n = 2: the reaches of neighbouring points share
+    # their panels, one step wide, so each of the 4,096 + 512 panels costs
+    # 4 + 8 evaluations, 13.5 per point (56 with a quadrature per point)
+    j0 = _CountingJ0()
+    f = tf_hat(0.0, 0.25, 1.0)
+    xs = -2.0 + f.step * np.arange(4097)
+    convolve_grid(AbsCont(FunctionDensity(j0, label="counting j0")), f, xs)
+    assert j0.points <= 14 * xs.size
+
+
+def _per_point(mu, f, xs, tol=1e-8):
+    """The per-point rule on the one smooth piece of mu."""
+    piece = resolve_window(mu, Window(float(xs[0]) - f.hi, float(xs[-1]) - f.lo)).pieces[0]
+    return measures._smooth_convolution(piece, f, xs, f.lo, f.hi, tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    density=st.sampled_from(["cos", "bump", "j0"]),
+    polygon=st.booleans(),
+    arithmetic=st.booleans(),
+    origin=st.floats(-1000.0, 1000.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smooth_panels_against_the_per_point_rule(density, polygon, arithmetic, origin, seed):
+    # Arbitrary grids skip the panels between reaches that do not meet.
+    rng = np.random.default_rng(seed)
+    amp = complex(*rng.normal(size=2))
+    if density == "cos":
+        a, phase = rng.uniform(0.5, 60.0), rng.uniform(0.0, 2.0 * np.pi)
+        mu, tol = AbsCont(FunctionDensity(lambda x: amp * np.cos(a * x + phase), label="cos")), 2e-8
+    elif density == "bump":
+        c, w = origin + rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)
+        mu, tol = AbsCont(FunctionDensity(lambda x: amp * np.exp(-(((x - c) / w) ** 2)), label="bump")), 2e-8
+    else:
+        mu, tol = build_example("j0_radial"), 1e-10
+    if polygon:
+        inner = rng.normal(size=(int(rng.integers(1, 7)), 2)) @ np.array([1.0, 1j])
+        f = measures.TestFunction.from_samples(rng.uniform(-1.0, 1.0), rng.uniform(0.02, 0.2), np.r_[0.0, inner, 0.0])
+    else:
+        f = tf_hat(rng.uniform(-1.0, 1.0), rng.uniform(0.05, 0.6), amp)
+    if arithmetic:
+        xs = origin + 0.5 * f.step * np.arange(int(rng.integers(1, 200)))
+    else:
+        gaps = rng.uniform(0.01, 3.0, size=int(rng.integers(1, 20))) * (f.hi - f.lo)
+        xs = origin + np.cumsum(gaps)
+    assert np.max(np.abs(convolve_grid(mu, f, xs) - _per_point(mu, f, xs))) <= tol
+
+
+def test_smooth_panels_bound_their_temporaries():
+    # 12,287 kinks: chunks of 170 grid points keep the query array x_i - c_k
+    # at 2^21 entries; 2,001 points at one step of f
+    hat = tf_hat(0.0, 0.25, 1.0)
+    f = tf_convolve(hat, tf_reflect_conj(hat))
+    assert f.kinks[0].size == 12_287
+    mu = build_example("j0_radial")
+    xs = 3.3 + f.step * np.arange(2001)
+    tracemalloc.start()
+    try:
+        vals = convolve_grid(mu, f, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20  # 36 MB measured: the query array and its sorted copy
+    some = np.array([0, 1000, 2000])
+    assert np.max(np.abs(vals[some] - _per_point(mu, f, xs[some]))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
