@@ -32,11 +32,6 @@ _RAMP_CROSSOVER = 4.0
 # Grid points per evaluation chunk, so each temporary stays near 256 kB.
 _RAMP_CHUNK = 1 << 14
 
-# Sources per block up to which a cumsum call per block (about 6 us) costs
-# more than the sums it makes (about 2 ns a source).
-_TABLE_ROW = 1 << 10
-
-
 def _ramp_span(i0: np.ndarray, i1: np.ndarray, f: TestFunction, extent: float) -> tuple[int, int] | None:
     """The grid span [lo, hi) that sources reaching i0 <= idx < i1 cover, if
     ramp sums over it beat scattering their pairs; None otherwise.
@@ -89,23 +84,7 @@ class _Ramps:
         # block b keeps 0, then its running sums, at start[b] + b ... start[b + 1] + b
         self.cum_g = np.zeros(left.size + self.n, dtype=np.complex128)
         self.cum_h = np.zeros(left.size + self.n, dtype=np.complex128)
-        count = np.diff(self.start)
-        deepest = int(count.max())
-        if deepest <= _TABLE_ROW and self.n * deepest <= 4 * left.size:
-            # Many small blocks, evenly filled: a cumsum along the rows of a
-            # table of one block per row makes the same additions as a call
-            # per block, _RAMP_CHUNK entries of the table at a time.
-            col = np.arange(left.size) - self.start[blocks]
-            rows = _RAMP_CHUNK // deepest
-            for b in range(0, self.n, rows):
-                i, j = self.start[b], self.start[min(b + rows, self.n)]
-                at, row = np.arange(i + 1, j + 1) + blocks[i:j], blocks[i:j] - b
-                for cum, part in ((self.cum_g, mass), (self.cum_h, moment)):
-                    table = np.zeros((rows, deepest), dtype=np.complex128)
-                    table[row, col[i:j]] = part[i:j]
-                    cum[at] = np.cumsum(table, axis=1)[row, col[i:j]]
-            return
-        for b in np.flatnonzero(count):
+        for b in np.flatnonzero(np.diff(self.start)):
             i, j = self.start[b], self.start[b + 1]
             self.cum_g[i + b + 1 : j + b + 1] = np.cumsum(mass[i:j])
             self.cum_h[i + b + 1 : j + b + 1] = np.cumsum(moment[i:j])

@@ -530,15 +530,24 @@ def test_smooth_density_work_ceiling(autocorr, ceiling):
     assert j0.points <= ceiling * xs.size
 
 
-def test_smooth_density_dense_grid_work_ceiling():
-    # mean_abs's grid for n = 2: the reaches of neighbouring points share
-    # their panels, one step wide, so each of the 4,096 + 512 panels costs
-    # 4 + 8 evaluations, 13.5 per point (56 with a quadrature per point)
+@pytest.mark.parametrize(
+    "points, spacing, ceiling",
+    [
+        # mean_abs's grid for n = 2: the reaches of neighbouring points share
+        # their panels, one step wide, so each of the 4,096 + 512 panels costs
+        # 4 + 8 evaluations, 13.5 per point (56 with a quadrature per point)
+        (4097, 1.0, 14),
+        # one of decay_profile's annulus blocks, at half a step: panels half a
+        # step wide, 23.99 per point
+        (1024, 0.5, 24),
+    ],
+)
+def test_smooth_density_dense_grid_work_ceiling(points, spacing, ceiling):
     j0 = _CountingJ0()
     f = tf_hat(0.0, 0.25, 1.0)
-    xs = -2.0 + f.step * np.arange(4097)
+    xs = 0.5 + spacing * f.step * np.arange(points)
     convolve_grid(AbsCont(FunctionDensity(j0, label="counting j0")), f, xs)
-    assert j0.points <= 14 * xs.size
+    assert j0.points <= ceiling * xs.size
 
 
 def _per_point(mu, f, xs, tol=1e-8):
@@ -582,12 +591,12 @@ def test_smooth_panels_against_the_per_point_rule(density, polygon, arithmetic, 
 
 def test_smooth_panels_bound_their_temporaries():
     # 12,287 kinks: chunks of 170 grid points keep the query array x_i - c_k
-    # at 2^21 entries; 2,001 points at one step of f
+    # at 2^21 entries; 400 points at one step of f make three chunks
     hat = tf_hat(0.0, 0.25, 1.0)
     f = tf_convolve(hat, tf_reflect_conj(hat))
     assert f.kinks[0].size == 12_287
     mu = build_example("j0_radial")
-    xs = 3.3 + f.step * np.arange(2001)
+    xs = 3.3 + f.step * np.arange(400)
     tracemalloc.start()
     try:
         vals = convolve_grid(mu, f, xs)
@@ -595,7 +604,7 @@ def test_smooth_panels_bound_their_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2**20  # 36 MB measured: the query array and its sorted copy
-    some = np.array([0, 1000, 2000])
+    some = np.array([0, 200, 399])
     assert np.max(np.abs(vals[some] - _per_point(mu, f, xs[some]))) <= 1e-10
 
 
