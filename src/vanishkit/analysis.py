@@ -112,9 +112,12 @@ def decay_profile(
     """Sups of |mu*f| over the annuli radii[i] <= |x| < radii[i+1].
 
     Both signs of x are scanned, one block of grid points at a time, from one
-    scan plan over every annulus.  The grid step defaults to half the test
-    function's own step; lip_margin, read from the same blocks, says how far
-    the true sup can sit above the grid sup.
+    scan plan over every annulus.  The annuli of one sign are the segments
+    of one scan (_scan): annuli that fit in a block together share it, so
+    each block is resolved, convolved and asked for all its |mu| windows
+    once.  The grid step defaults to half the test function's own step;
+    lip_margin, read from the same blocks, says how far the true sup can
+    sit above the grid sup.
 
     A block that resolves atoms only is read at its corners (_Block.corners),
     unless they would be every point: the grid points next to each atom +
@@ -132,33 +135,40 @@ def decay_profile(
         raise InvalidArgument(f"annulus_step must be positive and finite, got {annulus_step}")
     # |mu*f| is Lipschitz with constant Lip(f) * |mu|([x - f.hi, x' - f.lo])
     # between x < x'.  Each scanned block gives that |mu| between every r-th
-    # point and the next point out (_scan), at most max(1, annulus_step) apart;
-    # a point between two grid points is within half a step of one of them.
-    # The gap from an annulus's last point x to its outer radius (under one
-    # step, _annulus_count) is bounded from x alone, a full step out, by the
-    # |mu| of [x - f.hi, hi - f.lo], read from the last block of each sign.
+    # point of each annulus part and the next point out (_scan), at most
+    # max(1, annulus_step) apart; a point between two grid points is within
+    # half a step of one of them.  The gap from an annulus's last point x to
+    # its outer radius (under one step, _annulus_count) is bounded from x
+    # alone, a full step out, by the |mu| of [x - f.hi, hi - f.lo], read from
+    # the block that holds x.  A block answers all its windows in one call.
     outer = bounds[-1][1]
     plan = _Plan(mu, Window(-outer - 2.0 * annulus_step - f.hi, outer + 2.0 * annulus_step - f.lo))
     step = max(1.0, annulus_step)
     r, rule = int(step // annulus_step), _trapezoid_rule(step)
-    entries: list[tuple[float, float]] = []
+    segments = [(lo, _annulus_count(lo, hi, annulus_step)) for lo, hi in bounds]
+    sups = [0.0] * len(bounds)
     mass_bound = gap_mass = 0.0
-    for lo, hi in bounds:
-        n = _annulus_count(lo, hi, annulus_step)
-        last = lo + annulus_step * (n - 1)
-        sup = 0.0
-        for sign in (1, -1):
-            for start, stop, _, vals, block in _scan(plan, f, lo, annulus_step, n, sign):
-                sup = max(sup, float(np.max(np.abs(vals))))
+    for sign in (1, -1):
+        for block, parts in _scan(plan, f, annulus_step, segments, sign):
+            x0, x1, gaps = [], [], []
+            for i, start, stop, ks, vals in parts:
+                sups[i] = max(sups[i], float(np.max(np.abs(vals))))
+                lo, n = segments[i]
                 # every r-th k from start, and stop
                 x = sign * (lo + annulus_step * np.minimum(np.arange(start, stop + r, r), stop))
-                x0, x1 = (x[:-1], x[1:]) if sign > 0 else (x[1:], x[:-1])
-                mass_bound = max(mass_bound, float(np.max(block.masses(rule, x0 - f.hi, x1 - f.lo))))
-            g0, g1 = (last, hi) if sign > 0 else (-hi, -last)
-            gap_mass = max(gap_mass, float(block.masses(rule, g0 - f.hi, g1 - f.lo)[0]))
-        entries.append((lo, sup))
+                x0.append(x[:-1] if sign > 0 else x[1:])
+                x1.append(x[1:] if sign > 0 else x[:-1])
+                if stop == n:
+                    last, hi = lo + annulus_step * (n - 1), bounds[i][1]
+                    gaps.append((last, hi) if sign > 0 else (-hi, -last))
+            g0, g1 = np.array(gaps).reshape(-1, 2).T
+            m = block.masses(rule, np.concatenate((*x0, g0)) - f.hi, np.concatenate((*x1, g1)) - f.lo)
+            mass_bound = max(mass_bound, float(np.max(m[: m.size - g0.size])))
+            if g0.size:
+                gap_mass = max(gap_mass, float(np.max(m[m.size - g0.size :])))
+            del block, parts, ks, vals  # before the next block is resolved
+    entries = list(zip((lo for lo, _ in bounds), sups))
     lip_margin = annulus_step * f.lipschitz * max(0.5 * mass_bound, gap_mass)
-    sups = [s for _, s in entries]
     if sups[-1] < epsilon:
         j = len(sups)
         while j > 0 and sups[j - 1] < epsilon:
@@ -362,7 +372,7 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     cum_at = np.zeros(marks.shape)
     total, last, last_g = 0.0, np.empty(0), np.empty(0)
     plan = _Plan(mu, Window(-big - f.hi, -big + h * (k_max + 1) - f.lo))
-    for start, stop, ks, vals, _ in _scan(plan, f, -big, h, k_max + 1, keep=marks.ravel(), real=True):
+    for _, [(_, start, stop, ks, vals)] in _scan(plan, f, h, [(-big, k_max + 1)], keep=marks.ravel(), real=True):
         mod = np.concatenate((last, np.abs(vals)))
         seg = mod[:-1] + mod[1:]
         seg *= 0.5
@@ -385,6 +395,7 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
         cum = np.cumsum(np.concatenate(([total], seg)))
         here = (marks >= base) & (marks < stop)
         cum_at[here] = cum[marks[here] - base if ks is None else ks.searchsorted(marks[here])]
-        total, last, last_g = cum[-1], mod[-1:], vals.real[-1:]
+        total, last, last_g = cum[-1], mod[-1:].copy(), vals.real[-1:].copy()
+        del ks, vals, mod, seg, cum  # before the next block is resolved
     entries = [(n, float((hi - lo) / (2.0 * n))) for n, (lo, hi) in zip(ns, cum_at)]
     return MeanTrace(tuple(entries), entries[-1][1])

@@ -599,7 +599,7 @@ def _validate(
         sup_variation=sup_var,
         h_vague_null=bool(vague_ok),
         worst_pairing=worst_pairing,
-        pairing_trace=tuple(float(t) for t in trace),
+        pairing_trace=tuple(trace.tolist()),
         h_udiscrete=bool(discrete_ok),
         min_shift_gap=min_gap,
         overall=bool(overall),

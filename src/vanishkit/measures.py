@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidArgument, _refine
 from .masses import _cell_mass, _cells_sum, _converged_cum, _trapezoid_rule
-from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps
+from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps, _Reads
 from .testfunctions import TestFunction, Window
 
 __all__ = [
@@ -598,9 +598,10 @@ def _smooth_convolution(
     return _refine(((v, v) for v in map(values, range(depth + 1))), tol, "density")[0]
 
 
-# Entries of the query array x_i - c_k that one chunk of grid points builds,
-# and of one level's GL4 nodes built at a time, so each temporary stays
-# near 32 MB however many points and kinks there are.
+# Entries of the query array x_i - c_k that one chunk of grid points builds
+# (and of the reads the chunk keeps for its levels), and of one level's GL4
+# nodes built at a time, so each temporary stays near 32 MB however many
+# points and kinks there are.
 _PANEL_CHUNK = 1 << 21
 
 # Width, in steps of f, of the buckets in which query floats are merged into
@@ -611,10 +612,11 @@ _BUCKET = 2.0**-20
 
 
 def _panel_values(
-    piece: TransformedDensity, f: TestFunction, x: np.ndarray, left: np.ndarray, width: np.ndarray, splits: int
+    piece: TransformedDensity, reads: _Reads, left: np.ndarray, width: np.ndarray, splits: int
 ) -> np.ndarray:
-    """(piece * f)(x) as ramp sums over the panels [left, left + width], their
-    mass and first moment about the left edge from GL4 on 2**splits equal
+    """(piece * f)(x) at the points of reads, as ramp sums over the panels
+    [left, left + width] that its ramps were laid out on, their mass and
+    first moment about the left edge from GL4 on 2**splits equal
     sub-panels, _PANEL_CHUNK nodes at a time."""
     sub = 2**splits
     t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + _GL[4][0])) / sub).ravel()  # nodes on [0, 1]
@@ -627,9 +629,8 @@ def _panel_values(
         # einsum, not BLAS: a threaded zgemm spins a second core for these thin products
         sums[:, i : i + rows] = np.einsum("km,mnc->knc", rule, rho.view(np.float64).reshape(*rho.shape, 2))
     mass, first = sums.view(np.complex128)[..., 0]
-    acc = np.zeros(x.size, dtype=np.complex128)
-    _ramp_into_grid(_Ramps(left, width * mass, f.hi - f.lo, first=width * width * first), f, x, (0, x.size), acc)
-    return acc
+    reads.ramps.load(width * mass, width * width * first)
+    return reads.values()
 
 
 def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -661,8 +662,8 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
     bounds on its support: ramp sums over panels.
 
     A chunk of grid points cuts its reach at the floats x - f.hi and x - c_k
-    (c_k a kink of f below f.hi) that _ramp_into_grid reads the prefix sums
-    at, and keeps the panels between consecutive cuts that lie inside some
+    (c_k a kink of f below f.hi) that _Reads reads the prefix sums at, and
+    keeps the panels between consecutive cuts that lie inside some
     point's reach (_panels).  Floats in one bucket of width _BUCKET * f.step
     make one cut, the largest, so a read at any of them sums whole panels up
     to that cut.  Moving a read by d <= the bucket changes (mu * f)(x) by
@@ -674,7 +675,9 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
     sub-panels, and the chunk's values from _Ramps.  Levels s = 0, 1, ... run
     until two agree to tol at every point of the chunk.  The deepest level is
     6 + ceil(log2(widest panel / f.step)), which splits every panel into
-    pieces no wider than f.step / 64.
+    pieces no wider than f.step / 64.  The panels' ramp layout and the
+    chunk's reads of it (the block and position of each query, at most
+    _PANEL_CHUNK of them) are built once; a level only loads its sums.
     """
     at = f.kinks[0][f.kinks[0] < f.hi]
     if not at.size:  # f vanishes
@@ -686,8 +689,10 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
         if not left.size:
             continue
         depth = 6 + max(0, int(np.ceil(float(np.max(width)) / f.step - 1e-9)) - 1).bit_length()
-        levels = (_panel_values(piece, f, x, left, width, s) for s in range(depth + 1))
+        reads = _Reads(_Ramps(left, f.hi - f.lo), f, x, keep=True)
+        levels = (_panel_values(piece, reads, left, width, s) for s in range(depth + 1))
         out[start : start + x.size] += _refine(((v, v) for v in levels), tol, "density")[0]
+        del reads, levels  # before the next chunk's query array
 
 
 def _smooth_into_grid(
@@ -912,7 +917,7 @@ class _Block:
         i1 = grid.searchsorted(pos + f.hi, side="right")
         span = _ramp_span(i0, i1, f, float(pos[-1] - pos[0]) if pos.size else 0.0)
         if span is not None:
-            _ramp_into_grid(_Ramps(pos, wts, f.hi - f.lo), f, grid, span, out)
+            _ramp_into_grid(_Ramps(pos, f.hi - f.lo).load(wts), f, grid, span, out)
         else:
             _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
         for piece in self.res.pieces:
@@ -925,18 +930,20 @@ class _Block:
 
     def corners(self, f: TestFunction, lo: float, step: float, start: int, stop: int, sign: int, keep=()):
         """The scan indices k in [start, stop) of the points sign * (lo + step * k)
-        next to a breakpoint p + c of mu*f, p an atom of the block and c a kink
-        of f, ascending: k_b - 1 .. k_b + 2 for k_b = floor((sign * (p + c) - lo)
-        / step), so rounding cannot skip the points that bracket it; and start,
-        stop - 1 and the indices in keep.  No breakpoint lies between two
-        consecutive corners, so mu*f is linear there.  None where a density
-        piece is resolved, or where the corners would be every point: of the
-        block, or of the (f.hi - f.lo) / step that each atom reaches (its
-        pairs are then all the scatter evaluates).
+        next to a breakpoint p + c of mu*f, p an atom of the block in the reach
+        of those points and c a kink of f, ascending: k_b - 1 .. k_b + 2 for
+        k_b = floor((sign * (p + c) - lo) / step), so rounding cannot skip the
+        points that bracket it; and start, stop - 1 and the indices in keep.
+        No breakpoint lies between two consecutive corners, so mu*f is linear
+        there.  None where a density piece is resolved, or where the corners
+        would be every point: of [start, stop), or of the (f.hi - f.lo) / step
+        that each atom reaches (its pairs are then all the scatter evaluates).
 
-        The kinks are taken in strided passes of about a quarter block of
-        breakpoints each (one kink of f against every atom at least), so a
-        block whose atoms are dense is given up early."""
+        The reach runs from the first point to the next point out, sign * (lo
+        + step * stop), as _scan resolves it.  The kinks are taken in strided
+        passes of about a quarter block of breakpoints each (one kink of f
+        against every atom at least), so a block whose atoms are dense is
+        given up early."""
         size, kinks = stop - start, f.kinks[0]
         if self.res.pieces or size < 2 or 4 * kinks.size >= (f.hi - f.lo) / step:
             return None
@@ -945,7 +952,9 @@ class _Block:
         keep = np.asarray(keep, dtype=np.intp) - start
         inside[keep[(keep >= 0) & (keep < size)]] = True
         inside[0] = inside[-1] = True
+        ends = sorted((sign * (lo + step * start), sign * (lo + step * stop)))
         pos = self.res.positions
+        pos = pos[pos.searchsorted(ends[0] - f.hi) : pos.searchsorted(ends[1] - f.lo, side="right")]
         passes = max(1, min(kinks.size, -(-4 * pos.size * kinks.size // size)))
         for i in range(passes):
             b = (pos[:, None] + kinks[i::passes]).ravel()
@@ -1017,30 +1026,59 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
 # memory stays flat however far out it reaches.
 _SCAN_CHUNK = 1 << 16
 
+# A part of a scan block: segment i's points start .. stop-1, its corners (or
+# None) and its values there
+_Part = tuple[int, int, int, "np.ndarray | None", np.ndarray]
+
 
 def _scan(
-    plan: _Plan, f: TestFunction, lo: float, step: float, n: int, sign: int = 1, tol: float = 1e-8,
-    keep: np.ndarray | tuple = (), real: bool = False,
-) -> Iterator[tuple[int, int, np.ndarray | None, np.ndarray, _Block]]:
+    plan: _Plan, f: TestFunction, step: float, segments: Sequence[tuple[float, int]], sign: int = 1,
+    tol: float = 1e-8, keep: np.ndarray | tuple = (), real: bool = False,
+) -> Iterator[tuple[_Block, list[_Part]]]:
     """Values of the plan's mu*f at sign * (lo + step * k) for k = 0 .. n-1,
-    a block of _SCAN_CHUNK points at a time.
+    for each segment (lo, n), a block of at most _SCAN_CHUNK points at a time.
 
-    Yields each block's start and stop, its corners, the values there in
-    order of k, and its _Block: points k = start .. stop-1 resolved once, on
-    their reach widened to the next point out, sign * (lo + step * stop).  A
-    block of atoms only is read at its corners (_Block.corners, with the
-    indices in keep), where real asks it to be read so only if its weights
-    and f are real; any other block at every k, with corners None.  Every
-    point is formed as one grid ``lo + step * np.arange(n)`` would form it."""
-    for start in range(0, n, _SCAN_CHUNK):
-        stop = min(start + _SCAN_CHUNK, n)
-        ends = sign * (lo + step * np.array([start, stop]))  # the first point and the next point out
+    The segments ascend, each one's points below the next one's first.
+    Whole segments are packed into one block while they fit; a longer one
+    is cut into blocks of _SCAN_CHUNK points.  Yields each _Block and its
+    parts (i, start, stop, corners, values): segment i's points k = start ..
+    stop-1, their corners and the values there in order of k.  A block is
+    resolved once, on the reach of its points widened to the next point out
+    of its last part, sign * (lo + step * stop), and convolved once.  A
+    block of atoms only reads each part at its corners (_Block.corners,
+    from the atoms in that part's reach, with the indices in keep), where
+    real asks it to be read so only if its weights and f are real; any
+    other part at every k, with corners None.  Every point is formed as one
+    grid ``lo + step * np.arange(n)`` would form it."""
+    blocks, run, size = [], [], 0
+    for i, (_, n) in enumerate(segments):
+        if run and (size + n > _SCAN_CHUNK):
+            blocks.append(run)
+            run, size = [], 0
+        if n > _SCAN_CHUNK:
+            blocks += [[(i, start, min(start + _SCAN_CHUNK, n))] for start in range(0, n, _SCAN_CHUNK)]
+        else:
+            run.append((i, 0, n))
+            size += n
+    if run:
+        blocks.append(run)
+    for run in blocks:
+        (first, start, _), (last, _, stop) = run[0], run[-1]
+        # the first point and the next point out
+        ends = sign * np.array([segments[first][0] + step * start, segments[last][0] + step * stop])
         block = plan.block(Window(float(ends.min()) - f.hi, float(ends.max()) - f.lo))
         complex_ = np.count_nonzero(block.res.weights.imag) or np.count_nonzero(f.samples.imag)
-        ks = None if real and complex_ else block.corners(f, lo, step, start, stop, sign, keep)
-        xs = sign * (lo + step * (np.arange(start, stop) if ks is None else ks))
-        vals = block.convolve(f, xs if sign > 0 else xs[::-1], tol)
-        yield start, stop, ks, vals if sign > 0 else vals[::-1], block
+        ks = [None if real and complex_ else block.corners(f, segments[i][0], step, a, b, sign, keep)
+              for i, a, b in run]
+        xs = [sign * (segments[i][0] + step * (np.arange(a, b) if k is None else k)) for (i, a, b), k in zip(run, ks)]
+        grid = np.concatenate(xs) if len(xs) > 1 else xs[0]
+        vals = block.convolve(f, grid, tol) if sign > 0 else block.convolve(f, grid[::-1], tol)[::-1]
+        parts, end = [], 0
+        for (i, a, b), k, x in zip(run, ks, xs):
+            parts.append((i, a, b, k, vals[end : end + x.size]))
+            end += x.size
+        yield block, parts
+        del block, ks, xs, grid, vals, parts  # resolve the next block without this one
 
 
 def variation_on(mu: MeasureExpr, w: Window, tol: float = 1e-8) -> float:
@@ -1087,7 +1125,7 @@ def seminorm_pg(
     step = g.step if step is None else step
     n = _search_count(search, step)
     plan = _Plan(mu, Window(search.lo - g.hi, search.lo + step * n - g.lo))
-    best = max(float(np.max(np.abs(vals))) for *_, vals, _ in _scan(plan, g, search.lo, step, n, tol=tol))
+    best = max(float(np.max(np.abs(vals))) for _, [(*_, vals)] in _scan(plan, g, step, [(search.lo, n)], tol=tol))
     if search.lo + step * (n - 1) < search.hi:
         # np.abs of an array, as over the grid: abs() of a complex scalar can round differently
         best = max(best, float(np.abs(convolve_grid(mu, g, np.array([search.hi]), tol))[0]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vanishkit import analysis, measures, testfunctions
 from vanishkit.analysis import (
@@ -422,39 +422,75 @@ def test_lip_margin_bounds_the_sup_between_grid_points(atoms, tent, center, half
             assert got <= sups[i] + margin + 1e-12
 
 
-def test_decay_profile_resolves_each_block_once_within_its_reach(monkeypatch):
+def test_decay_profile_resolves_each_block_once_within_its_reach(monkeypatch, record):
     # 100, 250 and 250 points per annulus and sign, in blocks of 40: 3 + 7 +
-    # 7 blocks a sign.  Each block is resolved once, on its reach widened by
-    # one step (the next point out), and the margin reads that resolution.
+    # 7 blocks a sign, as annuli longer than a block are not packed.  Each
+    # block is resolved once, on its reach widened by one step (the next
+    # point out), and the margin reads that resolution.
     monkeypatch.setattr(measures, "_SCAN_CHUNK", 40)
-    windows = []
-    resolve = measures.resolve_window
-
-    def counted(mu, w):
-        windows.append(w)
-        return resolve(mu, w)
-
-    monkeypatch.setattr(measures, "resolve_window", counted)
+    calls = record(measures, "resolve_window")
     f, step = F_COARSE, 0.01
     decay_profile(build_example("ex_a"), f, [1.0, 2.0, 4.5], 0.05, annulus_step=step)
+    windows = [w for _, w in calls]
     assert len(windows) == 2 * (3 + 7 + 7)
     reach = f.hi - f.lo
     assert all(w.width <= reach + 40 * step + 1e-9 for w in windows)
     assert max(w.width for w in windows) >= reach + 40 * step - 1e-9
 
 
-def test_scans_build_cells_once(monkeypatch):
+def test_decay_profile_packs_short_annuli_into_one_block(record):
+    # criterion 6's combs at r_max 240: annuli of 6,000, 12,000 and 12,000
+    # points at step 0.01 fit one 65,536-point block a sign, resolved once
+    # each (6 blocks when each annulus and sign was one)
+    src = LatticeComb(1.1, 0.3, lambda n: (1.0 / (1.0 + np.abs(n))).astype(np.complex128))
+    calls = record(measures, "resolve_window")
+    profile = decay_profile(PurePoint(src), tf_hat(0.0, 0.2, 1.0, step=0.002), [60.0, 120.0, 240.0], 0.05, 0.01)
+    assert len(calls) == 2
+    # 60 to the next point out, 360, and the reach of f
+    assert [w.width for _, w in calls] == pytest.approx([300.0 + 0.4] * 2)
+    assert profile.verdict == VANISHING
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    r0=st.floats(0.0, 4.0),
+    unit=st.floats(0.3, 2.0),
+    widths=st.lists(st.floats(1.0, 1.9), min_size=2, max_size=4),
+    step=st.sampled_from([0.01, 0.037, 0.25]),
+    density=st.sampled_from([None, "tent", "indicator"]),
+)
+def test_packed_annuli_scan_as_blocks_of_their_own(data, r0, unit, widths, step, density):
+    # A chunk as long as the longest annulus holds each annulus alone and no
+    # two (widths within a factor of two); a chunk of 65,536 points holds
+    # them all.  Sups and margin agree to rounding: ramps are anchored at each
+    # block's first source, and |mu| sums from each block's first atom.
+    radii = (r0 + unit * np.concatenate(([0.0], np.cumsum(widths[:-1])))).tolist()
+    bounds = analysis._annulus_bounds(radii)
+    counts = [analysis._annulus_count(lo, hi, step) for lo, hi in bounds]
+    assume(all(a + b > max(counts) for a, b in zip(counts, counts[1:])))
+    outer = bounds[-1][1]
+    weight = st.complex_numbers(max_magnitude=3.0)
+    atoms = data.draw(st.lists(st.tuples(st.floats(-outer - 1.0, outer + 1.0), weight), min_size=1, max_size=200))
+    mu = PurePoint(FiniteAtoms(atoms))
+    if density is not None:
+        c, w, h = data.draw(st.floats(-outer, outer)), data.draw(st.floats(0.1, 3.0)), data.draw(weight)
+        mu = Sum((mu, AbsCont(TriangleDensity(c, w, h) if density == "tent" else IndicatorDensity(c - w, c + w, h))))
+    f = tf_hat(data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(0.05, 1.0)), data.draw(weight))
+    with pytest.MonkeyPatch.context() as mp:
+        packed = decay_profile(mu, f, radii, 0.05, annulus_step=step)
+        mp.setattr(measures, "_SCAN_CHUNK", max(counts))
+        alone = decay_profile(mu, f, radii, 0.05, annulus_step=step)
+    scale = 1e-12 * (sum(abs(w) for _, w in atoms) + 20.0) * f.sup_norm
+    assert packed.sups == pytest.approx(alone.sups, rel=1e-12, abs=scale)
+    assert packed.lip_margin == pytest.approx(alone.lip_margin, rel=1e-12)
+
+
+def test_scans_build_cells_once(monkeypatch, record):
     # mean_abs(ex_bf, ...) cut ex_bf's cells once per 65,536-point block, 32
     # times; one plan builds them once on the scan's hull, as decay_profile's
     # does for all its annuli and both signs
-    calls = []
-    cells = measures._affine_cells
-
-    def counted(piece, clip):
-        calls.append(clip)
-        return cells(piece, clip)
-
-    monkeypatch.setattr(measures, "_affine_cells", counted)
+    calls = record(measures, "_affine_cells")
     mu = build_example("ex_bf")
     mean_abs(mu, tf_hat(0.0, 0.25), [10, 100, 1000])
     assert len(calls) == 1
@@ -560,40 +596,33 @@ def test_closed_form_means_equal_the_rational_trapezoid(monkeypatch):
     assert got == pytest.approx([float(w) for w in want], rel=1e-13)
 
 
-def _points_sent(monkeypatch):
-    sent = [0]
-    convolve = measures._Block.convolve
-
-    def counted(self, f, grid, tol):
-        sent[0] += grid.size
-        return convolve(self, f, grid, tol)
-
-    monkeypatch.setattr(measures._Block, "convolve", counted)
-    return sent
+def _points_sent(calls):
+    """Grid points sent to _Block.convolve, from its recorded calls."""
+    return sum(grid.size for _, _, grid, _ in calls)
 
 
-def test_corner_scans_evaluate_few_points(monkeypatch):
+def test_corner_scans_evaluate_few_points(record):
     # ex_a's pairs are about one per unit: 11,264,000 grid points of the
     # hat(0, 0.125) decay to r 1000 and 2,048,001 of the hat(0, 0.25) mean
     # to n 1000 hold a few breakpoints per unit each
     mu = build_example("ex_a")
-    sent = _points_sent(monkeypatch)
+    calls = record(measures._Block, "convolve")
     decay_profile(mu, tf_hat(0.0, 0.125), [125, 250, 500, 1000], 0.05)
-    assert sent[0] <= 0.01 * 11_264_000
-    sent[0] = 0
+    assert _points_sent(calls) <= 0.01 * 11_264_000
+    calls.clear()
     mean_abs(mu, tf_hat(0.0, 0.25), [100, 1000])
-    assert sent[0] <= 0.025 * 2_048_001
+    assert _points_sent(calls) <= 0.025 * 2_048_001
 
 
-def test_declined_blocks_send_the_full_grid(monkeypatch):
+def test_declined_blocks_send_the_full_grid(record):
     # ex_bf's cells are densities: mu*f is not piecewise linear at atoms +
     # knots.  An autocorrelation has a kink at about every point of its grid,
     # so the corners would be every point that an atom of ex_a reaches.
-    sent = _points_sent(monkeypatch)
+    calls = record(measures._Block, "convolve")
     mean_abs(build_example("ex_bf"), tf_hat(0.0, 0.25, 1.0, step=0.01), [1, 3])
-    assert sent[0] == 601
-    sent[0] = 0
+    assert _points_sent(calls) == 601
+    calls.clear()
     hat = tf_hat(0.0, 0.125, 1.0)
     g = tf_convolve(hat, tf_reflect_conj(hat))
     mean_abs(build_example("ex_a"), g, [1, 2])
-    assert sent[0] == round(4 / g.step) + 1
+    assert _points_sent(calls) == round(4 / g.step) + 1

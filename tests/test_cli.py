@@ -194,16 +194,9 @@ def test_blocks_validation_failure_exits_two():
     assert report["h_support"] is True
 
 
-def test_blocks_pass_reports_coverage(monkeypatch):
-    calls = []
-    real = constructions._validate
-
-    def counted(inp, probes=None):
-        calls.append(inp)
-        return real(inp, probes)
-
+def test_blocks_pass_reports_coverage(record):
     # validate_block_sum and generate_block_sum both validate through it
-    monkeypatch.setattr(constructions, "_validate", counted)
+    calls = record(constructions, "_validate")
     parts = [
         {"shift": float(n), "atoms": [[0.0, 2.0 ** -n, 0.0]]} for n in range(1, 41)
     ]

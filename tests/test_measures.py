@@ -608,6 +608,66 @@ def test_smooth_panels_bound_their_temporaries():
     assert np.max(np.abs(vals[some] - _per_point(mu, f, xs[some]))) <= 1e-10
 
 
+def test_panel_chunk_builds_its_ramp_reads_once(record):
+    # mean_abs's 4,097-point grid takes levels 0 and 1: the reads, at
+    # x - f.hi and at x - c_k for the hat's two kinks below f.hi (a batch
+    # each), are built once and read at both levels
+    f = tf_hat(0.0, 0.25, 1.0)
+    reads = record(ramps._Reads, "__init__")
+    at = record(ramps._Ramps, "at")
+    levels = record(measures, "_panel_values")
+    convolve_grid(build_example("j0_radial"), f, 0.5 + f.step * np.arange(4097))
+    assert len(levels) == 2 and len(reads) == 1 and len(at) == 3
+
+
+def _per_block_sums(left, mass, first, span):
+    """G and H of each block, 0 and then one cumsum of the block alone (the
+    loop that _Ramps replaced)."""
+    blocks = np.floor((left - left[0]) / span).astype(np.intp)
+    start = blocks.searchsorted(np.arange(blocks[-1] + 2))
+    moment = (left - (left[0] + span * blocks)) * mass + first
+    return [(np.r_[0j, np.cumsum(mass[i:j])], np.r_[0j, np.cumsum(moment[i:j])]) for i, j in zip(start, start[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+    dense=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ramp_prefix_sums_equal_the_per_block_loop(counts, dense, seed):
+    # Empty blocks, one-source blocks and one dense block among sparse ones:
+    # each block's running sums, read where the ramps read them, equal a
+    # cumsum of that block alone bit for bit (signed zeros included).
+    rng = np.random.default_rng(seed)
+    counts = [1, *counts]  # the first source sets the base
+    counts.insert(int(rng.integers(0, len(counts) + 1)), dense)
+    span = 0.5
+    left = np.concatenate([b * span + np.sort(rng.uniform(0.0, span, c)) for b, c in enumerate(counts)])
+    left = np.unique(left[left < span * len(counts)])
+    mass = rng.normal(size=(left.size, 2)) @ np.array([1.0, 1j])
+    mass[rng.random(left.size) < 0.1] = complex(-0.0, -0.0)
+    first = rng.normal(size=left.size) * 1e-3 + 0j
+    r = ramps._Ramps(left, span).load(mass, first)
+    for b, (g, h) in enumerate(_per_block_sums(left, mass, first, span)):
+        i, j = r.start[b], r.start[b + 1]
+        got = r.read(r.at(np.r_[left[i:j], np.inf], np.full(j - i + 1, b)))
+        assert [x.tobytes() for x in got] == [g.tobytes(), h.tobytes()]
+        assert [x.tobytes() for x in r.read(r.end(np.array([b])))] == [g[-1:].tobytes(), h[-1:].tobytes()]
+
+
+def test_ramp_sums_take_a_few_cumsums_however_many_blocks(record):
+    # one cumsum per row width (counts of one quarter octave share one) and
+    # per sum: 1,000 blocks of 1 to 39 sources take at most 2 * 4 * 6
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 40, size=1000)
+    left = np.concatenate([b + np.sort(rng.uniform(0.0, 1.0, c)) for b, c in enumerate(counts)])
+    ramp = ramps._Ramps(left, 1.0)
+    calls = record(np, "cumsum")
+    ramp.load(np.ones(left.size, dtype=np.complex128))
+    assert ramp.n == 1000 and len(calls) <= 2 * 4 * 6
+
+
 # ---------------------------------------------------------------------------
 # Affine cells: the pair scatter against the per-cell loop it replaced
 # ---------------------------------------------------------------------------
@@ -807,28 +867,15 @@ def test_pair_scatter_splits_a_wide_source_across_chunks(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _spy(monkeypatch, name):
-    """Count the calls of a private function of measures from here on."""
-    calls = []
-    inner = getattr(measures, name)
-
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
-
-    monkeypatch.setattr(measures, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("name", ["ex_b", "ex_nu"])
-def test_ramp_far_out_atoms_against_double_sum(monkeypatch, name):
+def test_ramp_far_out_atoms_against_double_sum(monkeypatch, record, name):
     # about 1,000 atoms per unit, so some 125 per support width of f
     mu, f = build_example(name), tf_hat(0.0, 0.125, 1.0)
     grid = np.arange(1000.0, 1100.0, 0.01) + 0.003
     res = resolve_window(mu, Window(grid[0] - f.hi, grid[-1] - f.lo))
     want = _atom_double_sum(res.positions, res.weights, f, grid, chunk=100)
     want += _reference_convolve_grid(mu, f, grid)[0]  # ex_b's Lebesgue part
-    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    ramp_calls = record(measures, "_ramp_into_grid")
     got = convolve_grid(mu, f, grid)
     assert len(ramp_calls) == 1  # the chooser's own pick
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -874,19 +921,19 @@ def test_ramp_non_dyadic_hat(monkeypatch):
     assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
 
 
-def test_ramp_chooser_keeps_sparse_atoms_on_pairs(monkeypatch):
+def test_ramp_chooser_keeps_sparse_atoms_on_pairs(monkeypatch, record):
     # ex_a has two atoms per unit: a few pairs per grid point, fewer than
     # the ramp would make queries.
-    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    ramp_calls = record(measures, "_ramp_into_grid")
     chunks = _count_chunks(monkeypatch)
     convolve_grid(build_example("ex_a"), tf_hat(0.0, 0.125, 1.0), np.arange(1000.0, 1010.0, 0.125 / 512))
     assert ramp_calls == [] and len(chunks) >= 1
 
 
-def test_ramp_chooser_keeps_far_apart_clusters_on_pairs(monkeypatch):
+def test_ramp_chooser_keeps_far_apart_clusters_on_pairs(record):
     # Dense atoms, but in two clusters 1e6 apart: blocks of one support
     # width between them would outnumber the atoms 400 to 1.
-    ramp_calls = _spy(monkeypatch, "_ramp_into_grid")
+    ramp_calls = record(measures, "_ramp_into_grid")
     rng = np.random.default_rng(5)
     pos = np.concatenate((rng.uniform(0.0, 1.0, 5000), 1e6 + rng.uniform(0.0, 1.0, 5000)))
     mu = PurePoint(FiniteAtoms([(p, 1.0) for p in pos.tolist()]))
@@ -958,25 +1005,19 @@ def test_steep_cells_evaluate_f_once_per_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [tf_hat(0.0, 1.0, 1.0), _autocorr_hat()], ids=["hat", "autocorr"])
-def test_steep_pairs_evaluate_f_within_the_chunk_bound(monkeypatch, f):
+def test_steep_pairs_evaluate_f_within_the_chunk_bound(monkeypatch, record, f):
     # A steep pair evaluates f at two GL2 nodes on each knot interval of f
     # it crosses.  A steep cell is narrower than (f.hi - f.lo) / 49,999, so
     # it crosses at most one interval more than the most knots such a window
     # holds, and a chunk of _SCATTER_CHUNK pairs stays within that multiple.
     _take_path(monkeypatch, "pairs")
     chunks = _count_chunks(monkeypatch)
-    calls = []
-    values = type(f).values
-
-    def counted(self, xs):
-        calls.append(np.size(xs))
-        return values(self, xs)
-
-    monkeypatch.setattr(type(f), "values", counted)
+    calls = record(type(f), "values")
     convolve_grid(build_example("ex_tent"), f, np.linspace(0.0, 52.0, 20801))
     assert max(chunks) == _SCATTER_CHUNK
     reach = f.knots.searchsorted(f.knots + (f.hi - f.lo) / 49_999) - np.arange(f.knots.size)
-    assert 2 * _SCATTER_CHUNK <= max(calls) <= 2 * _SCATTER_CHUNK * (1 + int(reach.max()))
+    evaluated = max(np.size(xs) for _, xs in calls)
+    assert 2 * _SCATTER_CHUNK <= evaluated <= 2 * _SCATTER_CHUNK * (1 + int(reach.max()))
 
 
 def test_integral_and_moment_accept_scalars():

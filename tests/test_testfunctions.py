@@ -311,15 +311,15 @@ def _check_against_dense(f, grid, ys, points):
     scale = float(np.max(np.abs(ys)))
     width = f.hi - f.lo
     reach = max(abs(f.lo), abs(f.hi))
-    assert np.max(np.abs(f.values(points) - np.interp(points, grid, ys)), initial=0.0) <= 1e-13 * scale
+    # the knots carry the rounding of lo + j step, which moves a slope by
+    # about eps * reach / step relative, and a value by as much of scale
+    slack = 1e-13 + 4.0 * np.finfo(float).eps * reach / f.step
+    assert np.max(np.abs(f.values(points) - np.interp(points, grid, ys)), initial=0.0) <= slack * scale
     for u in points:
         total, moment = _dense_integrals(grid, ys, float(u))
         assert abs(f.integral_to(u) - total) <= 1e-13 * scale * width
         assert abs(f.moment_to(u) - moment) <= 1e-13 * scale * width * reach
     assert abs(f.mass - _dense_integrals(grid, ys, f.hi)[0]) <= 1e-13 * scale * width
-    # the knots carry the rounding of lo + j step, which moves a slope by
-    # about eps * reach / step relative
-    slack = 1e-13 + 4.0 * np.finfo(float).eps * reach / f.step
     assert f.lipschitz == pytest.approx(np.max(np.abs(np.diff(ys))) / f.step, rel=slack)
     # f(u) = sum_k s_k (u - c_k)_+, the kinks are knots, and the jumps sum to 0
     c, s = f.kinks
@@ -394,6 +394,19 @@ def test_random_polygons_from_samples_match_the_dense_interpolant(lo, step, re, 
     assert f.samples.tolist() == ys[np.isin(grid, f.knots)].tolist()
     if np.any(ys != 0):
         _check_against_dense(f, grid, ys, _probe_points(grid, data))
+
+
+def test_polygon_values_carry_the_rounding_of_their_knots():
+    # 2,000 steps from 0: lo + 2 * step rounds, and values at 2.002, read off
+    # the knots 2.001 and 2.003, are off by 2.2e-13 against the interpolant,
+    # more than 1e-13 of the 2.0 peak, within eps * reach / step of it
+    lo, step = 2.0, 0.001
+    ys = np.array([0.0, 0.0, -1.0, -2.0, 0.0], dtype=np.complex128)
+    grid = lo + step * np.arange(ys.size)
+    f = testfunctions.TestFunction.from_samples(lo, step, ys)
+    points = np.array([2.002])
+    assert np.abs(f.values(points) - np.interp(points, grid, ys))[0] > 1e-13 * 2.0
+    _check_against_dense(f, grid, ys, points)
 
 
 @pytest.mark.parametrize("knots, samples, step", [
