@@ -76,7 +76,7 @@ def exp_sum(positions, weights, k):
 def _panel_nodes(lo: float, h: float, n_panels: int) -> np.ndarray:
     """The GL8 nodes lo + h (2p + 1 + x_q) of n_panels panels of width 2h
     from lo, as an (n_panels, 8) array."""
-    return lo + h * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL[8][0])
+    return lo + h * (2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL["G8"][0])
 
 
 def _panel_exp_sum(x: np.ndarray, lo: float, h: float, vals: np.ndarray, sign: int) -> np.ndarray:
@@ -179,7 +179,7 @@ def _gl8_integral(spans: list, weight: Callable, xs: np.ndarray, sign: int, rate
         for (a, b), n_panels in zip(spans, _gl8_panels(spans, rate, what)):
             h = 0.5 * (b - a) / n_panels
             nodes = _panel_nodes(a, h, n_panels)
-            vals = (h * _GL[8][1]) * weight(nodes.ravel()).reshape(nodes.shape)
+            vals = (h * _GL["G8"][1]) * weight(nodes.ravel()).reshape(nodes.shape)
             total += _panel_exp_sum(xs, a, h, vals, sign)
         return total
 

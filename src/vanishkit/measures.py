@@ -70,16 +70,22 @@ __all__ = [
     "seminorm_pg",
 ]
 
-# Gauss-Legendre rules on [-1, 1], n: (nodes, weights), each bit for bit as
-# np.polynomial.legendre.leggauss(n) gives it
+# Quadrature rules on [-1, 1], name: (nodes, weights), ascending.  G2 and G8
+# are bit for bit what np.polynomial.legendre.leggauss gives; G3 and K7, its
+# Kronrod extension (Kronrod 1965), are rounded from 50-digit values.  K7
+# keeps the three G3 nodes (its odd entries), bit for bit.
 _GL = {
-    2: (np.array([-0.5773502691896257, 0.5773502691896257]), np.array([1.0, 1.0])),
-    4: (np.array([-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]),
-        np.array([0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357])),
-    8: (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
-                  0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]),
-        np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
-                  0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])),
+    "G2": (np.array([-0.5773502691896257, 0.5773502691896257]), np.array([1.0, 1.0])),
+    "G3": (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
+           np.array([0.5555555555555556, 0.8888888888888888, 0.5555555555555556])),
+    "K7": (np.array([-0.9604912687080203, -0.7745966692414834, -0.43424374934680254, 0.0,
+                     0.43424374934680254, 0.7745966692414834, 0.9604912687080203]),
+           np.array([0.10465622602646726, 0.26848808986833345, 0.40139741477596225, 0.45091653865847414,
+                     0.40139741477596225, 0.26848808986833345, 0.10465622602646726])),
+    "G8": (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                     0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]),
+           np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                     0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])),
 }
 
 
@@ -563,43 +569,65 @@ def _affine_cells(piece: TransformedDensity, clip: Window) -> _Cells | None:
 # ---------------------------------------------------------------------------
 
 
+def _depth(width: np.ndarray, f: TestFunction) -> int:
+    """The halvings after which no sub-panel of panels this wide is wider
+    than f.step / 64: 6 + ceil(log2(widest panel / f.step))."""
+    # knot-to-knot panels span a whole number of cells up to rounding
+    cells = int(np.ceil(float(np.max(width)) / f.step - 1e-9))
+    return 6 + max(0, cells - 1).bit_length()
+
+
+def _kronrod_levels(sums: Callable, depth: int) -> Iterator[np.ndarray]:
+    """The levels of a smooth-density kernel, finer and finer: G3 on each
+    panel, K7 on each panel, then K7 on 2, 4, ..., 2**depth equal
+    sub-panels.
+
+    sums(t, w) gives the kernel's sums over the nodes t in [0, 1] of every
+    panel, one per row of the weights w (rows x nodes).  K7 keeps the three
+    G3 nodes, so the G3 level weighs its values by both rules and the K7
+    level evaluates only its four new nodes: 7 evaluations per panel for
+    the two levels.
+    """
+    nodes, weights = _GL["K7"]
+    gauss, kronrod = sums(0.5 * (1.0 + nodes[1::2]), 0.5 * np.stack((_GL["G3"][1], weights[1::2])))
+    yield gauss
+    yield kronrod + sums(0.5 * (1.0 + nodes[::2]), 0.5 * weights[None, ::2])[0]
+    for s in range(1, depth + 1):
+        sub = 2**s
+        t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + nodes)) / sub).ravel()
+        yield sums(t, np.tile(0.5 * weights / sub, sub)[None])[0]
+
+
 def _smooth_convolution(
     piece: TransformedDensity, f: TestFunction, xs: np.ndarray, u_lo: float, u_hi: float, tol: float
 ) -> np.ndarray:
     """Integral of f(u) * density(x - u) over [u_lo, u_hi], for each x in xs.
 
-    GL4 on panels whose edges are u_lo, the kinks of f strictly inside,
-    and u_hi.  f is affine on each panel, so the rule converges as fast as
-    the density allows.  Every panel is split 2**s ways for s = 0, 1, ...
-    until two levels agree to tol at every x.  The deepest level is
-    6 + ceil(log2(widest panel / f.step)), which splits every panel into
-    pieces no wider than f.step / 64.
+    The panels' edges are u_lo, the kinks of f strictly inside, and u_hi.
+    f is affine on each panel, so the rule converges as fast as the density
+    allows.  The levels are _kronrod_levels's, down to sub-panels no wider
+    than f.step / 64 (_depth), until two agree to tol at every x.
     """
     kinks = f.kinks[0]
     edges = np.concatenate(([u_lo], kinks[(kinks > u_lo) & (kinks < u_hi)], [u_hi]))
-    # knot-to-knot panels span a whole number of cells up to rounding
-    cells = int(np.ceil(float(np.max(np.diff(edges))) / f.step - 1e-9))
-    depth = 6 + max(0, cells - 1).bit_length()
+    left, width = edges[:-1], np.diff(edges)
 
-    def values(splits: int) -> np.ndarray:
-        sub = 2**splits
-        width = np.diff(edges) / sub
-        mid = (edges[:-1, None] + width[:, None] * (np.arange(sub) + 0.5)[None, :]).ravel()
-        half = np.repeat(0.5 * width, sub)[:, None]
-        nodes = (mid[:, None] + half * _GL[4][0][None, :]).ravel()
-        wf = (half * _GL[4][1][None, :]).ravel() * f.values(nodes)
-        acc = np.empty(xs.size, dtype=np.complex128)
+    def sums(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        nodes = (left[:, None] + width[:, None] * t).ravel()
+        wf = (width[:, None] * w[:, None, :]).reshape(w.shape[0], -1) * f.values(nodes)
+        acc = np.empty((w.shape[0], xs.size), dtype=np.complex128)
         chunk = max(1, int(2_000_000 // max(nodes.size, 1)))
         for start in range(0, xs.size, chunk):
-            part = xs[start : start + chunk]
-            acc[start : start + chunk] = (piece.evalv(part[:, None] - nodes[None, :]) * wf).sum(axis=1)
+            rho = piece.evalv(xs[start : start + chunk, None] - nodes[None, :])
+            for row, weighted in enumerate(wf):
+                acc[row, start : start + chunk] = (rho * weighted).sum(axis=1)
         return acc
 
-    return _refine(((v, v) for v in map(values, range(depth + 1))), tol, "density")[0]
+    return _refine(((v, v) for v in _kronrod_levels(sums, _depth(width, f))), tol, "density")[0]
 
 
 # Entries of the query array x_i - c_k that one chunk of grid points builds
-# (and of the reads the chunk keeps for its levels), and of one level's GL4
+# (and of the reads the chunk keeps for its levels), and of one level's
 # nodes built at a time, so each temporary stays near 32 MB however many
 # points and kinks there are.
 _PANEL_CHUNK = 1 << 21
@@ -611,24 +639,31 @@ _PANEL_CHUNK = 1 << 21
 _BUCKET = 2.0**-20
 
 
-def _panel_values(
-    piece: TransformedDensity, reads: _Reads, left: np.ndarray, width: np.ndarray, splits: int
-) -> np.ndarray:
+def _panel_moments(piece: TransformedDensity, left: np.ndarray, width: np.ndarray) -> Callable:
+    """sums(t, w) for _kronrod_levels on the panels [left, left + width]:
+    per row of w, each panel's mass and first moment about its left edge
+    (rows x (mass, first) x panels), in units of width and width**2, from
+    _PANEL_CHUNK nodes at a time."""
+
+    def sums(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        rule = np.concatenate((w, w * t))  # the integrals of 1 and of t
+        out = np.empty((rule.shape[0], left.size, 2))  # rule x panel x (real, imag)
+        rows = max(1, _PANEL_CHUNK // t.size)
+        for i in range(0, left.size, rows):
+            nodes = left[i : i + rows] + width[i : i + rows] * t[:, None]
+            rho = np.ascontiguousarray(piece.evalv(nodes), np.complex128)
+            # einsum, not BLAS: a threaded zgemm spins a second core for these thin products
+            out[:, i : i + rows] = np.einsum("km,mnc->knc", rule, rho.view(np.float64).reshape(*rho.shape, 2))
+        return out.view(np.complex128)[..., 0].reshape(2, w.shape[0], left.size).swapaxes(0, 1)
+
+    return sums
+
+
+def _panel_values(reads: _Reads, width: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """(piece * f)(x) at the points of reads, as ramp sums over the panels
-    [left, left + width] that its ramps were laid out on, their mass and
-    first moment about the left edge from GL4 on 2**splits equal
-    sub-panels, _PANEL_CHUNK nodes at a time."""
-    sub = 2**splits
-    t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + _GL[4][0])) / sub).ravel()  # nodes on [0, 1]
-    w = np.tile(0.5 * _GL[4][1] / sub, sub)
-    rule = np.stack((w, w * t))  # the integrals of 1 and of t
-    sums = np.empty((2, left.size, 2))  # (1, t) x panel x (real, imag)
-    rows = max(1, _PANEL_CHUNK // t.size)
-    for i in range(0, left.size, rows):
-        rho = np.ascontiguousarray(piece.evalv(left[i : i + rows] + width[i : i + rows] * t[:, None]), np.complex128)
-        # einsum, not BLAS: a threaded zgemm spins a second core for these thin products
-        sums[:, i : i + rows] = np.einsum("km,mnc->knc", rule, rho.view(np.float64).reshape(*rho.shape, 2))
-    mass, first = sums.view(np.complex128)[..., 0]
+    of these widths that its ramps were laid out on, from one level's
+    moments (_panel_moments)."""
+    mass, first = moments
     reads.ramps.load(width * mass, width * width * first)
     return reads.values()
 
@@ -671,13 +706,12 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
     at x - c_k, and at x - f.hi, where all R_k read, the sum of theirs is
     f(f.hi) = 0.
 
-    Each panel's mass and first moment come from GL4 on 2**s equal
-    sub-panels, and the chunk's values from _Ramps.  Levels s = 0, 1, ... run
-    until two agree to tol at every point of the chunk.  The deepest level is
-    6 + ceil(log2(widest panel / f.step)), which splits every panel into
-    pieces no wider than f.step / 64.  The panels' ramp layout and the
-    chunk's reads of it (the block and position of each query, at most
-    _PANEL_CHUNK of them) are built once; a level only loads its sums.
+    Each panel's mass and first moment come from _kronrod_levels, and the
+    chunk's values from _Ramps, level by level down to sub-panels no wider
+    than f.step / 64 (_depth), until two levels agree to tol at every point
+    of the chunk.  The panels' ramp layout and the chunk's reads of it (the
+    block and position of each query, at most _PANEL_CHUNK of them) are
+    built once; a level only loads its sums.
     """
     at = f.kinks[0][f.kinks[0] < f.hi]
     if not at.size:  # f vanishes
@@ -688,9 +722,9 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
         left, width = _panels(x, at, f)
         if not left.size:
             continue
-        depth = 6 + max(0, int(np.ceil(float(np.max(width)) / f.step - 1e-9)) - 1).bit_length()
         reads = _Reads(_Ramps(left, f.hi - f.lo), f, x, keep=True)
-        levels = (_panel_values(piece, reads, left, width, s) for s in range(depth + 1))
+        moments = _kronrod_levels(_panel_moments(piece, left, width), _depth(width, f))
+        levels = (_panel_values(reads, width, m) for m in moments)
         out[start : start + x.size] += _refine(((v, v) for v in levels), tol, "density")[0]
         del reads, levels  # before the next chunk's query array
 
@@ -734,14 +768,17 @@ def _smooth_into_grid(
 
 
 # The (source, grid point) pairs one scatter chunk expands, so its
-# temporaries stay near 256 kB whatever the source count and grid size (a
+# temporaries stay near 64 kB whatever the source count and grid size (a
 # source reaching more grid points is split across chunks).  A steep cell's
 # pair expands to one GL2 sub-cell per knot interval of f it crosses, at most
 # f.knots.size - 1 (and 2 where the knots are further apart than a steep
 # cell is wide, under (f.hi - f.lo) / 49,999; see _steep_cells).
-# On a Xeon with 2 MB of L2 per core, chunks of 2^16 pairs made convolve_grid
-# about 30 % slower.
-_SCATTER_CHUNK = 1 << 14
+# At 2^14 pairs the chunk's 256 kB temporaries sat at glibc's mmap threshold
+# and were mapped, or trimmed off the heap, and faulted in again per chunk:
+# convolve_grid(ex_tent, hat(0, 0.25)) on 20,801 points, the steep-cell
+# scatter, took about 1,000 page faults and 3.8-6.0 ms of CPU per call; at
+# 2^12, none and 2.8-4.5 ms (best of 20).
+_SCATTER_CHUNK = 1 << 12
 
 
 def _scatter_pairs(i0: np.ndarray, i1: np.ndarray, pair_values: Callable, out: np.ndarray) -> None:
@@ -817,7 +854,7 @@ def _cell_pairs(cells: _Cells, steep: np.ndarray, f: TestFunction, s: np.ndarray
         pair, left, right = pair[good], left[good], right[good]
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
-        u1, u2 = mid + _GL[2][0][:, None] * half
+        u1, u2 = mid + _GL["G2"][0][:, None] * half
         c = s[pair]
         rel = x[pair] - 0.5 * (a[c] + b[c])
         fu = f.values(np.concatenate((u1, u2)))

@@ -324,12 +324,57 @@ def test_j0_table_is_rebuilt_from_bessel_j0():
 
 
 def test_gl8_literals_are_leggauss_8():
-    # the one Gauss-Legendre table, every rule in it (GL2, GL4, GL8)
-    assert sorted(measures._GL) == [2, 4, 8]
-    for n, (nodes, weights) in measures._GL.items():
-        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    # the one quadrature table: G2 and G8 bit for bit as leggauss gives them
+    assert sorted(measures._GL) == ["G2", "G3", "G8", "K7"]
+    for name in ("G2", "G8"):
+        nodes, weights = measures._GL[name]
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(int(name[1:]))
         assert nodes.tobytes() == want_nodes.tobytes()
         assert weights.tobytes() == want_weights.tobytes()
+
+
+def _kronrod_7():
+    """G3 and its Kronrod extension K7 on [-1, 1] at 50 digits: the new
+    nodes are the roots of the Stieltjes polynomial x^4 + a x^2 + b, which
+    is orthogonal to x and x^3 against P3; the weights make the rule exact
+    on 1, x, ..., x^6."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g = mpmath.sqrt(mpmath.mpf(3) / 5)
+        gauss = ([-g, mpmath.mpf(0), g], [mpmath.mpf(5) / 9, mpmath.mpf(8) / 9, mpmath.mpf(5) / 9])
+
+        def moment(k):  # the integral of P3(x) x^k over [-1, 1]
+            return mpmath.quad(lambda x: (5 * x**3 - 3 * x) / 2 * x**k, [-1, 1])
+
+        a, b = mpmath.lu_solve(
+            mpmath.matrix([[moment(3), moment(1)], [moment(5), moment(3)]]), mpmath.matrix([-moment(5), -moment(7)])
+        )
+        roots = sorted(mpmath.re(y) for y in mpmath.polyroots([1, a, b]))
+        new = [mpmath.sqrt(y) for y in roots]
+        nodes = sorted(gauss[0] + new + [-x for x in new])
+        moments = mpmath.matrix([mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0 for k in range(7)])
+        weights = mpmath.lu_solve(mpmath.matrix([[x**k for x in nodes] for k in range(7)]), moments)
+        return gauss, (nodes, list(weights))
+
+
+def test_gauss_kronrod_literals_within_an_ulp_of_50_digits():
+    # each literal is within one ulp of its 50-digit value, and K7's odd
+    # entries are G3's nodes bit for bit, so its first level reuses them
+    gauss, kronrod = _kronrod_7()
+    for name, exact in (("G3", gauss), ("K7", kronrod)):
+        for got, want in zip(measures._GL[name], exact):
+            assert got.size == len(want)
+            want = np.array([float(v) for v in want])
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert measures._GL["K7"][0][1::2].tobytes() == measures._GL["G3"][0].tobytes()
+
+
+def test_kronrod_7_is_exact_to_degree_11():
+    nodes, weights = measures._GL["K7"]
+    for d in range(13):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        error = abs(float(weights @ nodes**d) - exact)
+        assert (error <= 1e-15) == (d <= 11), d
 
 
 def _j0_vec_error(xs):

@@ -364,8 +364,9 @@ def _jump(xs):
 
 _NOT_CONVERGING = {
     # quadrature: (its call on a jump inside its domain, the levels it builds);
-    # the hat's panels are 256 of its steps wide, so splits run 0 to 6 + 8
-    "density": (lambda: convolve_grid(AbsCont(FunctionDensity(np.sign)), tf_hat(0.0, 0.25, 1.0), np.array([0.05])), 15),
+    # the hat's panels are 256 of its steps wide, so G3, then K7 on 2^s
+    # sub-panels for s = 0 to 6 + 8
+    "density": (lambda: convolve_grid(AbsCont(FunctionDensity(np.sign)), tf_hat(0.0, 0.25, 1.0), np.array([0.05])), 16),
     "variation": (lambda: variation_on(AbsCont(FunctionDensity(_jump, Window(0.0, 1.0))), Window(0.0, 1.0)), 16),
     "transform": (lambda: fourier.ft_compact(FunctionDensity(_jump, Window(0.0, 1.0)), np.array([0.0, 1.0])), 4),
     "spectral": (
@@ -513,10 +514,12 @@ class _CountingJ0:
 @pytest.mark.parametrize(
     "autocorr, ceiling",
     [
-        # the two panels of each point's reach, 0.25 wide, at levels 0 to 2
-        # (levels 0 and 1 differ by 5.7e-8); 6,144 with one panel per sample cell
-        (False, 56),
-        (True, 147_456),  # every knot of the autocorrelation is a kink
+        # the two panels of each point's reach, 0.25 wide, at G3, K7 and K7
+        # on halves, 3 + 4 + 14 evaluations each (G3 and K7 differ by 1.7e-5)
+        (False, 42),
+        # every knot of the autocorrelation is a kink: at most 12,288 panels,
+        # 7 evaluations each (G3 and K7 agree)
+        (True, 86_016),
     ],
 )
 def test_smooth_density_work_ceiling(autocorr, ceiling):
@@ -535,11 +538,12 @@ def test_smooth_density_work_ceiling(autocorr, ceiling):
     [
         # mean_abs's grid for n = 2: the reaches of neighbouring points share
         # their panels, one step wide, so each of the 4,096 + 512 panels costs
-        # 4 + 8 evaluations, 13.5 per point (56 with a quadrature per point)
-        (4097, 1.0, 14),
+        # 3 + 4 evaluations (G3, then K7's new nodes), 7.87 per point (42 with
+        # a quadrature per point)
+        (4097, 1.0, 8),
         # one of decay_profile's annulus blocks, at half a step: panels half a
-        # step wide, 23.99 per point
-        (1024, 0.5, 24),
+        # step wide, 13.99 per point
+        (1024, 0.5, 14),
     ],
 )
 def test_smooth_density_dense_grid_work_ceiling(points, spacing, ceiling):
