@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import specio
-from .acceptance import format_results, run_all
+from .acceptance import _CRITERIA, format_results, run_all
 from .analysis import (
     VANISHING,
     coefficients_vanishing,
@@ -148,9 +148,31 @@ def _csv_field(value: object) -> str:
     return str(value)
 
 
+# Report fields whose infinity is a value, not an overflow: the blocks
+# report's min_shift_gap, where fewer than two shifts leave no gap.
+_INFINITE_BY_DEFINITION = frozenset({"min_shift_gap"})
+
+
+def _finite(value: object) -> bool:
+    """Whether every number in a report value (a list, an array, a scalar) is finite."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, (float, np.ndarray)) or bool(np.isfinite(value).all())
+
+
+def _check_finite(fields: dict) -> None:
+    """Refuse a report field holding inf or NaN: it is no bound or value to
+    report, and JSON has no token for it (json.dumps writes Infinity)."""
+    for name, value in fields.items():
+        if name not in _INFINITE_BY_DEFINITION and not _finite(value):
+            raise InvalidArgument(f"report field {name} is not finite")
+
+
 def _emit_report(args: argparse.Namespace, report: dict, header: str, rows: Sequence[Sequence]) -> None:
     """A report as json.dumps(indent=2, sort_keys=True), or as CSV: header,
-    then one line per row, a field holding a comma quoted."""
+    then one line per row (drawn from the report), a field holding a comma
+    quoted.  A non-finite report field is refused (_check_finite)."""
+    _check_finite(report)
     with _output(args) as out:
         if args.format == "json":
             out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -181,7 +203,8 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
     scalar fields plus ``rows``, one object per row keyed by the same names,
     as json.dumps(indent=2, sort_keys=True) writes it.  Rows are written in
     blocks of _CSV_ROWS: a JSON block is _json_rows, in the place of a
-    placeholder for ``rows``.
+    placeholder for ``rows``.  It encodes any float as json.dumps does, NaN
+    and +-inf included; commands write through _emit_finite_table.
     """
     names = list(columns)
     with _output(args) as out:
@@ -200,6 +223,12 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
             out.write("\n  ]" + tail + "\n")
 
 
+def _emit_finite_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:
+    """_emit_table, refusing a non-finite column or field (_check_finite)."""
+    _check_finite({**columns, **fields})
+    _emit_table(args, columns, **fields)
+
+
 def _default_annulus_step(f, radii: Sequence[float]) -> float:
     # Cap the scan at ~200k sample points so huge radii stay responsive.
     return max(f.step / 2.0, 2.0 * max(radii) / 200000.0)
@@ -210,7 +239,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     f = _test_function(args)
     xs = _parse_grid(args.grid)
     values = convolve_grid(mu, f, xs, tol=args.tolerance)
-    _emit_table(args, {"x": xs, "re": values.real, "im": values.imag})
+    _emit_finite_table(args, {"x": xs, "re": values.real, "im": values.imag})
     return 0
 
 
@@ -260,9 +289,9 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
             raise InvalidArgument(
                 "fourier expects a pure-point or absolutely continuous root"
             )
-        _emit_table(args, {"k": ks, "re": values.real, "im": values.imag})
+        _emit_finite_table(args, {"k": ks, "re": values.real, "im": values.imag})
         return 0
-    _emit_table(args, {"k": ks, "value": series_density(ks, args.truncation)})
+    _emit_finite_table(args, {"k": ks, "value": series_density(ks, args.truncation)})
     return 0
 
 
@@ -272,7 +301,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     lhs, rhs = np.array([bessel_j0_check(float(r), quad_points=512) for r in rs]).T
     deviation = np.abs(lhs - rhs)
     worst = float(deviation.max())
-    _emit_table(args, {"r": rs, "lhs": lhs, "rhs": rhs, "deviation": deviation}, max_deviation=worst)
+    _emit_finite_table(args, {"r": rs, "lhs": lhs, "rhs": rhs, "deviation": deviation}, max_deviation=worst)
     return 0 if worst <= args.tolerance else 2
 
 
@@ -293,7 +322,7 @@ def _cmd_rlcheck(args: argparse.Namespace) -> int:
     xs = _parse_grid(args.grid)
     report = rl_crosscheck(mu, _spectral_density(args), f, xs, tolerance=args.tolerance)
     direct, spectral = report.direct, report.spectral
-    _emit_table(
+    _emit_finite_table(
         args,
         {
             "x": report.xs,
@@ -329,6 +358,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     only = None
     if args.only:
         only = _parse_ints(args.only, "--only")
+        if not set(only) <= {index for index, *_ in _CRITERIA}:
+            raise InvalidArgument(f"--only expects criterion numbers from 1 to {len(_CRITERIA)}")
     results = run_all(only=only)
     passed = sum(1 for r in results if r.passed)
     with _output(args) as out:

@@ -18,10 +18,11 @@ Conventions used throughout:
 
 Convolution against a piecewise-linear test function is exact (to
 rounding) whenever a density declares its own piecewise-affine structure
-through ``knots``; genuinely smooth densities fall back to Gauss-Legendre
+through ``knots``; genuinely smooth densities fall back to Gauss-Kronrod
 quadrature on panels, with refinement-based error control.  Where atoms and
-shallow cells are dense, and for the panels of a smooth density without
-bounds on its support, sums are taken by repeated integration (``ramps``).
+shallow cells are dense, and for the panels of every smooth density (cut at
+the ends of its support, if it has bounds), sums are taken by repeated
+integration (``ramps``).
 
 Affine cells are always tracked as (value at cell center, slope).  A
 global intercept would lose all precision on steep narrow cells far from
@@ -558,7 +559,15 @@ def _affine_cells(piece: TransformedDensity, clip: Window) -> _Cells | None:
     # Sub-ulp cells collapse the sample points; treat them as flat.
     sloped = s2 > s1
     beta = np.zeros(a.size, dtype=np.complex128)
-    np.divide(g2 - g1, s2 - s1, out=beta, where=sloped)
+    # part by part: a complex division multiplies by 1 / width, which a
+    # subnormal width overflows, and 0 * inf is NaN
+    rise = g2 - g1
+    with np.errstate(over="ignore"):
+        np.divide(rise.real, s2 - s1, out=beta.real, where=sloped)
+        np.divide(rise.imag, s2 - s1, out=beta.imag, where=sloped)
+    steep = ~np.isfinite(beta)
+    if np.any(steep):
+        raise InvalidArgument(f"density slope is not finite on a cell of width {np.min(width[steep]):.3g}")
     vc = 0.5 * (g1 + g2)  # midpoint of s1, s2 is the cell center
     live = (width > 0.0) & ((vc != 0) | (beta != 0))
     return a[live], b[live], vc[live], beta[live]
@@ -577,55 +586,6 @@ def _depth(width: np.ndarray, f: TestFunction) -> int:
     return 6 + max(0, cells - 1).bit_length()
 
 
-def _kronrod_levels(sums: Callable, depth: int) -> Iterator[np.ndarray]:
-    """The levels of a smooth-density kernel, finer and finer: G3 on each
-    panel, K7 on each panel, then K7 on 2, 4, ..., 2**depth equal
-    sub-panels.
-
-    sums(t, w) gives the kernel's sums over the nodes t in [0, 1] of every
-    panel, one per row of the weights w (rows x nodes).  K7 keeps the three
-    G3 nodes, so the G3 level weighs its values by both rules and the K7
-    level evaluates only its four new nodes: 7 evaluations per panel for
-    the two levels.
-    """
-    nodes, weights = _GL["K7"]
-    gauss, kronrod = sums(0.5 * (1.0 + nodes[1::2]), 0.5 * np.stack((_GL["G3"][1], weights[1::2])))
-    yield gauss
-    yield kronrod + sums(0.5 * (1.0 + nodes[::2]), 0.5 * weights[None, ::2])[0]
-    for s in range(1, depth + 1):
-        sub = 2**s
-        t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + nodes)) / sub).ravel()
-        yield sums(t, np.tile(0.5 * weights / sub, sub)[None])[0]
-
-
-def _smooth_convolution(
-    piece: TransformedDensity, f: TestFunction, xs: np.ndarray, u_lo: float, u_hi: float, tol: float
-) -> np.ndarray:
-    """Integral of f(u) * density(x - u) over [u_lo, u_hi], for each x in xs.
-
-    The panels' edges are u_lo, the kinks of f strictly inside, and u_hi.
-    f is affine on each panel, so the rule converges as fast as the density
-    allows.  The levels are _kronrod_levels's, down to sub-panels no wider
-    than f.step / 64 (_depth), until two agree to tol at every x.
-    """
-    kinks = f.kinks[0]
-    edges = np.concatenate(([u_lo], kinks[(kinks > u_lo) & (kinks < u_hi)], [u_hi]))
-    left, width = edges[:-1], np.diff(edges)
-
-    def sums(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-        nodes = (left[:, None] + width[:, None] * t).ravel()
-        wf = (width[:, None] * w[:, None, :]).reshape(w.shape[0], -1) * f.values(nodes)
-        acc = np.empty((w.shape[0], xs.size), dtype=np.complex128)
-        chunk = max(1, int(2_000_000 // max(nodes.size, 1)))
-        for start in range(0, xs.size, chunk):
-            rho = piece.evalv(xs[start : start + chunk, None] - nodes[None, :])
-            for row, weighted in enumerate(wf):
-                acc[row, start : start + chunk] = (rho * weighted).sum(axis=1)
-        return acc
-
-    return _refine(((v, v) for v in _kronrod_levels(sums, _depth(width, f))), tol, "density")[0]
-
-
 # Entries of the query array x_i - c_k that one chunk of grid points builds
 # (and of the reads the chunk keeps for its levels), and of one level's
 # nodes built at a time, so each temporary stays near 32 MB however many
@@ -639,13 +599,21 @@ _PANEL_CHUNK = 1 << 21
 _BUCKET = 2.0**-20
 
 
-def _panel_moments(piece: TransformedDensity, left: np.ndarray, width: np.ndarray) -> Callable:
-    """sums(t, w) for _kronrod_levels on the panels [left, left + width]:
-    per row of w, each panel's mass and first moment about its left edge
-    (rows x (mass, first) x panels), in units of width and width**2, from
-    _PANEL_CHUNK nodes at a time."""
+def _kronrod_levels(
+    piece: TransformedDensity, left: np.ndarray, width: np.ndarray, depth: int
+) -> Iterator[np.ndarray]:
+    """Each panel's mass and first moment about its left edge, in units of
+    width and width**2 ((mass, first) x panels), level by level, finer and
+    finer: G3 on each panel [left, left + width], K7 on each panel, then K7
+    on 2, 4, ..., 2**depth equal sub-panels.
 
-    def sums(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    K7 keeps the three G3 nodes, so the G3 level weighs its values by both
+    rules and the K7 level evaluates only its four new nodes: 7 evaluations
+    per panel for the two levels.  Nodes are built _PANEL_CHUNK at a time.
+    """
+
+    def moments(t: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # per row of the weights w (rows x nodes t in [0, 1]): rows x (mass, first) x panels
         rule = np.concatenate((w, w * t))  # the integrals of 1 and of t
         out = np.empty((rule.shape[0], left.size, 2))  # rule x panel x (real, imag)
         rows = max(1, _PANEL_CHUNK // t.size)
@@ -656,21 +624,31 @@ def _panel_moments(piece: TransformedDensity, left: np.ndarray, width: np.ndarra
             out[:, i : i + rows] = np.einsum("km,mnc->knc", rule, rho.view(np.float64).reshape(*rho.shape, 2))
         return out.view(np.complex128)[..., 0].reshape(2, w.shape[0], left.size).swapaxes(0, 1)
 
-    return sums
+    nodes, weights = _GL["K7"]
+    gauss, kronrod = moments(0.5 * (1.0 + nodes[1::2]), 0.5 * np.stack((_GL["G3"][1], weights[1::2])))
+    yield gauss
+    yield kronrod + moments(0.5 * (1.0 + nodes[::2]), 0.5 * weights[None, ::2])[0]
+    for s in range(1, depth + 1):
+        sub = 2**s
+        t = ((np.arange(sub)[:, None] + 0.5 * (1.0 + nodes)) / sub).ravel()
+        yield moments(t, np.tile(0.5 * weights / sub, sub)[None])[0]
 
 
 def _panel_values(reads: _Reads, width: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """(piece * f)(x) at the points of reads, as ramp sums over the panels
     of these widths that its ramps were laid out on, from one level's
-    moments (_panel_moments)."""
+    moments (_kronrod_levels)."""
     mass, first = moments
     reads.ramps.load(width * mass, width * width * first)
     return reads.values()
 
 
-def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction) -> tuple[np.ndarray, np.ndarray]:
+def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction, support: Window | None) -> tuple[np.ndarray, np.ndarray]:
     """Left edges and widths of the panels between the cuts of the reaches
-    of x, ascending, that lie inside some point's reach (_smooth_panels)."""
+    of x, ascending, that lie inside some point's reach (_smooth_into_grid)
+    and inside the support.  A bounded support clips the cuts to the chunk's
+    reach intersected with it, and the two ends of that clip are cuts of
+    their own, outside the bucket merge, so no panel sticks out of it."""
     bucket = _BUCKET * f.step
     q = np.empty((x.size, at.size + 1))
     np.subtract(x[:, None], at, out=q[:, 1:])
@@ -686,25 +664,32 @@ def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction) -> tuple[np.ndarray,
     cut |= key[1:] != key[:-1]
     del key
     cuts = q[np.append(np.flatnonzero(cut), q.size - 1)]
+    if support is not None:
+        lo, hi = max(q[0], support.lo), min(q[-1], support.hi)
+        if not lo < hi:
+            return cuts[:0], cuts[:0]
+        cuts = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
     # the reach that starts last at or before a panel ends last: the panel
     # lies inside a reach if it starts before that reach's end
     inside = ends[starts.searchsorted(cuts[:-1], side="right") - 1] > cuts[:-1]
     return cuts[:-1][inside], np.diff(cuts)[inside]
 
 
-def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray, out: np.ndarray, tol: float) -> None:
-    """Add (piece * f)(x) onto out for each x in grid, for a piece without
-    bounds on its support: ramp sums over panels.
+def _smooth_into_grid(
+    piece: TransformedDensity, f: TestFunction, grid: np.ndarray, out: np.ndarray, tol: float
+) -> None:
+    """Add (piece * f)(x) onto out for each x in grid: ramp sums over panels.
 
     A chunk of grid points cuts its reach at the floats x - f.hi and x - c_k
     (c_k a kink of f below f.hi) that _Reads reads the prefix sums at, and
-    keeps the panels between consecutive cuts that lie inside some
-    point's reach (_panels).  Floats in one bucket of width _BUCKET * f.step
-    make one cut, the largest, so a read at any of them sums whole panels up
-    to that cut.  Moving a read by d <= the bucket changes (mu * f)(x) by
-    O(d (d + ulp(x)) max|density| sum|s_k|): the integrand of R_k vanishes
-    at x - c_k, and at x - f.hi, where all R_k read, the sum of theirs is
-    f(f.hi) = 0.
+    keeps the panels between consecutive cuts that lie inside some point's
+    reach and inside the support of the piece (_panels).  Floats in one
+    bucket of width _BUCKET * f.step make one cut, the largest, so a read
+    at any of them sums whole panels up to that cut.  Moving a read by
+    d <= the bucket changes (mu * f)(x) by O(d (d + ulp(x)) max|density|
+    sum|s_k|): the integrand of R_k vanishes at x - c_k, and at x - f.hi,
+    where all R_k read, the sum of theirs is f(f.hi) = 0.  Only the grid
+    points whose reach meets a bounded support are read.
 
     Each panel's mass and first moment come from _kronrod_levels, and the
     chunk's values from _Ramps, level by level down to sub-panels no wider
@@ -716,50 +701,20 @@ def _smooth_panels(piece: TransformedDensity, f: TestFunction, grid: np.ndarray,
     at = f.kinks[0][f.kinks[0] < f.hi]
     if not at.size:  # f vanishes
         return
+    support = piece.support
+    if support is not None:
+        i0, i1 = grid.searchsorted(support.lo + f.lo), grid.searchsorted(support.hi + f.hi, side="right")
+        grid, out = grid[i0:i1], out[i0:i1]
     rows = max(1, _PANEL_CHUNK // (at.size + 1))
     for start in range(0, grid.size, rows):
         x = grid[start : start + rows]
-        left, width = _panels(x, at, f)
+        left, width = _panels(x, at, f, support)
         if not left.size:
             continue
         reads = _Reads(_Ramps(left, f.hi - f.lo), f, x, keep=True)
-        moments = _kronrod_levels(_panel_moments(piece, left, width), _depth(width, f))
-        levels = (_panel_values(reads, width, m) for m in moments)
+        levels = (_panel_values(reads, width, m) for m in _kronrod_levels(piece, left, width, _depth(width, f)))
         out[start : start + x.size] += _refine(((v, v) for v in levels), tol, "density")[0]
         del reads, levels  # before the next chunk's query array
-
-
-def _smooth_into_grid(
-    piece: TransformedDensity,
-    f: TestFunction,
-    grid: np.ndarray,
-    out: np.ndarray,
-    tol: float,
-) -> None:
-    """Add the convolution of one smooth density piece with f onto out (over grid)."""
-    hull = Window(grid[0] - f.hi, grid[-1] - f.lo)
-    sup = piece.support
-    clip = hull if sup is None else hull.intersect(sup)
-    if clip is None:
-        return
-    if sup is None:
-        _smooth_panels(piece, f, grid, out, tol)
-        return
-    # A bounded support keeps the per-point rule, so that a grid and its
-    # points one at a time give the same values whether or not the hull
-    # sticks out of it.
-    if sup.lo <= hull.lo and hull.hi <= sup.hi:
-        out += _smooth_convolution(piece, f, grid, f.lo, f.hi, tol)
-        return
-    # Bounded smooth support that the hull sticks out of: point by point,
-    # with the ends of the support inside the reach of f as panel edges.
-    i0 = np.searchsorted(grid, clip.lo + f.lo, side="left")
-    i1 = np.searchsorted(grid, clip.hi + f.hi, side="right")
-    for j in range(i0, i1):
-        x = float(grid[j])
-        w = Window(x - f.hi, x - f.lo).intersect(sup)
-        if w is not None:
-            out[j] += _smooth_convolution(piece, f, np.array([x]), x - w.hi, x - w.lo, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1001,7 @@ def convolve_grid(mu: MeasureExpr, f: TestFunction, grid: np.ndarray, tol: float
     (source, grid point) pairs, or, where they make many pairs per kink of f
     and grid point, summed as ramps over the kink table of f (steep cells
     always scatter); smooth pieces add quadrature, on panels summed as ramps
-    where their support has no bounds.
+    and clipped to their support.
     """
     _check_tol(tol)
     grid = np.asarray(grid, dtype=float)

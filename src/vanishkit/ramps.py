@@ -8,9 +8,9 @@ moment, each read from prefix sums.  A grid point costs one query per kink
 of f, however many sources it sees (Heckbert, "Filtering by repeated
 integration", SIGGRAPH 1986).  ``measures.convolve_grid`` takes this path
 for atoms and cells where it beats scattering (source, grid point) pairs,
-and always for a smooth density without bounds on its support, whose
-panels, cut at the points the prefix sums are read at, carry their mass and
-first moment from quadrature.
+and always for a smooth density, whose panels, cut at the points the prefix
+sums are read at and at the ends of its support, carry their mass and first
+moment from quadrature.
 
 Each fixed cost is paid once.  ``_Ramps`` lays its blocks out once and takes
 every block's running sums in one pass of a few cumsum calls, however many

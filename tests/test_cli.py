@@ -276,6 +276,44 @@ def test_integer_flags_reject_non_integers(command, flag, value):
     assert err == f"error: {flag} expects comma-separated integers\n"
 
 
+@pytest.mark.parametrize("value", ["99", "0", "3,11"])
+def test_suite_rejects_criterion_numbers_out_of_range(value):
+    # not a vacuous "0/0 criteria passed" with exit 0
+    code, out, err = run(["suite", "--only", value])
+    assert (code, out) == (1, "")
+    assert err == "error: --only expects criterion numbers from 1 to 10\n"
+
+
+def test_subnormal_cells_give_finite_values_or_exit_one():
+    # A flat cell 1e-320 wide has slope 0: a complex division by its width
+    # multiplied 0 by an overflowing 1 / width and printed nan.
+    indicator = '{"expr": {"kind": "ac", "builder": "indicator", "interval": [0, 1e-320]}}'
+    code, out, err = run(["convolve", "--spec", indicator, "--grid", "0:1:0.5"])
+    assert (code, err) == (0, "")
+    assert np.all(np.isfinite(np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)))
+    # a sloped one 1e-320 wide overflows its slope
+    triangle = '{"expr": {"kind": "ac", "builder": "triangle", "halfwidth": 1e-320}}'
+    code, out, err = run(["convolve", "--spec", triangle, "--grid", "0:1:0.5"])
+    assert (code, out) == (1, "")
+    assert err == "error: density slope is not finite on a cell of width 1e-320\n"
+
+
+# the scaled ex_a's masses overflow, with numpy's warnings, into lip_margin
+@pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_refuse_non_finite_values(fmt):
+    huge = '{"expr": {"kind": "scale", "factor": [1e308, 1e308], "child": {"kind": "pp", "builder": "ex_a"}}}'
+    code, out, err = run(["decay", "--spec", huge, "--radii", "50,100", "--format", fmt])
+    assert (code, out, err) == (1, "", "error: report field lip_margin is not finite\n")
+    args = argparse.Namespace(format=fmt, out=None)
+    with pytest.raises(InvalidArgument, match="report field re is not finite"):
+        cli._emit_finite_table(args, {"x": np.zeros(2), "re": np.array([0.0, np.nan])})
+    with pytest.raises(InvalidArgument, match="report field max_deviation is not finite"):
+        cli._emit_finite_table(args, {"x": np.zeros(2)}, max_deviation=float("inf"))
+
+
 def test_mean_horizon_with_too_many_points_exits_one():
     code, out, err = run(["mean", "--spec", COMB, "--nlist", "1" + "0" * 30])
     assert code == 1

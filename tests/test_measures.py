@@ -461,16 +461,15 @@ def test_smooth_density_cosine_closed_form(a):
 
 
 def test_smooth_density_bounded_support_pointwise_path():
-    # The hull sticks out of the support, so each grid point is integrated
-    # on its own, with the support ends as panel edges.
+    # The hull sticks out of the support, whose ends cut the panels: the grid
+    # and each of its points taken on its own give the exact convolution.
     smooth = AbsCont(FunctionDensity(lambda x: np.full(x.shape, 2.0), support=Window(-1.0, 2.0)))
-    exact = AbsCont(IndicatorDensity(-1.0, 2.0, 2.0))
     f = tf_hat(0.3, 0.25, 1.0)
     xs = np.linspace(-2.0, 3.5, 111)
-    grid = convolve_grid(smooth, f, xs)
+    exact = convolve_grid(AbsCont(IndicatorDensity(-1.0, 2.0, 2.0)), f, xs)
     single = np.array([convolve(smooth, f, float(x)) for x in xs])
-    assert np.array_equal(grid, single)
-    assert np.max(np.abs(grid - convolve_grid(exact, f, xs))) <= 1e-12
+    assert np.max(np.abs(convolve_grid(smooth, f, xs) - exact)) <= 1e-12
+    assert np.max(np.abs(single - exact)) <= 1e-12
 
 
 def test_smooth_density_jump_raises_quadrature_error():
@@ -534,30 +533,59 @@ def test_smooth_density_work_ceiling(autocorr, ceiling):
 
 
 @pytest.mark.parametrize(
-    "points, spacing, ceiling",
+    "points, spacing, ceiling, support",
     [
         # mean_abs's grid for n = 2: the reaches of neighbouring points share
         # their panels, one step wide, so each of the 4,096 + 512 panels costs
         # 3 + 4 evaluations (G3, then K7's new nodes), 7.87 per point (42 with
         # a quadrature per point)
-        (4097, 1.0, 8),
+        pytest.param(4097, 1.0, 8, None, id="4097-1.0-8"),
         # one of decay_profile's annulus blocks, at half a step: panels half a
         # step wide, 13.99 per point
-        (1024, 0.5, 14),
+        pytest.param(1024, 0.5, 14, None, id="1024-0.5-14"),
+        # a bounded support takes the same panels, clipped to it: 7.87 and
+        # 13.99 where it covers the hull; 7.38 and 10.03 where the grid sticks
+        # out of it at both ends (41.8 and 40.6 with a quadrature per point)
+        pytest.param(4097, 1.0, 8, "covering", id="4097-1.0-8-covering"),
+        pytest.param(1024, 0.5, 14, "covering", id="1024-0.5-14-covering"),
+        pytest.param(4097, 1.0, 8, "sticking out", id="4097-1.0-8-sticking-out"),
+        pytest.param(1024, 0.5, 14, "sticking out", id="1024-0.5-14-sticking-out"),
     ],
 )
-def test_smooth_density_dense_grid_work_ceiling(points, spacing, ceiling):
+def test_smooth_density_dense_grid_work_ceiling(points, spacing, ceiling, support):
     j0 = _CountingJ0()
     f = tf_hat(0.0, 0.25, 1.0)
     xs = 0.5 + spacing * f.step * np.arange(points)
-    convolve_grid(AbsCont(FunctionDensity(j0, label="counting j0")), f, xs)
+    sup = {"covering": Window(-10.0, 10.0), "sticking out": Window(0.2, float(xs[-1]) - 0.1 / 3)}.get(support)
+    convolve_grid(AbsCont(FunctionDensity(j0, support=sup, label="counting j0")), f, xs)
     assert j0.points <= ceiling * xs.size
 
 
-def _per_point(mu, f, xs, tol=1e-8):
-    """The per-point rule on the one smooth piece of mu."""
-    piece = resolve_window(mu, Window(float(xs[0]) - f.hi, float(xs[-1]) - f.lo)).pieces[0]
-    return measures._smooth_convolution(piece, f, xs, f.lo, f.hi, tol)
+def _per_point(rho, support, f, xs):
+    """The integral of f(u) rho(x - u) du for each x, rho taken as 0 off the
+    support (None for the line), point by point: Gauss-Legendre of order 20
+    (numpy's leggauss) on the pieces between the knots of f, the ends of
+    the support and 65 equally spaced points of the reach.  It shares no
+    code with measures."""
+    t, w = np.polynomial.legendre.leggauss(20)
+    out = np.zeros(xs.size, dtype=np.complex128)
+    for i, x in enumerate(xs):
+        lo, hi = f.lo, f.hi
+        if support is not None:
+            lo, hi = max(lo, x - support.hi), min(hi, x - support.lo)
+        if lo >= hi:
+            continue
+        edges = np.union1d(np.linspace(lo, hi, 65), f.knots[(f.knots > lo) & (f.knots < hi)])
+        half = 0.5 * np.diff(edges)[:, None]
+        u = edges[:-1, None] + half * (1.0 + t)
+        out[i] = np.sum(half * w * f.values(u) * rho(x - u))
+    return out
+
+
+def _scipy_j0_density():
+    """2 pi J0(2 pi |x|), the density of j0_radial, from scipy."""
+    special = pytest.importorskip("scipy.special")
+    return lambda x: 2.0 * np.pi * special.j0(2.0 * np.pi * np.abs(x))
 
 
 @settings(max_examples=40, deadline=None)
@@ -565,21 +593,25 @@ def _per_point(mu, f, xs, tol=1e-8):
     density=st.sampled_from(["cos", "bump", "j0"]),
     polygon=st.booleans(),
     arithmetic=st.booleans(),
+    support=st.sampled_from([None, "covering", "sticking out", "disjoint", "one point inside"]),
     origin=st.floats(-1000.0, 1000.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_smooth_panels_against_the_per_point_rule(density, polygon, arithmetic, origin, seed):
-    # Arbitrary grids skip the panels between reaches that do not meet.
+def test_smooth_panels_against_the_per_point_rule(density, polygon, arithmetic, support, origin, seed):
+    # Arbitrary grids skip the panels between reaches that do not meet; a
+    # bounded support clips the panels to its ends.
     rng = np.random.default_rng(seed)
     amp = complex(*rng.normal(size=2))
     if density == "cos":
         a, phase = rng.uniform(0.5, 60.0), rng.uniform(0.0, 2.0 * np.pi)
-        mu, tol = AbsCont(FunctionDensity(lambda x: amp * np.cos(a * x + phase), label="cos")), 2e-8
+        rho = oracle = lambda x: amp * np.cos(a * x + phase)
+        tol = 2e-8
     elif density == "bump":
         c, w = origin + rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)
-        mu, tol = AbsCont(FunctionDensity(lambda x: amp * np.exp(-(((x - c) / w) ** 2)), label="bump")), 2e-8
+        rho = oracle = lambda x: amp * np.exp(-(((x - c) / w) ** 2))
+        tol = 2e-8
     else:
-        mu, tol = build_example("j0_radial"), 1e-10
+        rho, oracle, tol = build_example("j0_radial").density.evalv, _scipy_j0_density(), 1e-10
     if polygon:
         inner = rng.normal(size=(int(rng.integers(1, 7)), 2)) @ np.array([1.0, 1j])
         f = measures.TestFunction.from_samples(rng.uniform(-1.0, 1.0), rng.uniform(0.02, 0.2), np.r_[0.0, inner, 0.0])
@@ -590,7 +622,18 @@ def test_smooth_panels_against_the_per_point_rule(density, polygon, arithmetic, 
     else:
         gaps = rng.uniform(0.01, 3.0, size=int(rng.integers(1, 20))) * (f.hi - f.lo)
         xs = origin + np.cumsum(gaps)
-    assert np.max(np.abs(convolve_grid(mu, f, xs) - _per_point(mu, f, xs))) <= tol
+    if support == "one point inside":
+        xs = xs[:1]
+    hull = Window(float(xs[0]) - f.hi, float(xs[-1]) - f.lo)
+    u, v = rng.uniform(0.05, 0.45, size=2) * hull.width
+    sup = {
+        "covering": Window(hull.lo - u, hull.hi + v),
+        "sticking out": Window(hull.lo + u, hull.hi - v),
+        "disjoint": Window(hull.hi + u, hull.hi + u + v),
+        "one point inside": Window(hull.lo - u, hull.hi + v),
+    }.get(support)
+    mu = AbsCont(FunctionDensity(rho, support=sup))
+    assert np.max(np.abs(convolve_grid(mu, f, xs) - _per_point(oracle, sup, f, xs))) <= tol
 
 
 def test_smooth_panels_bound_their_temporaries():
@@ -609,7 +652,7 @@ def test_smooth_panels_bound_their_temporaries():
         tracemalloc.stop()
     assert peak <= 48 * 2**20  # 36 MB measured: the query array and its sorted copy
     some = np.array([0, 200, 399])
-    assert np.max(np.abs(vals[some] - _per_point(mu, f, xs[some]))) <= 1e-10
+    assert np.max(np.abs(vals[some] - _per_point(_scipy_j0_density(), None, f, xs[some]))) <= 1e-10
 
 
 def test_panel_chunk_builds_its_ramp_reads_once(record):
