@@ -108,21 +108,11 @@ def _parse_grid(text: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type = float) -> list:
     try:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        values = [kind(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise InvalidArgument(f"{flag} expects comma-separated numbers")
-    if not values:
-        raise InvalidArgument(f"{flag} expects at least one value")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise InvalidArgument(f"{flag} expects comma-separated integers")
+        raise InvalidArgument(f"{flag} expects comma-separated {'numbers' if kind is float else 'integers'}")
     if not values:
         raise InvalidArgument(f"{flag} expects at least one value")
     return values
@@ -148,11 +138,6 @@ def _csv_field(value: object) -> str:
     return str(value)
 
 
-# Report fields whose infinity is a value, not an overflow: the blocks
-# report's min_shift_gap, where fewer than two shifts leave no gap.
-_INFINITE_BY_DEFINITION = frozenset({"min_shift_gap"})
-
-
 def _finite(value: object) -> bool:
     """Whether every number in a report value (a list, an array, a scalar) is finite."""
     if isinstance(value, (list, tuple)):
@@ -164,7 +149,7 @@ def _check_finite(fields: dict) -> None:
     """Refuse a report field holding inf or NaN: it is no bound or value to
     report, and JSON has no token for it (json.dumps writes Infinity)."""
     for name, value in fields.items():
-        if name not in _INFINITE_BY_DEFINITION and not _finite(value):
+        if not _finite(value):
             raise InvalidArgument(f"report field {name} is not finite")
 
 
@@ -202,10 +187,11 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
     CSV is the column names joined as the header, then the rows; JSON is the
     scalar fields plus ``rows``, one object per row keyed by the same names,
     as json.dumps(indent=2, sort_keys=True) writes it.  Rows are written in
-    blocks of _CSV_ROWS: a JSON block is _json_rows, in the place of a
-    placeholder for ``rows``.  It encodes any float as json.dumps does, NaN
-    and +-inf included; commands write through _emit_finite_table.
+    blocks of _CSV_ROWS: a CSV block is specio.write_rows of the stacked
+    columns, a JSON block is _json_rows, in the place of a placeholder for
+    ``rows``.  A non-finite column or field is refused (_check_finite).
     """
+    _check_finite({**columns, **fields})
     names = list(columns)
     with _output(args) as out:
         if args.format == "json":
@@ -214,19 +200,13 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
         else:
             out.write(",".join(names) + "\n")
         for start in range(0, len(columns[names[0]]), _CSV_ROWS):
-            rows = np.column_stack([col[start : start + _CSV_ROWS] for col in columns.values()]).tolist()
+            block = np.column_stack([col[start : start + _CSV_ROWS] for col in columns.values()])
             if args.format == "json":
-                out.write(("," if start else "") + _json_rows([dict(zip(names, row)) for row in rows]))
+                out.write(("," if start else "") + _json_rows([dict(zip(names, row)) for row in block.tolist()]))
             else:
-                specio.write_rows(out, rows)
+                specio.write_rows(out, block)
         if args.format == "json":
             out.write("\n  ]" + tail + "\n")
-
-
-def _emit_finite_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fields) -> None:
-    """_emit_table, refusing a non-finite column or field (_check_finite)."""
-    _check_finite({**columns, **fields})
-    _emit_table(args, columns, **fields)
 
 
 def _default_annulus_step(f, radii: Sequence[float]) -> float:
@@ -239,7 +219,7 @@ def _cmd_convolve(args: argparse.Namespace) -> int:
     f = _test_function(args)
     xs = _parse_grid(args.grid)
     values = convolve_grid(mu, f, xs, tol=args.tolerance)
-    _emit_finite_table(args, {"x": xs, "re": values.real, "im": values.imag})
+    _emit_table(args, {"x": xs, "re": values.real, "im": values.imag})
     return 0
 
 
@@ -247,7 +227,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """decay and rajchman: args.profile is decay_profile or rajchman_check."""
     mu = _load_measure(args)
     f = _test_function(args)
-    radii = _parse_floats(args.radii, "--radii")
+    radii = _parse_list(args.radii, "--radii")
     profile = args.profile(mu, f, radii, args.epsilon, annulus_step=_default_annulus_step(f, radii))
     report = specio.decay_report_dict(profile)
     _emit_report(args, report, "R,sup", report["entries"])
@@ -267,7 +247,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_mean(args: argparse.Namespace) -> int:
     mu = _load_measure(args)
     f = _test_function(args)
-    n_list = _parse_ints(args.nlist, "--nlist")
+    n_list = _parse_list(args.nlist, "--nlist", int)
     report = specio.mean_report_dict(mean_abs(mu, f, n_list))
     _emit_report(args, report, "n,average", report["entries"])
     return 0
@@ -275,33 +255,29 @@ def _cmd_mean(args: argparse.Namespace) -> int:
 
 def _cmd_fourier(args: argparse.Namespace) -> int:
     ks = _parse_grid(args.grid)
-    if args.spec:
-        mu = specio.parse_measure_spec(_load_spec_text(args.spec))
-        if isinstance(mu, PurePoint):
-            if not isinstance(mu.source, FiniteAtoms):
-                raise InvalidArgument(
-                    "fourier on a pure-point spec needs a finite_atoms builder"
-                )
-            values = exp_sum(mu.source.positions, mu.source.weights, ks)
-        elif isinstance(mu, AbsCont):
-            values = ft_compact(mu.density, ks, tol=args.tolerance)
-        else:
-            raise InvalidArgument(
-                "fourier expects a pure-point or absolutely continuous root"
-            )
-        _emit_finite_table(args, {"k": ks, "re": values.real, "im": values.imag})
+    if not args.spec:
+        _emit_table(args, {"k": ks, "value": series_density(ks, args.truncation)})
         return 0
-    _emit_finite_table(args, {"k": ks, "value": series_density(ks, args.truncation)})
+    mu = _load_measure(args)
+    if isinstance(mu, PurePoint) and isinstance(mu.source, FiniteAtoms):
+        values = exp_sum(mu.source.positions, mu.source.weights, ks)
+    elif isinstance(mu, PurePoint):
+        raise InvalidArgument("fourier on a pure-point spec needs a finite_atoms builder")
+    elif isinstance(mu, AbsCont):
+        values = ft_compact(mu.density, ks, tol=args.tolerance)
+    else:
+        raise InvalidArgument("fourier expects a pure-point or absolutely continuous root")
+    _emit_table(args, {"k": ks, "re": values.real, "im": values.imag})
     return 0
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
     rs = _parse_grid(args.grid)
     _check_tol(args.tolerance)
-    lhs, rhs = np.array([bessel_j0_check(float(r), quad_points=512) for r in rs]).T
+    lhs, rhs = bessel_j0_check(rs)
     deviation = np.abs(lhs - rhs)
     worst = float(deviation.max())
-    _emit_finite_table(args, {"r": rs, "lhs": lhs, "rhs": rhs, "deviation": deviation}, max_deviation=worst)
+    _emit_table(args, {"r": rs, "lhs": lhs, "rhs": rhs, "deviation": deviation}, max_deviation=worst)
     return 0 if worst <= args.tolerance else 2
 
 
@@ -314,15 +290,12 @@ def _spectral_density(args: argparse.Namespace):
 
 
 def _cmd_rlcheck(args: argparse.Namespace) -> int:
-    if args.spec:
-        mu = specio.parse_measure_spec(_load_spec_text(args.spec))
-    else:
-        mu = build_example("ex_sinc_series", truncation=args.truncation)
+    mu = _load_measure(args) if args.spec else build_example("ex_sinc_series", truncation=args.truncation)
     f = _test_function(args)
     xs = _parse_grid(args.grid)
     report = rl_crosscheck(mu, _spectral_density(args), f, xs, tolerance=args.tolerance)
     direct, spectral = report.direct, report.spectral
-    _emit_finite_table(
+    _emit_table(
         args,
         {
             "x": report.xs,
@@ -357,7 +330,7 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     only = None
     if args.only:
-        only = _parse_ints(args.only, "--only")
+        only = _parse_list(args.only, "--only", int)
         if not set(only) <= {index for index, *_ in _CRITERIA}:
             raise InvalidArgument(f"--only expects criterion numbers from 1 to {len(_CRITERIA)}")
     results = run_all(only=only)

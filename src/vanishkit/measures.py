@@ -964,7 +964,10 @@ class _Block:
         once on the plan's hull: an upper bound on |mu|, up to its error."""
         lo, hi = np.atleast_1d(lo, hi)
         ends, pos = np.concatenate((lo, hi)), self.res.positions  # one pass for both ends
-        cum = np.concatenate(([0.0], np.cumsum(np.abs(self.res.weights))))
+        with np.errstate(over="ignore"):
+            cum = np.concatenate(([0.0], np.cumsum(np.abs(self.res.weights))))
+        if not np.isfinite(cum[-1]):
+            raise InvalidArgument("|mu| of a window overflows float64")
         out = cum[pos.searchsorted(hi, side="right")] - cum[pos.searchsorted(lo)]
         declared, mass_to = [], []
         for piece in self.res.pieces:

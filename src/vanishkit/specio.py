@@ -9,7 +9,6 @@ identical inputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Any, IO, Sequence
@@ -338,12 +337,13 @@ def fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_rows(out: IO[str], rows: Sequence[Sequence[float]]) -> None:
-    """One line of fmt-formatted values per row; the rows share their
-    length, so one %-format pass over the flattened rows writes them all."""
-    if rows:
-        line = ",".join(["%.17g"] * len(rows[0])) + "\n"
-        out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+def write_rows(out: IO[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
+    """One line of fmt-formatted values per row of a 2-D float block, by one
+    %-format pass over its flat values."""
+    block = np.asarray(rows, dtype=float)
+    if block.size:
+        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        out.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def decay_report_dict(profile: DecayProfile) -> dict:
@@ -376,6 +376,7 @@ def block_report_dict(report: HypothesisReport) -> dict:
         "h_vague_null": report.h_vague_null,
         "worst_pairing": report.worst_pairing,
         "h_udiscrete": report.h_udiscrete,
-        "min_shift_gap": report.min_shift_gap,
+        # undefined (None) with fewer than two shifts, where the report holds inf
+        "min_shift_gap": report.min_shift_gap if report.min_shift_gap < math.inf else None,
         "overall": report.overall,
     }

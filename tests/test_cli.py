@@ -298,20 +298,17 @@ def test_subnormal_cells_give_finite_values_or_exit_one():
     assert err == "error: density slope is not finite on a cell of width 1e-320\n"
 
 
-# the scaled ex_a's masses overflow, with numpy's warnings, into lip_margin
-@pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning"
-)
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_reports_refuse_non_finite_values(fmt):
+    # the scaled ex_a's |mu| masses overflow where they are summed: one line, no numpy warning
     huge = '{"expr": {"kind": "scale", "factor": [1e308, 1e308], "child": {"kind": "pp", "builder": "ex_a"}}}'
     code, out, err = run(["decay", "--spec", huge, "--radii", "50,100", "--format", fmt])
-    assert (code, out, err) == (1, "", "error: report field lip_margin is not finite\n")
+    assert (code, out, err) == (1, "", "error: |mu| of a window overflows float64\n")
     args = argparse.Namespace(format=fmt, out=None)
     with pytest.raises(InvalidArgument, match="report field re is not finite"):
-        cli._emit_finite_table(args, {"x": np.zeros(2), "re": np.array([0.0, np.nan])})
+        cli._emit_table(args, {"x": np.zeros(2), "re": np.array([0.0, np.nan])})
     with pytest.raises(InvalidArgument, match="report field max_deviation is not finite"):
-        cli._emit_finite_table(args, {"x": np.zeros(2)}, max_deviation=float("inf"))
+        cli._emit_table(args, {"x": np.zeros(2)}, max_deviation=float("inf"))
 
 
 def test_mean_horizon_with_too_many_points_exits_one():
@@ -620,12 +617,12 @@ def test_json_tables_in_row_blocks_are_json_text(monkeypatch, tmp_path, argv, ro
 
 
 def test_json_tables_match_the_indenting_encoder_on_edge_values(monkeypatch):
-    # _emit_table against json.dumps of the whole table: NaN, +-inf, -0.0 and
-    # a subnormal in rows and fields, a one-row table, fields sorting before
-    # and after "rows", in row blocks of 1, 7 (a short last one) and 8,192
-    z = np.array([complex(1.5, -0.0), complex(np.nan, np.inf), complex(-np.inf, 1e-320)] * 5)
+    # _emit_table against json.dumps of the whole table: -0.0 and a subnormal
+    # in rows and fields, a one-row table, fields sorting before and after
+    # "rows", in row blocks of 1, 7 (a short last one) and 8,192
+    z = np.array([complex(1.5, -0.0), complex(-0.0, 2.5), complex(-3.0, 1e-320)] * 5)
     tables = [
-        ({"re": z.real, "im": z.imag, "abs": np.abs(z)}, {"max": float("nan"), "none": None, "flag": True}),
+        ({"re": z.real, "im": z.imag, "abs": np.abs(z)}, {"max": 5e-324, "none": None, "flag": True}),
         ({"x": np.array([-0.0])}, {"k": 1e-320, "zero": -0.0}),
         ({"x": np.linspace(-1.0, 1.0, 9)}, {}),
     ]
@@ -639,6 +636,13 @@ def test_json_tables_match_the_indenting_encoder_on_edge_values(monkeypatch):
             names = list(columns)
             table = {**fields, "rows": [dict(zip(names, r)) for r in np.column_stack(list(columns.values())).tolist()]}
             assert out.getvalue() == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    # a NaN or +-inf column or field is refused before anything is written
+    for bad in (np.nan, np.inf, -np.inf):
+        for columns, fields in (({"x": np.array([0.0, bad])}, {}), ({"x": np.zeros(3)}, {"max": bad})):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(InvalidArgument, match="is not finite"):
+                cli._emit_table(args, columns, **fields)
+            assert out.getvalue() == ""
 
 
 HARMONIC = '{"expr": {"kind": "pp", "builder": "lattice", "weights": "harmonic"}}'
@@ -665,7 +669,7 @@ _OFF_WINDOW_PART = {"window": [-0.5, 0.5], "parts": [{"shift": 0.0, "atoms": [[0
         ),
         (
             _blocks(_OFF_WINDOW_PART), 2,
-            "field,value\nh_bounded,True\nh_support,False\nh_udiscrete,True\nh_vague_null,False\nmin_shift_gap,inf\n"
+            "field,value\nh_bounded,True\nh_support,False\nh_udiscrete,True\nh_vague_null,False\nmin_shift_gap,None\n"
             "overall,False\nsup_variation,0\nsupport_offender,0\nworst_pairing,0.5\n",
         ),
     ],
@@ -698,6 +702,37 @@ def test_blocks_csv_rows_are_two_fields_holding_the_json_values(spec):
             assert float(fields[key]) == value
     if "recipe" in spec:
         assert fields["covered"] == "[-801, 801]"
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decay", "--spec", EX_A, "--radii", "50,100"],
+        ["rajchman", "--spec", FINITE, "--radii", "4,8"],
+        ["mean", "--spec", COMB, "--nlist", "5,10"],
+        ["coeffs", "--spec", HARMONIC, "--rmax", "200"],
+        ["convolve", "--spec", EX_A, "--grid", "99.8:100.2:0.1"],
+        ["fourier", "--spec", TENT, "--grid", "-1:1:0.5"],
+        ["fourier", "--grid", "-1:1:0.5", "--truncation", "5"],
+        ["bessel", "--grid", "0:2:0.5"],
+        ["rlcheck", "--grid", "-1:1:0.5"],
+        _blocks(_OFF_WINDOW_PART),
+        _blocks(_PASSING_PARTS),
+    ],
+    ids=[
+        "decay", "rajchman", "mean", "coeffs", "convolve", "fourier_spec", "fourier_series", "bessel", "rlcheck",
+        "blocks_one_part", "blocks_many_parts",
+    ],
+)
+def test_json_output_is_strict_json(argv):
+    # RFC 8259 has no NaN, Infinity or -Infinity, though json.loads reads them
+    code, out, _ = run(argv + ["--format", "json"])
+    assert code in (0, 2)
+    json.loads(out, parse_constant=_not_json)
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import fourier, measures
+from vanishkit import cli, fourier, measures
 from vanishkit.acceptance import run_all
 from vanishkit.constructions import build_example
 from vanishkit.errors import InvalidArgument, TruncationTailError
@@ -485,8 +485,26 @@ def test_bessel_j0_series_is_the_exact_sum_correctly_rounded(x):
 
 def test_bessel_identity_small_radii():
     for r in (0.0, 0.7, 3.3):
-        lhs, rhs = bessel_j0_check(r, quad_points=512)
+        lhs, rhs = bessel_j0_check(r)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [np.arange(101) / 10.0, cli._parse_grid("0:10:0.1")],
+    ids=["criterion_3", "bessel_default_grid"],
+)
+def test_bessel_check_over_radii_is_the_check_of_each_radius(radii):
+    # one Hankel call and one row sum per block of radii give each radius's
+    # own bits: its scalar check, and the identity's two sides written out
+    lhs, rhs = bessel_j0_check(radii)
+    one = [bessel_j0_check(float(r)) for r in radii]
+    assert lhs.tobytes() == np.array([a for a, _ in one]).tobytes()
+    assert rhs.tobytes() == np.array([b for _, b in one]).tobytes()
+    theta = 2.0 * np.pi * np.arange(512) / 512
+    for r, a, b in zip(radii.tolist(), lhs.tolist(), rhs.tolist()):
+        assert a == 2.0 * np.pi * bessel_j0(2.0 * np.pi * r)
+        assert b == float((2.0 * np.pi / 512) * np.sum(np.cos(2.0 * np.pi * r * np.cos(theta))))
 
 
 def test_rl_crosscheck_triangle_vs_sinc_sq():

@@ -150,6 +150,11 @@ def test_header_and_write_rows_match_fmt_per_value():
     out.write("a,b,c\n")
     specio.write_rows(out, rows)
     assert out.getvalue() == "a,b,c\n" + "".join(",".join(specio.fmt(v) for v in row) + "\n" for row in rows)
+    # a 2-D float block, as the table writer passes it
+    block = np.array([[-0.0, 5e-324, 1.7976931348623157e308], [2.0, -1e-300, 4096.0]])
+    out = io.StringIO()
+    specio.write_rows(out, block)
+    assert out.getvalue() == "".join(",".join(specio.fmt(v) for v in row) + "\n" for row in block)
     empty = io.StringIO()
     empty.write("x,re,im\n")
     specio.write_rows(empty, [])
