@@ -188,8 +188,9 @@ def _emit_table(args: argparse.Namespace, columns: dict[str, np.ndarray], **fiel
     scalar fields plus ``rows``, one object per row keyed by the same names,
     as json.dumps(indent=2, sort_keys=True) writes it.  Rows are written in
     blocks of _CSV_ROWS: a CSV block is specio.write_rows of the stacked
-    columns, a JSON block is _json_rows, in the place of a placeholder for
-    ``rows``.  A non-finite column or field is refused (_check_finite).
+    columns (one vectorised pass, the same bytes as "%.17g" per value), a
+    JSON block is _json_rows, in the place of a placeholder for ``rows``.
+    A non-finite column or field is refused (_check_finite).
     """
     _check_finite({**columns, **fields})
     names = list(columns)

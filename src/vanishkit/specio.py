@@ -25,6 +25,7 @@ from .constructions import (
     nu_block_input,
 )
 from .errors import InvalidArgument
+from .floattext import fmt, lines
 from .measures import (
     AbsCont,
     ConstantDensity,
@@ -219,6 +220,9 @@ _BLOCK_RECIPES = {
 }
 
 
+_MAX_SHIFT = 2.0**1022  # so that every gap between two shifts is finite
+
+
 def parse_block_spec(spec: str | dict) -> BlockSumInput:
     """Parse a block-sum input: a named recipe or explicit parts.
 
@@ -227,7 +231,8 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
     im], ...], "densities": [{"builder": "indicator", "interval": [a, b],
     "weight": [re, im]}, ...]}, ...]} with optional gap_floor and
     pairing_tol.  The atoms go into the input's columns and the densities
-    into its part expressions.
+    into its part expressions.  A shift beyond 2^1022 in magnitude is
+    refused.
     """
     d = json.loads(spec) if isinstance(spec, str) else spec
     if not isinstance(d, dict):
@@ -249,7 +254,10 @@ def parse_block_spec(spec: str | dict) -> BlockSumInput:
     for i, pd in enumerate(_as_list(_require(d, "parts", "block spec"), "parts")):
         where = f"parts[{i}]"
         _reject_unknown(pd, {"shift", "atoms", "densities", "label"}, where)
-        shifts.append(_as_float(_require(pd, "shift", where), where))
+        shift = _as_float(_require(pd, "shift", where), where)
+        if abs(shift) > _MAX_SHIFT:
+            raise InvalidArgument(f"shift {shift!r} in {where} exceeds 2^1022 in magnitude")
+        shifts.append(shift)
         atoms = _atom_rows(pd.get("atoms", []), where + ".atoms")
         densities: list[MeasureExpr] = []
         for j, dd in enumerate(_as_list(pd.get("densities", []), where + ".densities")):
@@ -332,18 +340,18 @@ def block_input_to_dict(inp: BlockSumInput) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def fmt(v: float) -> str:
-    """17-significant-digit decimal, locale independent."""
-    return format(float(v), ".17g")
+_CHUNK = 2**13  # values per floattext.lines call: bounds the kernel's memory
 
 
 def write_rows(out: IO[str], rows: np.ndarray | Sequence[Sequence[float]]) -> None:
-    """One line of fmt-formatted values per row of a 2-D float block, by one
-    %-format pass over its flat values."""
+    """One line per row of a 2-D float block: its values as fmt writes them
+    (format(v, ".17g"), byte for byte), joined by commas, from the
+    vectorised kernel floattext.lines, _CHUNK values at a time."""
     block = np.asarray(rows, dtype=float)
     if block.size:
-        line = ",".join(["%.17g"] * block.shape[1]) + "\n"
-        out.write((line * len(block)) % tuple(block.ravel().tolist()))
+        step = max(1, _CHUNK // block.shape[1])
+        for start in range(0, len(block), step):
+            out.write(lines(block[start : start + step]))
 
 
 def decay_report_dict(profile: DecayProfile) -> dict:

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vanishkit import cli, constructions, specio
+from vanishkit import cli, constructions, floattext, specio
 from vanishkit.cli import main
 from vanishkit.errors import InvalidArgument
 from vanishkit.measures import convolve_grid
@@ -371,6 +371,24 @@ def test_convolve_csv_in_row_blocks_is_header_and_write_rows(monkeypatch, tmp_pa
     assert target.read_bytes() == want.getvalue().encode()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convolve", "--spec", '{"expr": {"kind": "example", "name": "ex_b"}}', "--grid", "-300:300:0.01"],
+        ["bessel"],
+    ],
+    ids=["convolve_ex_b", "bessel"],
+)
+def test_tables_take_no_value_per_value(record, argv):
+    # work gate: every value of these tables, exact dyadic 17-digit ties
+    # included, gets its digits from the vectorised kernel, none from fmt
+    calls = record(specio, "write_rows")
+    assert run(argv)[0] == 0
+    values = np.concatenate([np.asarray(rows, dtype=float).ravel() for _, rows in calls])
+    assert values.size == {"convolve": 3 * 60001, "bessel": 4 * 101}[argv[0]]
+    assert not floattext._digits17(values)[2].any()
+
+
 def test_huge_test_function_exits_one_before_allocating():
     tracemalloc.start()
     try:
@@ -383,14 +401,25 @@ def test_huge_test_function_exits_one_before_allocating():
     assert peak < 1_000_000  # a hat of 5e8 samples would be 8 GB
 
 
-def _alone(argv):
-    """argv's exit code, stdout and stderr from a fresh `python -m vanishkit`."""
+def _python(*args):
+    """The exit code, stdout and stderr of a fresh `python *args` that
+    imports vanishkit from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "vanishkit", *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _alone(argv):
+    """argv's exit code, stdout and stderr from a fresh `python -m vanishkit`."""
+    return _python("-m", "vanishkit", *argv)
+
+
+def test_import_leaves_fractions_and_decimal_out():
+    # the table writer's power-of-ten table is built from ints alone, so it
+    # adds no module import to the set-up time of every command
+    code, out, err = _python("-c", "import sys, vanishkit.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    assert (code, out, err) == (0, "[]\n", "")
 
 
 def test_python_dash_m_runs_the_command_line():
@@ -549,6 +578,8 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["coeffs", "--spec", COMB, "--rmax", "1e12"],
         # a pairing tolerance no pairing can meet
         _blocks({"window": [0, 1], "parts": [{"shift": 0, "atoms": [[0.5, 1, 0]]}], "pairing_tol": -1}),
+        # shifts whose gap would overflow float64
+        _blocks({"window": [0, 1], "parts": [{"shift": s, "atoms": [[0.5, 1, 0]]} for s in (-1.7e308, 1.7e308)]}),
         # a hat narrower than the float64 spacing at its center
         ["decay", "--spec", EX_A, "--radii", "50,100", "--f-center", "1e308"],
         # grids beyond the point cap, refused before any array exists
@@ -672,8 +703,15 @@ _OFF_WINDOW_PART = {"window": [-0.5, 0.5], "parts": [{"shift": 0.0, "atoms": [[0
             "field,value\nh_bounded,True\nh_support,False\nh_udiscrete,True\nh_vague_null,False\nmin_shift_gap,None\n"
             "overall,False\nsup_variation,0\nsupport_offender,0\nworst_pairing,0.5\n",
         ),
+        (
+            # the widest shifts a block spec accepts, +-2^1022: their gap is finite
+            _blocks({"window": [0, 1], "parts": [{"shift": s, "atoms": [[0.5, 1, 0]]} for s in (-(2.0**1022), 2.0**1022)]}),
+            2,
+            "field,value\nh_bounded,True\nh_support,True\nh_udiscrete,True\nh_vague_null,False\n"
+            "min_shift_gap,8.9884656743115795e+307\noverall,False\nsup_variation,1\nsupport_offender,None\nworst_pairing,1\n",
+        ),
     ],
-    ids=["decay", "rajchman", "mean", "coeffs", "blocks_failing", "blocks_passing", "blocks_one_part"],
+    ids=["decay", "rajchman", "mean", "coeffs", "blocks_failing", "blocks_passing", "blocks_one_part", "blocks_widest_shifts"],
 )
 def test_report_csv_bytes(argv, code, text):
     # numbers (ints too) in 17 significant digits, bools and None as str;

@@ -1,11 +1,13 @@
 """JSON wire formats: measure specs, block specs, CSV/JSON report shapes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import specio
+from vanishkit import floattext, specio
 from vanishkit.constructions import build_example, ex_b_block_input, nu_block_input
 from vanishkit.errors import InvalidArgument
 from vanishkit.measures import PurePoint, atoms_in, convolve
@@ -159,6 +161,82 @@ def test_header_and_write_rows_match_fmt_per_value():
     empty.write("x,re,im\n")
     specio.write_rows(empty, [])
     assert empty.getvalue() == "x,re,im\n"
+
+
+def _rows_by_fmt(block):
+    return "".join(",".join(specio.fmt(v) for v in row) + "\n" for row in block)
+
+
+def _written(block):
+    out = io.StringIO()
+    specio.write_rows(out, block)
+    return out.getvalue()
+
+
+_BITS = st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1),
+    st.one_of(st.integers(0, 2047), st.sampled_from([0, 2047])),  # zeros, subnormals, inf and NaN often
+    st.integers(0, 2**52 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BITS, min_size=1, max_size=96), st.integers(1, 4))
+@example([0, 2**63, 1, 0x7FF << 52, 0xFFF << 52, (0x7FF << 52) | 1, 2**63 | (0x7FF << 52) | 5], 1)
+def test_write_rows_is_format_17g_on_any_bit_pattern(bits, ncols):
+    values = np.array(bits + [0] * (-len(bits) % ncols), dtype=np.uint64).view(np.float64)
+    block = values.reshape(-1, ncols)
+    assert _written(block) == _rows_by_fmt(block)
+
+
+def _ulps_around(x, count):
+    steps = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(count):
+            y = np.nextafter(y, direction)
+            steps.append(y)
+    return np.concatenate(steps)
+
+
+def test_write_rows_is_format_17g_on_decimal_and_dyadic_edges():
+    powers = np.array([float(f"1e{j}") for j in range(-300, 301)])
+    cases = [
+        _ulps_around(powers, 3),  # every decade edge, 1 to 3 ulp either side
+        _ulps_around(np.array([1e16, 1e17]), 12),  # where %g turns to e-notation
+        np.arange(-1000.0, 1001.0),
+        np.array([2.0**53 + d for d in range(-4, 5)] + [10.0**q - 1 for q in range(1, 18)] + [123456789012345678.0]),
+        # dyadic values with exact ties in the 18th digit, in and out of the exact decades
+        np.ldexp(np.arange(1.0, 200.0, 2.0)[:, None], -np.arange(0, 80)[None, :]).ravel(),
+        np.array([-0.000101566314697265625, 2.0**-25, 3 * 2.0**-24, 0.5, 1.5, 2.5]),
+    ]
+    for values in cases:
+        for block in (values.reshape(-1, 1), np.concatenate([values, -values]).reshape(-1, 2)):
+            assert _written(block) == _rows_by_fmt(block)
+    # an exact tie of the catalog tables, and every decade edge in the power
+    # table's range, get their digits from the kernel
+    assert not floattext._digits17(np.array([-0.000101566314697265625]))[2].any()
+    assert not floattext._digits17(powers[20:-21])[2].any()  # 1e-280 to 1e279
+
+
+def test_near_ties_in_inexact_decades_are_written_per_value():
+    # within 1e-15 of a 17-digit tie, for |v| < 1e-6 where 10^(16-k) is not
+    # a double: the double-double product rounds some of them the wrong way
+    values = np.array([
+        9.508396845224331e-07, 3.888475069819475e-07, 2.2422607587866907e-07, 4.9102966142601843e-08,
+        4.95286445202696e-09, 4.974148370910348e-09, 4.974148370910348e-10,
+    ])
+    assert floattext._digits17(values)[2].all()
+    block = np.concatenate([values, -values]).reshape(-1, 2)
+    assert _written(block) == _rows_by_fmt(block)
+
+
+def test_values_outside_the_power_table_are_written_per_value():
+    values = np.array([1e-300, 1e300, 5e-324, 1.7976931348623157e308, np.nan, -np.inf])
+    assert floattext._digits17(values)[2].all()
+    block = np.concatenate([values, -values]).reshape(-1, 3)
+    assert _written(block) == _rows_by_fmt(block)
 
 
 def test_report_dict_shapes():
