@@ -165,13 +165,17 @@ _TENT_CAP = 47
 
 
 class ShrinkingTentsDensity(DensitySource):
-    """Tents of height 1 and halfwidth 2^-n centered at n = 1, 2, ...
+    """Tents of height 1 and halfwidth 2^-n centered at n = 1, 2, ..., _TENT_CAP.
 
     The tent at n has integral 2^-n, so the measure vanishes at infinity
-    while the density keeps peak value 1 on every block.
+    while the density keeps peak value 1 on every block.  Cut after level
+    _TENT_CAP, it is supported on [1/2, _TENT_CAP + 2^-_TENT_CAP], whose
+    ends are the outer knots of the first and last tents.
     """
 
-    support = None
+    @property
+    def support(self) -> Window:
+        return Window(0.5, _TENT_CAP + 2.0**-_TENT_CAP)
 
     def evalv(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -201,14 +205,18 @@ _BF_MAX_LEVEL = 14
 
 
 class AlternatingDyadicDensity(DensitySource):
-    """Density (-1)^k on [n + k/2^n, n + (k+1)/2^n) for n >= 1, 0 elsewhere.
+    """Density (-1)^k on [n + k/2^n, n + (k+1)/2^n) for n = 1, ..., _BF_MAX_LEVEL,
+    0 elsewhere.
 
     Left-closed subinterval convention; the density does not vanish at
     infinity pointwise (it keeps hitting +-1) but the measure it defines
-    does, through cancellation at ever finer scales.
+    does, through cancellation at ever finer scales.  Cut after level
+    _BF_MAX_LEVEL, it is supported on [1, _BF_MAX_LEVEL + 1].
     """
 
-    support = None
+    @property
+    def support(self) -> Window:
+        return Window(1.0, _BF_MAX_LEVEL + 1.0)
 
     def evalv(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

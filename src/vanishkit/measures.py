@@ -493,7 +493,8 @@ def resolve_window(mu: MeasureExpr, w: Window) -> ResolvedWindow:
             pos, wts = node.source.enumerate_window(pre)
             if pos.size:
                 wts = np.conj(wts) if conj else np.asarray(wts, dtype=np.complex128)
-                pos, wts = sign * pos + shift, scale * wts
+                with np.errstate(over="ignore", invalid="ignore"):  # overflows reach the reports' finite check
+                    pos, wts = sign * pos + shift, scale * wts
                 pos_parts.append(pos if sign == 1 else pos[::-1])
                 wt_parts.append(wts if sign == 1 else wts[::-1])
         elif isinstance(node, AbsCont):
@@ -908,10 +909,11 @@ class _Block:
         i0 = grid.searchsorted(pos + f.lo, side="left")
         i1 = grid.searchsorted(pos + f.hi, side="right")
         span = _ramp_span(i0, i1, f, float(pos[-1] - pos[0]) if pos.size else 0.0)
-        if span is not None:
-            _ramp_into_grid(_Ramps(pos, f.hi - f.lo).load(wts), f, grid, span, out)
-        else:
-            _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows reach the reports' finite check
+            if span is not None:
+                _ramp_into_grid(_Ramps(pos, f.hi - f.lo).load(wts), f, grid, span, out)
+            else:
+                _scatter_pairs(i0, i1, lambda s, idx: wts[s] * f.values(grid[idx] - pos[s]), out)
         for piece in self.res.pieces:
             cells = self.plan.cells(piece, reach)
             if cells is None:

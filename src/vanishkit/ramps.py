@@ -145,8 +145,10 @@ class _Ramps:
     def at(self, u: np.ndarray, b: np.ndarray):
         """Where G and H of the part of block b left of u are read: a
         position, and for cells also u and b, for the closed form of the
-        cell that u cuts (read)."""
-        j = np.minimum(np.maximum(self.left.searchsorted(u), self.start[b]), self.start[b + 1])
+        cell that u cuts (read).  Each u is searched for only among the
+        sources of the blocks from b.min() to b.max()."""
+        lo, hi = (self.start[b.min()], self.start[b.max() + 1]) if b.size else (0, 0)
+        j = np.minimum(np.maximum(self.left[lo:hi].searchsorted(u) + lo, self.start[b]), self.start[b + 1])
         k = j + self.shift[b]
         return k if self.cells is None else (k, u, b)
 

@@ -349,6 +349,8 @@ def write_rows(out: IO[str], rows: np.ndarray | Sequence[Sequence[float]]) -> No
     vectorised kernel floattext.lines, _CHUNK values at a time."""
     block = np.asarray(rows, dtype=float)
     if block.size:
+        if block.ndim != 2:
+            raise InvalidArgument(f"write_rows takes a 2-D block of rows, got a {block.ndim}-D array")
         step = max(1, _CHUNK // block.shape[1])
         for start in range(0, len(block), step):
             out.write(lines(block[start : start + step]))

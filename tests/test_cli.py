@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vanishkit import cli, constructions, floattext, specio
+from vanishkit import cli, constructions, floattext, measures, specio
 from vanishkit.cli import main
 from vanishkit.errors import InvalidArgument
 from vanishkit.measures import convolve_grid
@@ -102,6 +102,45 @@ def test_fourier_modes():
     assert code == 0
     assert out.splitlines()[0] == "k,value"
     assert float(out.strip().splitlines()[1].split(",")[1]) == pytest.approx(7.875)
+
+
+def _example(name):
+    return json.dumps({"expr": {"kind": "example", "name": name}})
+
+
+def _table(out):
+    return np.array([[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]])
+
+
+def test_fourier_of_the_truncated_tents_is_their_mass_at_zero():
+    # cut after level 47, ex_tent declares a compact support, so fourier
+    # takes it (it used to exit 1: ft_compact requires a declared compact
+    # support).  At k = 0 it is the mass 1 - 2^-47, to the rounding of the
+    # GL8 sums; untruncated it would be 1, 64 ulps away.
+    code, out, err = run(["fourier", "--spec", _example("ex_tent"), "--grid", "0:0:1"])
+    assert code == 0 and err == ""
+    (k, re, im), = _table(out)
+    assert k == 0.0 and im == 0.0
+    assert abs(re - (1.0 - 2.0**-47)) <= 4 * 2.0**-53
+
+
+def test_fourier_of_the_truncated_blocks_is_their_exponential_sum(monkeypatch):
+    # cut after level 3, ex_bf is +-1 on the 14 intervals [n + j 2^-n,
+    # n + (j+1) 2^-n), n = 1..3: the integral of s e^{-2 pi i k t} over
+    # [a, b) is s (e^{-2 pi i k a} - e^{-2 pi i k b}) / (2 pi i k), s (b - a) at 0
+    monkeypatch.setattr(constructions, "_BF_MAX_LEVEL", 3)
+    code, out, err = run(["fourier", "--spec", _example("ex_bf"), "--grid", "-2:2:0.25"])
+    assert code == 0 and err == ""
+    got = _table(out)
+    ks = got[:, 0]
+    want = np.zeros(ks.size, dtype=np.complex128)
+    for n in range(1, 4):
+        for j in range(2**n):
+            a, b, s = n + j / 2**n, n + (j + 1) / 2**n, (-1) ** j
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = s * (np.exp(-2j * np.pi * ks * a) - np.exp(-2j * np.pi * ks * b)) / (2j * np.pi * ks)
+            want += np.where(ks == 0.0, s * (b - a), term)
+    assert np.max(np.abs(got[:, 1] + 1j * got[:, 2] - want)) <= 1e-12
 
 
 def test_bessel_table_within_tolerance():
@@ -389,6 +428,27 @@ def test_tables_take_no_value_per_value(record, argv):
     assert not floattext._digits17(values)[2].any()
 
 
+@pytest.mark.parametrize(
+    ("argv", "most"),
+    [
+        # 2,048,001 points each while the densities declared no support
+        (["mean", "--spec", _example("ex_tent"), "--nlist", "10,100,1000", "--format", "json"], 140_000),
+        (["mean", "--spec", _example("ex_bf"), "--nlist", "10,100,1000", "--format", "json"], 70_000),
+        # 250,000 points each, all of them zero
+        (["decay", "--spec", _example("ex_tent"), "--radii", "50,100,200", "--epsilon", "0.05", "--format", "json"], 16),
+        (["decay", "--spec", _example("ex_bf"), "--radii", "50,100,200", "--epsilon", "0.05", "--format", "json"], 16),
+    ],
+)
+def test_truncated_densities_are_convolved_only_where_they_live(record, argv, most):
+    # work gate: ex_tent lives on [1/2, 47 + 2^-47] and ex_bf on [1, 15]; a
+    # scan block past them resolves no piece and is read at its corners
+    calls = record(measures._Block, "convolve")
+    assert run(argv)[0] == 0
+    assert sum(grid.size for _, _, grid, _ in calls) <= most
+    if argv[0] == "decay":  # radii from 50 out: every block lies past the support
+        assert not any(block.res.pieces for block, *_ in calls)
+
+
 def test_huge_test_function_exits_one_before_allocating():
     tracemalloc.start()
     try:
@@ -554,6 +614,9 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
          '"atoms": [[0.0, Infinity, 0.0]]}}', "--grid", "0:1:0.5"],
         ["convolve", "--spec", '{"expr": {"kind": "scale", "factor": NaN, "child": '
          '{"kind": "pp", "builder": "ex_a"}}}', "--grid", "0:1:0.5"],
+        # weights that overflow once scaled: the report's finite check, no numpy warning
+        ["convolve", "--spec", '{"expr": {"kind": "scale", "factor": [1e308, 1e308], "child": '
+         '{"kind": "pp", "builder": "ex_a"}}}', "--grid", "0:1:0.5", "--f-height", "1e10"],
         # tolerances outside (0, inf)
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "nan"],
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "0"],

@@ -244,6 +244,38 @@ def test_tent_cells_and_values_agree_at_the_last_levels():
         assert variation_on(AbsCont(density), w) == (2.0**-n if resolved else 0.0)
 
 
+def _outside_and_inside(support, below, above):
+    """Dense grids just outside each end of a support (down to ``below``, up
+    to ``above``) and the floats just inside them."""
+    lo, hi = support.lo, support.hi
+    ulps_lo = np.nextafter(lo, -np.inf) - np.arange(2000) * np.spacing(lo)
+    ulps_hi = np.nextafter(hi, np.inf) + np.arange(2000) * np.spacing(hi)
+    far = np.concatenate((np.linspace(below, lo, 20001)[:-1], np.linspace(hi, above, 20001)[1:]))
+    return np.concatenate((ulps_lo, ulps_hi, far)), np.array([np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)])
+
+
+def test_truncated_densities_vanish_off_their_declared_supports():
+    # ex_tent ends with the tent at 47, whose right knot 47 + 2^-47 is a
+    # float (2^-47 is one ulp of 47); ex_bf ends with the block [14, 15]
+    tent, blocks = build_example("ex_tent").density, build_example("ex_bf").density
+    assert tent.support == Window(0.5, 47.0 + 2.0**-47) and tent.support.hi > 47.0
+    assert blocks.support == Window(1.0, 15.0)
+    for density, below, above in ((tent, -3.0, 60.0), (blocks, -3.0, 40.0)):
+        outside, inside = _outside_and_inside(density.support, below, above)
+        assert not np.any(density.evalv(outside))
+        assert np.all(density.evalv(inside) != 0)
+
+
+def test_truncated_supports_follow_the_level_caps(monkeypatch):
+    monkeypatch.setattr(constructions, "_TENT_CAP", 10)
+    monkeypatch.setattr(constructions, "_BF_MAX_LEVEL", 3)
+    tent, blocks = build_example("ex_tent").density, build_example("ex_bf").density
+    assert tent.support == Window(0.5, 10.0 + 2.0**-10) and blocks.support == Window(1.0, 4.0)
+    for density in (tent, blocks):
+        outside, inside = _outside_and_inside(density.support, -3.0, 20.0)
+        assert not np.any(density.evalv(outside)) and np.all(density.evalv(inside) != 0)
+
+
 def test_sinc_series_measure_variation():
     mu = build_example("ex_sinc_series", truncation=20)
     got = variation_on(mu, Window(-1.5, 1.5))

@@ -703,6 +703,30 @@ def test_ramp_prefix_sums_equal_the_per_block_loop(counts, dense, seed):
         assert [x.tobytes() for x in r.read(r.end(np.array([b])))] == [g[-1:].tobytes(), h[-1:].tobytes()]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    gaps=st.lists(st.integers(0, 12), min_size=1, max_size=60),
+    base=st.floats(-50.0, 50.0),
+)
+def test_ramp_reads_searched_within_their_blocks_equal_the_whole_search(data, gaps, base):
+    # at searches each query among the sources of the blocks its batch
+    # reads, not all of them.  Sources a quarter block apart or repeated,
+    # blocks left empty, and queries at sources, at block edges and past
+    # both ends give the positions of one search over every source.
+    left = base + 0.25 * np.cumsum(gaps)
+    r = ramps._Ramps(left, 1.0)
+    edges = r.base + np.arange(-1, r.n + 2)
+    pool = np.concatenate((left, edges, [left[0] - 7.0, left[-1] + 7.0, -np.inf, np.inf]))
+    n = data.draw(st.integers(0, 40))
+    u = np.array(data.draw(st.lists(st.sampled_from(pool.tolist()) | st.floats(base - 9.0, left[-1] + 9.0), min_size=n, max_size=n)))
+    b = np.array(data.draw(st.lists(st.integers(0, r.n - 1), min_size=n, max_size=n)), dtype=np.intp)
+    want = np.clip(left.searchsorted(u), r.start[b], r.start[b + 1]) + r.shift[b]
+    assert np.array_equal(r.at(u, b), want)
+    assert np.array_equal(r.at(u.reshape(1, -1), b.reshape(1, -1)), want.reshape(1, -1))  # a batch of kinks
+    assert r.at(np.empty(0), np.empty(0, dtype=np.intp)).size == 0
+
+
 def test_ramp_sums_take_a_few_cumsums_however_many_blocks(record):
     # one cumsum per row width (counts of one quarter octave share one) and
     # per sum: 1,000 blocks of 1 to 39 sources take at most 2 * 4 * 6

@@ -252,3 +252,12 @@ def test_report_dict_shapes():
     m = specio.mean_report_dict(trace)
     assert set(m) == {"entries", "limit_estimate"}
     assert json.loads(json.dumps(m)) == m
+
+
+@pytest.mark.parametrize("rows", [[1.0, 2.0, 3.0], np.zeros((2, 2, 2)), 5.0])
+def test_write_rows_refuses_a_block_that_is_not_2d(rows):
+    # a 1-D sequence once raised a bare IndexError from block.shape[1]
+    out = io.StringIO()
+    with pytest.raises(InvalidArgument, match="2-D block of rows") as exc:
+        specio.write_rows(out, rows)
+    assert "\n" not in str(exc.value) and out.getvalue() == ""
