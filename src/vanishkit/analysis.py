@@ -373,29 +373,31 @@ def mean_abs(mu: MeasureExpr, f: TestFunction, n_list: Sequence[int]) -> MeanTra
     total, last, last_g = 0.0, np.empty(0), np.empty(0)
     plan = _Plan(mu, Window(-big - f.hi, -big + h * (k_max + 1) - f.lo))
     for _, [(_, start, stop, ks, vals)] in _scan(plan, f, h, [(-big, k_max + 1)], keep=marks.ravel(), real=True):
-        mod = np.concatenate((last, np.abs(vals)))
-        seg = mod[:-1] + mod[1:]
-        seg *= 0.5
-        seg *= h
-        base = start - last.size
-        if ks is not None:  # corners: mu*f is real and linear on each run between two
-            ks = np.concatenate((np.arange(base, start), ks))
-            gap = np.diff(ks)
-            seg *= gap  # a run of one sign: |mu*f| is linear, its trapezoids sum to one
-            g = np.concatenate((last_g, vals.real))
-            cross = (gap > 1) & (g[:-1] * g[1:] < 0)
-            if np.count_nonzero(cross):
-                # a run that changes sign: |.| is linear on the grid intervals
-                # either side of the one, j .. j + 1, that holds the zero
-                m, a, b = gap[cross], g[:-1][cross], g[1:][cross]
-                j = np.minimum(np.floor(m * a / (a - b)), m - 1)
-                gj, gk = np.abs(a + (b - a) * (j / m)), np.abs(a + (b - a) * ((j + 1) / m))
-                seg[cross] = (0.5 * h) * ((np.abs(a) + gj) * j + (gj + gk) + (gk + np.abs(b)) * (m - j - 1))
-        # cum[i] is the prefix sum at grid index base + i, or at ks[i]; cumsum adds in order
-        cum = np.cumsum(np.concatenate(([total], seg)))
-        here = (marks >= base) & (marks < stop)
-        cum_at[here] = cum[marks[here] - base if ks is None else ks.searchsorted(marks[here])]
-        total, last, last_g = cum[-1], mod[-1:].copy(), vals.real[-1:].copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows reach the report's finite check
+            mod = np.concatenate((last, np.abs(vals)))
+            seg = mod[:-1] + mod[1:]
+            seg *= 0.5
+            seg *= h
+            base = start - last.size
+            if ks is not None:  # corners: mu*f is real and linear on each run between two
+                ks = np.concatenate((np.arange(base, start), ks))
+                gap = np.diff(ks)
+                seg *= gap  # a run of one sign: |mu*f| is linear, its trapezoids sum to one
+                g = np.concatenate((last_g, vals.real))
+                cross = (gap > 1) & (g[:-1] * g[1:] < 0)
+                if np.count_nonzero(cross):
+                    # a run that changes sign: |.| is linear on the grid intervals
+                    # either side of the one, j .. j + 1, that holds the zero
+                    m, a, b = gap[cross], g[:-1][cross], g[1:][cross]
+                    j = np.minimum(np.floor(m * a / (a - b)), m - 1)
+                    gj, gk = np.abs(a + (b - a) * (j / m)), np.abs(a + (b - a) * ((j + 1) / m))
+                    seg[cross] = (0.5 * h) * ((np.abs(a) + gj) * j + (gj + gk) + (gk + np.abs(b)) * (m - j - 1))
+            # cum[i] is the prefix sum at grid index base + i, or at ks[i]; cumsum adds in order
+            cum = np.cumsum(np.concatenate(([total], seg)))
+            here = (marks >= base) & (marks < stop)
+            cum_at[here] = cum[marks[here] - base if ks is None else ks.searchsorted(marks[here])]
+            total, last, last_g = cum[-1], mod[-1:].copy(), vals.real[-1:].copy()
         del ks, vals, mod, seg, cum  # before the next block is resolved
-    entries = [(n, float((hi - lo) / (2.0 * n))) for n, (lo, hi) in zip(ns, cum_at)]
+    with np.errstate(invalid="ignore"):  # inf - inf, likewise
+        entries = [(n, float((hi - lo) / (2.0 * n))) for n, (lo, hi) in zip(ns, cum_at)]
     return MeanTrace(tuple(entries), entries[-1][1])

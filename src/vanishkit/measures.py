@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidArgument, _refine
 from .masses import _cell_mass, _cells_sum, _converged_cum, _trapezoid_rule
-from .ramps import _cell_ramps, _ramp_into_grid, _ramp_span, _Ramps, _Reads
+from .ramps import _RAMP_CHUNK, _ramp_into_grid, _ramp_span, _Ramps, _Reads
 from .testfunctions import TestFunction, Window
 
 __all__ = [
@@ -644,12 +644,16 @@ def _panel_values(reads: _Reads, width: np.ndarray, moments: np.ndarray) -> np.n
     return reads.values()
 
 
-def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction, support: Window | None) -> tuple[np.ndarray, np.ndarray]:
+def _panels(
+    x: np.ndarray, at: np.ndarray, f: TestFunction, support: Window | None, edges: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Left edges and widths of the panels between the cuts of the reaches
     of x, ascending, that lie inside some point's reach (_smooth_into_grid)
     and inside the support.  A bounded support clips the cuts to the chunk's
     reach intersected with it, and the two ends of that clip are cuts of
-    their own, outside the bucket merge, so no panel sticks out of it."""
+    their own, outside the bucket merge, so no panel sticks out of it.  So
+    are the ascending edges inside the clip, if given (cell edges), so no
+    panel straddles one."""
     bucket = _BUCKET * f.step
     q = np.empty((x.size, at.size + 1))
     np.subtract(x[:, None], at, out=q[:, 1:])
@@ -670,6 +674,10 @@ def _panels(x: np.ndarray, at: np.ndarray, f: TestFunction, support: Window | No
         if not lo < hi:
             return cuts[:0], cuts[:0]
         cuts = np.concatenate(([lo], cuts[(cuts > lo) & (cuts < hi)], [hi]))
+        if edges is not None:  # merge two ascending runs, then drop repeats
+            inner = edges[edges.searchsorted(lo, "right") : edges.searchsorted(hi)]
+            cuts = np.sort(np.concatenate((cuts, inner)), kind="stable")
+            cuts = cuts[np.append(True, cuts[1:] != cuts[:-1])]
     # the reach that starts last at or before a panel ends last: the panel
     # lies inside a reach if it starts before that reach's end
     inside = ends[starts.searchsorted(cuts[:-1], side="right") - 1] > cuts[:-1]
@@ -838,7 +846,11 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
 
     Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi]; each pair
     (cell, grid point) is a _cell_pairs value.  Shallow cells that make many
-    pairs per kink of f are summed as ramps instead.
+    pairs per kink of f are summed as ramps instead, over panels, as smooth
+    densities are (_smooth_into_grid), _RAMP_CHUNK grid points at a time:
+    _panels cuts the chunk's reach at its reads and at every cell edge, so
+    each panel lies in one cell, whose line gives its mass and its first
+    moment about its left edge in closed form, or in a gap, and is dropped.
     """
     a, b, _, _ = cells
     steep = _steep_cells(cells, f)
@@ -847,8 +859,21 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
     shallow = ~steep
     span = _ramp_span(i0[shallow], i1[shallow], f, float(b[-1] - a[0]) if a.size else 0.0)
     if span is not None:
-        sub = tuple(arr[shallow] for arr in cells)
-        _ramp_into_grid(_cell_ramps(sub, f.hi - f.lo), f, grid, span, out)
+        a, b, vc, beta = (arr[shallow] for arr in cells)
+        edges = np.sort(np.concatenate((a, b)), kind="stable")
+        at = f.kinks[0][f.kinks[0] < f.hi]
+        lo, hi = span if at.size else (0, 0)  # f vanishes: no kinks, nothing to add
+        for start in range(lo, hi, _RAMP_CHUNK):
+            x = grid[start : min(start + _RAMP_CHUNK, hi)]
+            left, width = _panels(x, at, f, Window(a[0], b[-1]), edges)
+            c = a.searchsorted(left, side="right") - 1
+            live = left < b[c]  # not in a gap
+            if not np.count_nonzero(live):
+                continue
+            left, width, c = left[live], width[live], c[live]
+            v = vc[c] + beta[c] * (left + 0.5 * width - 0.5 * (a[c] + b[c]))  # the density mid-panel
+            ramps = _Ramps(left, f.hi - f.lo).load(v * width, width * width * (0.5 * v + beta[c] * width / 12.0))
+            out[start : start + x.size] += _Reads(ramps, f, x).values()
         i1 = np.where(shallow, i0, i1)  # only the steep cells are left to scatter
     _scatter_pairs(i0, i1, lambda s, idx: _cell_pairs(cells, steep, f, s, grid[idx]), out)
 

@@ -1,4 +1,4 @@
-"""Convolution of atoms, affine cells and smooth panels by repeated integration.
+"""Convolution of atoms and panels by repeated integration.
 
 A test function f is a sum of ramps: with its kink table (c_k, s_k),
 f(u) = sum_k s_k (u - c_k)_+ for u <= f.hi.  So for sources mu,
@@ -7,19 +7,17 @@ f(u) = sum_k s_k (u - c_k)_+ for u <= f.hi.  So for sources mu,
 moment, each read from prefix sums.  A grid point costs one query per kink
 of f, however many sources it sees (Heckbert, "Filtering by repeated
 integration", SIGGRAPH 1986).  ``measures.convolve_grid`` takes this path
-for atoms and cells where it beats scattering (source, grid point) pairs,
-and always for a smooth density, whose panels, cut at the points the prefix
-sums are read at and at the ends of its support, carry their mass and first
-moment from quadrature.
+for atoms and shallow affine cells where it beats scattering (source, grid
+point) pairs, and always for a smooth density.  A source is an atom or a
+panel: a density cut at the points the prefix sums are read at (and at
+cell edges and the ends of a support), whose mass and first moment come
+from the closed form of its cell's line or from quadrature.
 
 Each fixed cost is paid once.  ``_Ramps`` lays its blocks out once and takes
 every block's running sums in one pass of a few cumsum calls, however many
 blocks there are; ``_Reads`` finds where a chunk of grid points reads them
 (the block and ``searchsorted`` position of each query) once, so panels
 refined level by level only load new sums and read them again.
-
-Affine cells are arrays (a, b, vc, beta) as in ``measures``: density
-vc + beta * (s - center) on [a, b], center being the cell midpoint.
 """
 
 from __future__ import annotations
@@ -30,9 +28,11 @@ from .testfunctions import TestFunction
 
 # Pairs per (reached grid point, kink of f + 1) above which atoms or shallow
 # cells are summed as ramps rather than scattered as pairs.  A ramp query
-# costs what 2 to 4 pairs do (uniform random atoms, and ex_bf's cells at
-# levels 1 to 9, with a hat on a Xeon), where the two paths broke even; at 4
-# the ramp is taken only where it is clearly faster.
+# costs what 2 to 4 pairs do, where the two paths broke even: uniform random
+# atoms with a hat on a Xeon, and on a 2-vCPU Xeon ex_bf's cells as panels,
+# levels 1 to 11 against a hat of half-width 0.25 on grid steps 2e-4 to 1e-3
+# (break-even 2 to 3.5; at 4.25, level 5, the pairs took 1.2 to 2.4 times as
+# long).  At 4 the ramp is taken only where it is clearly faster.
 _RAMP_CROSSOVER = 4.0
 
 # Grid points per evaluation chunk, so each temporary stays near 64 kB, under
@@ -66,12 +66,9 @@ class _Ramps:
     takes its moments about its anchor base + b L, so no sum carries more
     than one block's mass and no moment grows with the distance from the
     origin.  An interval no longer than L meets at most two blocks.  The
-    sources are atoms (left = positions, mass = weights); panels of a
-    smooth density (left = left edges, mass = masses, first = first moments
-    about the left edges), read only at panel edges, so that a prefix holds
-    whole panels; or affine cells cut at the block edges (left = a, mass =
-    vc * width, cells = (a, width, center, vc, beta)), whose partial masses
-    and moments are closed forms.
+    sources are atoms (left = positions, mass = weights) or panels (left =
+    left edges, mass = masses, first = first moments about the left edges),
+    read only at panel edges, so that a prefix holds whole panels.
 
     The blocks are laid out once, and ``at`` and ``end`` give positions in
     that layout; ``load`` takes the running sums of one set of masses, so
@@ -82,11 +79,10 @@ class _Ramps:
     own order, as a cumsum of that block alone would, bit for bit.
     """
 
-    def __init__(self, left: np.ndarray, span: float, cells: tuple | None = None) -> None:
-        self.left, self.cells, self.span = left, cells, span
+    def __init__(self, left: np.ndarray, span: float) -> None:
+        self.left, self.span = left, span
         self.base = float(left[0])
-        key = left if cells is None else cells[2]
-        blocks = np.floor((key - self.base) / span).astype(np.intp)
+        blocks = np.floor((left - self.base) / span).astype(np.intp)
         self.n = int(blocks[-1]) + 1
         self.anchor = self.base + span * np.arange(self.n)
         self.start = blocks.searchsorted(np.arange(self.n + 1))
@@ -115,11 +111,7 @@ class _Ramps:
     def load(self, mass: np.ndarray, first: np.ndarray | None = None) -> _Ramps:
         """Take the running sums of these masses (and first moments about
         the left edges) of the sources: one cumsum per row width and sum."""
-        key = self.left if self.cells is None else self.cells[2]
-        moment = (key - np.repeat(self.anchor, self.count)) * mass
-        if self.cells is not None:
-            _, width, _, _, beta = self.cells
-            moment += beta * width**3 / 12.0
+        moment = (self.left - np.repeat(self.anchor, self.count)) * mass
         if first is not None:
             moment += first
         slot = np.repeat(self.shift, self.count)
@@ -142,49 +134,17 @@ class _Ramps:
         """Where G and H of all of block b are read."""
         return self.start[b + 1] + self.shift[b]
 
-    def at(self, u: np.ndarray, b: np.ndarray):
-        """Where G and H of the part of block b left of u are read: a
-        position, and for cells also u and b, for the closed form of the
-        cell that u cuts (read).  Each u is searched for only among the
-        sources of the blocks from b.min() to b.max()."""
+    def at(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Where G and H of the part of block b left of u are read.  Each u
+        is searched for only among the sources of the blocks from b.min()
+        to b.max()."""
         lo, hi = (self.start[b.min()], self.start[b.max() + 1]) if b.size else (0, 0)
         j = np.minimum(np.maximum(self.left[lo:hi].searchsorted(u) + lo, self.start[b]), self.start[b + 1])
-        k = j + self.shift[b]
-        return k if self.cells is None else (k, u, b)
+        return j + self.shift[b]
 
-    def read(self, k) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G and H at what ``at`` or ``end`` gave."""
-        if not isinstance(k, tuple):
-            return self.cum_g[k], self.cum_h[k]
-        k, u, b = k
-        # cells start[b]..c start left of u; the last of them may reach past it
-        a, width, center, vc, beta = self.cells
-        c = k - 1 - self.shift[b]
-        w = width[c]
-        d = np.minimum(np.maximum(u - a[c], 0.0), w)
-        rise = d * (d - w) * 0.5  # integral of (s - center) over [a, a + d]
-        g = vc[c] * d + beta[c] * rise
-        h = (center[c] - self.anchor[b]) * g + vc[c] * rise + beta[c] * ((d - 0.5 * w) ** 3 + (0.5 * w) ** 3) / 3.0
-        some = c >= self.start[b]
-        return np.where(some, self.cum_g[k - 1] + g, 0.0), np.where(some, self.cum_h[k - 1] + h, 0.0)
-
-
-def _cell_ramps(cells: tuple, span: float) -> _Ramps:
-    """Ramps of affine cells, each cut where a block edge falls inside it."""
-    a, b, vc, beta = cells
-    base = float(a[0])
-    edges = base + span * np.arange(1, int((b[-1] - base) // span) + 2)
-    owner = a.searchsorted(edges) - 1
-    inside = owner >= 0
-    inside[inside] = edges[inside] < b[owner[inside]]
-    lefts = np.sort(np.concatenate((a, edges[inside])))
-    owner = a.searchsorted(lefts, side="right") - 1
-    rights = np.minimum(np.append(lefts[1:], np.inf), b[owner])
-    width = rights - lefts
-    center = 0.5 * (lefts + rights)
-    beta = beta[owner]
-    vc = vc[owner] + beta * (center - 0.5 * (a + b)[owner])
-    return _Ramps(lefts, span, (lefts, width, center, vc, beta)).load(vc * width)
+        return self.cum_g[k], self.cum_h[k]
 
 
 class _Reads:

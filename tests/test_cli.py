@@ -461,13 +461,31 @@ def test_huge_test_function_exits_one_before_allocating():
     assert peak < 1_000_000  # a hat of 5e8 samples would be 8 GB
 
 
+def _source_env():
+    """The environment of a fresh python that imports vanishkit from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _python(*args):
     """The exit code, stdout and stderr of a fresh `python *args` that
     imports vanishkit from this source tree."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=_source_env(), capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # `vanishkit convolve ... | head -1`: the reader leaves after one line of
+    # a table far longer than a pipe holds
+    argv = ["-m", "vanishkit", "convolve", "--spec", EX_A, "--grid", "0:300:0.01"]
+    proc = subprocess.Popen([sys.executable, *argv], env=_source_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "x,re,im\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err
 
 
 def _alone(argv):
@@ -617,6 +635,8 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         # weights that overflow once scaled: the report's finite check, no numpy warning
         ["convolve", "--spec", '{"expr": {"kind": "scale", "factor": [1e308, 1e308], "child": '
          '{"kind": "pp", "builder": "ex_a"}}}', "--grid", "0:1:0.5", "--f-height", "1e10"],
+        ["mean", "--nlist", "10,100", "--spec", '{"expr": {"kind": "scale", "factor": [1e308, 1e308], '
+         '"child": {"kind": "pp", "builder": "ex_a"}}}'],
         # tolerances outside (0, inf)
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "nan"],
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "0"],

@@ -992,6 +992,90 @@ def test_ramp_non_dyadic_hat(monkeypatch):
     assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    half=st.sampled_from([0.125, 0.25, 0.5]),
+    center=st.sampled_from([-0.125, 0.0, 0.0625]),
+    height=st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0),
+    data=st.data(),
+)
+def test_ramp_cell_panels_against_the_cell_loop(half, center, height, data):
+    # Cells read as panels: sums of indicators and triangles with complex
+    # scales, on dyadic edges, so that grid points put x - c_k (each kink c)
+    # exactly on an edge, one ulp off it and one bucket (2^-20 f.step) off
+    # it.  A triangle of half-width between L/2 and L (L the support width of
+    # f, the ramp block) has a cell across a block edge when its piece's
+    # ramps start at its left end; a grid of 2,048 to 3,000 points per L
+    # makes the grid points a piece reaches more than one chunk of _RAMP_CHUNK.
+    f = tf_hat(center, half, height)
+    span, q = f.hi - f.lo, 2.0**-8
+    on_lattice = lambda lo, hi: q * data.draw(st.integers(int(lo / q), int(hi / q)))
+    scale = lambda: data.draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0))
+    pieces, edges = [], []
+    kinds = st.lists(st.sampled_from(["indicator", "triangle", "wide triangle"]), min_size=1, max_size=4)
+    for kind in data.draw(kinds):
+        mid = on_lattice(0.0, 2.0)
+        if kind == "indicator":
+            width = span * on_lattice(q, 2.0)
+            pieces.append(IndicatorDensity(mid, mid + width, scale()))
+            edges += [mid, mid + width]
+        else:
+            hw = span * (on_lattice(0.55, 0.95) if kind == "wide triangle" else on_lattice(0.05, 1.5))
+            pieces.append(TriangleDensity(mid, hw, scale()))
+            edges += [mid - hw, mid, mid + hw]
+    mu = Sum(tuple(Scale(scale(), AbsCont(p)) for p in pieces))
+    step = span / data.draw(st.sampled_from([2048, 2500, 3000]))  # a piece reaches more than _RAMP_CHUNK points
+    # reads on some edges only: the others are cut only as cell edges
+    edges = [e for e in edges if data.draw(st.booleans())]
+    on = np.add.outer(edges, f.kinks[0])
+    assert np.array_equal(on - f.kinks[0], np.repeat(np.array(edges)[:, None], f.kinks[0].size, 1))  # exact
+    on, bucket = on.ravel(), 2.0**-20 * f.step
+    near = (on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf), on - bucket, on + bucket)
+    hull = (min(p.support.lo for p in pieces) - span, max(p.support.hi for p in pieces) + span)
+    grid = np.unique(np.concatenate((np.arange(*hull, step) + step / 3.0, *near)))
+    want = _reference_convolve_grid(mu, f, grid)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        _take_path(mp, "ramp")
+        got = convolve_grid(mu, f, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_ramp_tents_with_gaps_between_them(monkeypatch):
+    # ex_tent's tents are cells with gaps between them: the panels of a gap,
+    # from a tent's last edge to the next tent's first, carry nothing.  Up
+    # to level 12; the tents of levels 16 and 17, just short of steep, lose
+    # 6e-12 to the ramp sums' cancellation.
+    _take_path(monkeypatch, "ramp")
+    mu, f = build_example("ex_tent"), tf_hat(0.1, 0.5, 1.0 - 0.5j)
+    grid = np.linspace(0.0, 12.5, 5001)
+    want, steep = _reference_convolve_grid(mu, f, grid)
+    assert steep == []
+    assert np.max(np.abs(convolve_grid(mu, f, grid) - want)) <= 1e-12
+
+
+def test_ramp_cells_against_a_vanishing_test_function(monkeypatch):
+    # a hat of height 0 (``--f-height 0``) has no kinks to cut panels at
+    _take_path(monkeypatch, "ramp")
+    f = tf_hat(0.0, 0.25, 0.0)
+    assert f.kinks[0].size == 0
+    assert np.array_equal(convolve_grid(build_example("ex_bf"), f, np.linspace(0.0, 16.0, 321)), np.zeros(321))
+
+
+def test_cell_panels_bound_their_temporaries():
+    # The README's convolve ex_bf: chunks of _RAMP_CHUNK grid points keep
+    # each chunk's panels and reads small; one chunk of _PANEL_CHUNK // 3
+    # points (every point here) peaked at 12.9 MB.  8.3 MB measured.
+    mu, f, grid = build_example("ex_bf"), tf_hat(0.0, 0.25, 1.0), np.arange(0.0, 16.0, 0.001)
+    convolve_grid(mu, f, grid[:100])  # one-time allocations
+    tracemalloc.start()
+    try:
+        convolve_grid(mu, f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0 * 2**20
+
+
 def test_ramp_chooser_keeps_sparse_atoms_on_pairs(monkeypatch, record):
     # ex_a has two atoms per unit: a few pairs per grid point, fewer than
     # the ramp would make queries.
