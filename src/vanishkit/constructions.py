@@ -49,6 +49,8 @@ from .measures import (
     _merge_runs,
     _smooth_into_grid,
     _steep_cells,
+    _sub_cell_mask,
+    _sub_cell_pairs,
 )
 from .testfunctions import TestFunction, Window, tf_hat, tf_reflect_conj
 
@@ -570,7 +572,10 @@ def _validate(
         owner = np.repeat([i for i, _ in declared], [c[0].size for _, c in declared])
         for j, g in enumerate(reflected):
             reach = np.flatnonzero((cells[0] + g.lo <= 0.0) & (cells[1] + g.hi >= 0.0))
-            vals = _cell_pairs(cells, _steep_cells(cells, g), g, reach, np.zeros(reach.size))
+            sub = _sub_cell_mask(cells, g, _steep_cells(cells, g))[reach]
+            vals = np.empty(reach.size, dtype=np.complex128)
+            for kind, pair_values in ((sub, _sub_cell_pairs), (~sub, _cell_pairs)):
+                vals[kind] = pair_values(cells, g, reach[kind], np.zeros(np.count_nonzero(kind)))
             pairs[j] += _segment_sums(vals, np.bincount(owner[reach], minlength=n))
     origin = np.zeros(1)
     for i, piece in smooth:

@@ -3,12 +3,14 @@
 fmt is format(v, ".17g") for one value.  lines writes a 2-D block with the
 same bytes from one numpy pass: _digits17 takes the 17 significant digits
 of every value from an exact double-double product with a table of powers
-of ten, and a table of %g layouts spells them out.  The few values that
-_digits17 cannot settle go through fmt.
+of ten, and a table of %g layouts spells them out.  The tables are built on
+first use, so a command that writes no table does not pay for them.  The few
+values that _digits17 cannot settle go through fmt.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -32,6 +34,7 @@ _K_MIN, _K_MAX = -281, 281
 _NEAR = 1e-6  # in units of the 17th digit: a fraction this close to 1/2 goes per value
 
 
+@functools.cache
 def _pow10_table() -> np.ndarray:
     """Rows hi, lo, hi_hi, hi_lo over k: 10^(16-k) = hi + lo to about 2^-106
     relative (both correctly rounded from Python ints), then the Veltkamp
@@ -53,14 +56,11 @@ def _pow10_table() -> np.ndarray:
     return np.array([hi, lo, *_split(hi)])
 
 
-_POW10 = _pow10_table()
-
-
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """a * 10^(16-k) as (n, g, exact): n = p + rint(r) as int64 and
     g = r - rint(r), where p + r is the product; exact is true where the
     table's 10^(16-k) is exact (lo == 0)."""
-    hi, lo, hh, hl = _POW10.take(k - _K_MIN, axis=1)
+    hi, lo, hh, hl = _pow10_table().take(k - _K_MIN, axis=1)
     p = a * hi
     ah, al = _split(a)
     r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
@@ -130,6 +130,7 @@ _LAYOUT_WIDTH = 25  # the longest text, "-1.2345678901234567e-308", and a separa
 _VERBATIM = 23 * 17  # the layout of a value that fmt wrote into rows 0..23
 
 
+@functools.cache
 def _layouts() -> np.ndarray:
     """Layout (mode, s) at row 17 * mode + s - 1, for s significant digits:
     fixed point for mode = k + 5 with k in [-4, 16], e-notation at modes 0
@@ -152,12 +153,13 @@ def _layouts() -> np.ndarray:
     return np.frombuffer(padded, dtype=np.uint8).reshape(-1, _LAYOUT_WIDTH)
 
 
-_LAYOUTS = _layouts()
-# the exponent text of each k of the power table: sign and three digits
-_EXPONENT = np.frombuffer(
-    b"".join((b"-" if k < 0 else b"+") + (b"%02d" % abs(k)).rjust(3, b"\0") for k in range(_K_MIN, _K_MAX + 1)),
-    dtype=np.uint8,
-).reshape(-1, 4).T.copy()
+@functools.cache
+def _exponents() -> np.ndarray:
+    """The exponent text of each k of the power table: sign and three digits."""
+    return np.frombuffer(
+        b"".join((b"-" if k < 0 else b"+") + (b"%02d" % abs(k)).rjust(3, b"\0") for k in range(_K_MIN, _K_MAX + 1)),
+        dtype=np.uint8,
+    ).reshape(-1, 4).T.copy()
 
 
 def lines(block: np.ndarray) -> str:
@@ -179,7 +181,7 @@ def lines(block: np.ndarray) -> str:
     digits = src[_DIGIT : _DIGIT + 17]
     significant = np.maximum(((digits != 0) * np.arange(1, 18, dtype=np.uint8)[:, None]).max(axis=0), 1)
     digits += ord("0")
-    src[_EXP : _EXP + 4] = _EXPONENT.take(k - _K_MIN, axis=1)
+    src[_EXP : _EXP + 4] = _exponents().take(k - _K_MIN, axis=1)
     src[_DOT], src[_E], src[_ZERO], src[_SEP], src[_NUL] = b".e0,\0"
     src[_SEP, block.shape[1] - 1 :: block.shape[1]] = ord("\n")
     lid = 17 * (np.clip(k, -5, 17) + 5) + significant - 1
@@ -189,6 +191,6 @@ def lines(block: np.ndarray) -> str:
         src[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
         lid[i] = _VERBATIM
     # intp from the start: numpy.take would make an intp copy of any other
-    index = (_LAYOUTS.astype(np.intp) * size).take(lid, axis=0)
+    index = (_layouts().astype(np.intp) * size).take(lid, axis=0)
     index += np.arange(size)[:, None]
     return src.ravel().take(index).tobytes().translate(None, b"\0").decode("ascii")

@@ -71,12 +71,11 @@ __all__ = [
     "seminorm_pg",
 ]
 
-# Quadrature rules on [-1, 1], name: (nodes, weights), ascending.  G2 and G8
-# are bit for bit what np.polynomial.legendre.leggauss gives; G3 and K7, its
+# Quadrature rules on [-1, 1], name: (nodes, weights), ascending.  G8 is
+# bit for bit what np.polynomial.legendre.leggauss gives; G3 and K7, its
 # Kronrod extension (Kronrod 1965), are rounded from 50-digit values.  K7
 # keeps the three G3 nodes (its odd entries), bit for bit.
 _GL = {
-    "G2": (np.array([-0.5773502691896257, 0.5773502691896257]), np.array([1.0, 1.0])),
     "G3": (np.array([-0.7745966692414834, 0.0, 0.7745966692414834]),
            np.array([0.5555555555555556, 0.8888888888888888, 0.5555555555555556])),
     "K7": (np.array([-0.9604912687080203, -0.7745966692414834, -0.43424374934680254, 0.0,
@@ -562,14 +561,14 @@ def _affine_cells(piece: TransformedDensity, clip: Window) -> _Cells | None:
     beta = np.zeros(a.size, dtype=np.complex128)
     # part by part: a complex division multiplies by 1 / width, which a
     # subnormal width overflows, and 0 * inf is NaN
-    rise = g2 - g1
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values reach the reports' finite check
+        rise = g2 - g1
         np.divide(rise.real, s2 - s1, out=beta.real, where=sloped)
         np.divide(rise.imag, s2 - s1, out=beta.imag, where=sloped)
+        vc = 0.5 * (g1 + g2)  # midpoint of s1, s2 is the cell center
     steep = ~np.isfinite(beta)
     if np.any(steep):
         raise InvalidArgument(f"density slope is not finite on a cell of width {np.min(width[steep]):.3g}")
-    vc = 0.5 * (g1 + g2)  # midpoint of s1, s2 is the cell center
     live = (width > 0.0) & ((vc != 0) | (beta != 0))
     return a[live], b[live], vc[live], beta[live]
 
@@ -733,10 +732,10 @@ def _smooth_into_grid(
 
 # The (source, grid point) pairs one scatter chunk expands, so its
 # temporaries stay near 64 kB whatever the source count and grid size (a
-# source reaching more grid points is split across chunks).  A steep cell's
-# pair expands to one GL2 sub-cell per knot interval of f it crosses, at most
-# f.knots.size - 1 (and 2 where the knots are further apart than a steep
-# cell is wide, under (f.hi - f.lo) / 49,999; see _steep_cells).
+# source reaching more grid points is split across chunks).  A sub-cell pair
+# expands to one piece per knot interval of f its window crosses: at most 2
+# for a cell narrower than any knot interval, and for a steep one at most 1
+# more than the knots in a window of (f.hi - f.lo) / 49,999 (_steep_cells).
 # At 2^14 pairs the chunk's 256 kB temporaries sat at glibc's mmap threshold
 # and were mapped, or trimmed off the heap, and faulted in again per chunk:
 # convolve_grid(ex_tent, hat(0, 0.25)) on 20,801 points, the steep-cell
@@ -774,7 +773,10 @@ _STEEP_FACTOR = 1e5  # slope * reach over cell size above which a cell is steep
 
 
 def _steep_cells(cells: _Cells, f: TestFunction) -> np.ndarray:
-    """Which cells are steep against f: slope times reach dwarfs their values."""
+    """Which cells are steep against f: slope times reach dwarfs their
+    values, so differences of f's antiderivative and first moment would
+    amplify their rounding.  As |vc| + |beta| w / 2 bounds a cell's values,
+    a steep cell of width w has w < (f.hi - f.lo) / 49,999."""
     a, b, vc, beta = cells
     width = b - a
     slope = np.abs(beta)
@@ -782,75 +784,85 @@ def _steep_cells(cells: _Cells, f: TestFunction) -> np.ndarray:
     return slope * ((f.hi - f.lo) + width) > _STEEP_FACTOR * np.maximum(1.0, cell_sup)
 
 
-def _cell_pairs(cells: _Cells, steep: np.ndarray, f: TestFunction, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The integral of f(x - t) * density(t) over cell s, for each pair (s, x).
+def _sub_cell_mask(cells: _Cells, f: TestFunction, steep: np.ndarray) -> np.ndarray:
+    """Which cells take _sub_cell_pairs against f: the steep ones, and those
+    narrower than the closest two knots of f, whose windows hold at most one."""
+    return steep | (cells[1] - cells[0] < np.min(np.diff(f.knots)))
 
-    A pair adds vc*dF + beta*((x - center)*dF - dM), with dF and dM the
-    differences of the antiderivative and first moment of f between x - b
-    and x - a.  On a steep cell (``steep[s]``), those differences would
-    amplify the rounding of the global antiderivative; its pair sums GL2
-    over the sub-cells that the knots of f cut [x - b, x - a] into instead,
-    exact because both factors are affine on each.
-    """
+
+def _cell_pairs(cells: _Cells, f: TestFunction, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The integral of f(x - t) * density(t) over cell s, for each pair (s, x),
+    from antiderivative differences: vc*dF + beta*((x - center)*dF - dM), with
+    dF and dM the differences of the antiderivative and first moment of f
+    between x - b and x - a."""
     a, b, vc, beta = cells
-
-    def antiderivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        dF = f.integral_to(x - a[s]) - f.integral_to(x - b[s])
-        vals = vc[s] * dF
-        sloped = beta[s] != 0
-        if np.count_nonzero(sloped):
-            s, x, dF = s[sloped], x[sloped], dF[sloped]
-            dM = f.moment_to(x - a[s]) - f.moment_to(x - b[s])
-            vals[sloped] += beta[s] * ((x - 0.5 * (a[s] + b[s])) * dF - dM)
-        return vals
-
-    def gauss(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        knots = np.concatenate(([-np.inf], f.knots, [np.inf]))
-        u_lo, u_hi = x - b[s], x - a[s]
-        k_lo = knots.searchsorted(u_lo, side="right") - 1  # knots[k_lo] <= u_lo
-        inside = np.maximum(knots.searchsorted(u_hi, side="left") - 1 - k_lo, 0)
-        pair = np.arange(s.size).repeat(inside + 1)
-        k = k_lo[pair] + np.arange(pair.size) - ((inside + 1).cumsum() - (inside + 1))[pair]
-        # sub-cell j of a pair runs between its knots j and j + 1, cut to [u_lo, u_hi]
-        left = np.maximum(u_lo[pair], knots[k])
-        right = np.minimum(u_hi[pair], knots[k + 1])
-        good = right > left
-        pair, left, right = pair[good], left[good], right[good]
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        u1, u2 = mid + _GL["G2"][0][:, None] * half
-        c = s[pair]
-        rel = x[pair] - 0.5 * (a[c] + b[c])
-        fu = f.values(np.concatenate((u1, u2)))
-        n = half.size
-        # substitute u = x - s: density = vc + beta*((x - center) - u)
-        term = half * (
-            fu[:n] * (vc[c] + beta[c] * (rel - u1)) + fu[n:] * (vc[c] + beta[c] * (rel - u2))
-        )
-        total = np.empty(s.size, dtype=np.complex128)
-        total.real = np.bincount(pair, term.real, s.size)
-        total.imag = np.bincount(pair, term.imag, s.size)
-        return total
-
-    sharp = steep[s]
-    if not np.count_nonzero(sharp):
-        return antiderivative(s, x)
-    vals = np.empty(s.size, dtype=np.complex128)
-    vals[~sharp] = antiderivative(s[~sharp], x[~sharp])
-    vals[sharp] = gauss(s[sharp], x[sharp])
+    dF = f.integral_to(x - a[s]) - f.integral_to(x - b[s])
+    vals = vc[s] * dF
+    sloped = beta[s] != 0
+    if np.count_nonzero(sloped):
+        s, x, dF = s[sloped], x[sloped], dF[sloped]
+        dM = f.moment_to(x - a[s]) - f.moment_to(x - b[s])
+        vals[sloped] += beta[s] * ((x - 0.5 * (a[s] + b[s])) * dF - dM)
     return vals
+
+
+def _sub_cells(knots: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces the ascending knots cut the windows [lo, hi] into, off their
+    span dropped: (window, k, left, right) per piece [left, right] of knot
+    interval k, [knots[k], knots[k + 1]]."""
+    k_lo = knots.searchsorted(lo, side="right") - 1  # knots[k_lo] <= lo, -1 below them
+    count = knots.searchsorted(hi) - k_lo  # knot intervals the window meets
+    pair = np.arange(lo.size).repeat(count)
+    k = k_lo[pair] + np.arange(pair.size) - (count.cumsum() - count)[pair]
+    on = (k >= 0) & (k < knots.size - 1)
+    pair, k = pair[on], k[on]
+    return pair, k, np.maximum(lo[pair], knots[k]), np.minimum(hi[pair], knots[k + 1])
+
+
+def _sub_cell_pairs(cells: _Cells, f: TestFunction, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_cell_pairs summed over the pieces the knots of f cut [x - b, x - a]
+    into (_sub_cells), each in closed form.  On a piece [l, r] of knot
+    interval k, f and the density are both affine in u = x - t, so with w =
+    r - l, m its midpoint and s_k the slope of f there, it adds
+    w rho(x - m) f(m) - beta s_k w^3 / 12, exactly what GL2 gives; f(m) is
+    read from interval k's sample and slope."""
+    a, b, vc, beta = cells
+    pair, k, left, right = _sub_cells(f.knots, x - b[s], x - a[s])
+    c, w, m = s[pair], right - left, 0.5 * (left + right)
+    slope = f._slope[k]
+    rho = vc[c] + beta[c] * ((x[pair] - 0.5 * (a[c] + b[c])) - m)  # the density at x - m
+    term = w * rho * (f.samples[k] + slope * (m - f.knots[k])) - beta[c] * slope * (w * w * w / 12.0)
+    total = np.empty(s.size, dtype=np.complex128)
+    total.real = np.bincount(pair, term.real, s.size)
+    total.imag = np.bincount(pair, term.imag, s.size)
+    return total
 
 
 def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.ndarray) -> None:
     """Add the integral of f(x - s) * density(s) over each affine cell onto out.
 
-    Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi]; each pair
-    (cell, grid point) is a _cell_pairs value.  Shallow cells that make many
-    pairs per kink of f are summed as ramps instead, over panels, as smooth
-    densities are (_smooth_into_grid), _RAMP_CHUNK grid points at a time:
-    _panels cuts the chunk's reach at its reads and at every cell edge, so
-    each panel lies in one cell, whose line gives its mass and its first
-    moment about its left edge in closed form, or in a gap, and is dropped.
+    Cell [a, b] reaches the grid points in [a + f.lo, b + f.hi].  Shallow
+    cells that make many pairs per kink of f are summed as ramps instead,
+    over panels, as smooth densities are (_smooth_into_grid), _RAMP_CHUNK
+    grid points at a time: _panels cuts the chunk's reach at its reads and at
+    every cell edge, so each panel lies in one cell, whose line gives its
+    mass and its first moment about its left edge in closed form, or in a
+    gap, and is dropped.
+
+    The other cells are classed once against f, and each class's (cell, grid
+    point) pairs are scattered with its own pair function:
+
+    * steep cells and cells narrower than the closest two knots of f
+      (_sub_cell_mask) take _sub_cell_pairs;
+    * a cell wider than the support of f adds vc F + beta ((x - center) F -
+      M), F and M the integral and first moment of f, at each point x whose
+      reach [x - f.hi, x - f.lo] lies inside it, where x - a rounds to f.hi
+      or above and x - b to f.lo or below: what _cell_pairs gives there, bit
+      for bit for real cells and f (numpy may round a complex product of
+      arrays differently).  The cells of a piece do not overlap, so these
+      points are added directly, _SCATTER_CHUNK at a time; only those near
+      the cell's edges take pairs;
+    * every other pair takes _cell_pairs.
     """
     a, b, _, _ = cells
     steep = _steep_cells(cells, f)
@@ -875,7 +887,30 @@ def _scatter_cells(cells: _Cells, f: TestFunction, grid: np.ndarray, out: np.nda
             ramps = _Ramps(left, f.hi - f.lo).load(v * width, width * width * (0.5 * v + beta[c] * width / 12.0))
             out[start : start + x.size] += _Reads(ramps, f, x).values()
         i1 = np.where(shallow, i0, i1)  # only the steep cells are left to scatter
-    _scatter_pairs(i0, i1, lambda s, idx: _cell_pairs(cells, steep, f, s, grid[idx]), out)
+    a, b, vc, beta = cells
+    sub = _sub_cell_mask(cells, f, steep)
+    _scatter_pairs(i0, np.where(sub, i1, i0), lambda s, idx: _sub_cell_pairs(cells, f, s, grid[idx]), out)
+    i1 = np.where(sub, i0, i1)
+    wide = np.flatnonzero((b - a > f.hi - f.lo) & (i1 > i0))
+    j0 = grid.searchsorted(a[wide] + f.hi)  # a rounded sum is off by one point at most
+    j0 += (j0 < grid.size) & (grid[np.minimum(j0, grid.size - 1)] - a[wide] < f.hi)
+    j1 = grid.searchsorted(b[wide] + f.lo, side="right")
+    j1 = np.maximum(j0, j1 - ((j1 > 0) & (grid[np.maximum(j1 - 1, 0)] - b[wide] > f.lo)))
+    copies = np.ones(a.size, dtype=np.intp)
+    copies[wide] = 2  # a wide cell's pairs before its inside points and after them
+    src = np.arange(a.size).repeat(copies)
+    lo, hi, second = i0[src], i1[src], copies.cumsum()[wide] - 1
+    hi[second - 1], lo[second] = j0, j1
+    _scatter_pairs(lo, hi, lambda s, idx: _cell_pairs(cells, f, src[s], grid[idx]), out)
+    if wide.size:
+        F, M = (np.subtract(*g(np.array([f.hi, f.lo]))) for g in (f.integral_to, f.moment_to))
+    for c, p, q in zip(wide.tolist(), j0.tolist(), j1.tolist()):
+        for start in range(p, q, _SCATTER_CHUNK):
+            x = grid[start : min(start + _SCATTER_CHUNK, q)]
+            vals = vc[c] * F
+            if beta[c] != 0:
+                vals = vals + beta[c] * ((x - 0.5 * (a[c] + b[c])) * F - M)
+            out[start : start + x.size] += vals
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,14 @@ def _python(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_importing_the_cli_builds_no_float_text_table():
+    # decay, mean, blocks and suite write no CSV table; the %.17g kernel's
+    # tables (about 1.4 ms) are built on the first table written
+    tables = "[t.cache_info().currsize for t in (f._pow10_table, f._layouts, f._exponents)]"
+    code, out, err = _python("-c", f"import vanishkit.cli, vanishkit.floattext as f; print({tables})")
+    assert (code, out, err) == (0, "[0, 0, 0]\n", "")
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     # `vanishkit convolve ... | head -1`: the reader leaves after one line of
     # a table far longer than a pipe holds
@@ -610,6 +618,7 @@ def _blocks(spec):
 
 _PART = {"shift": 1.0, "atoms": [[0.0, 1.0, 0.0]]}
 J0 = '{"expr": {"kind": "example", "name": "j0_radial"}}'
+SCALED_EX_BF = '{"expr": {"kind": "scale", "factor": [1e308, 1e308], "child": {"kind": "example", "name": "ex_bf"}}}'
 TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
 
 
@@ -670,6 +679,9 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["bessel", "--grid", "0:1e12:1e-3"],
         ["rlcheck", "--grid", "0:1e12:1e-3"],
         ["fourier", "--grid", "0:1:1e-12"],
+        # a cell density that overflows once scaled: no numpy warning from its cells either
+        ["convolve", "--spec", SCALED_EX_BF, "--grid", "0:16:0.001"],
+        ["mean", "--nlist", "10", "--spec", SCALED_EX_BF],
     ],
 )
 def test_malformed_input_exits_one_with_one_line(argv):

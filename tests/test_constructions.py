@@ -512,7 +512,7 @@ def test_block_validation_calls_the_cell_kernel_once_per_probe(monkeypatch):
     kernel = measures._cell_pairs
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[1])  # the probe
         return kernel(*args)
 
     for module in (measures, constructions):
