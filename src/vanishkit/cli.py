@@ -265,7 +265,7 @@ def _cmd_fourier(args: argparse.Namespace) -> int:
     elif isinstance(mu, PurePoint):
         raise InvalidArgument("fourier on a pure-point spec needs a finite_atoms builder")
     elif isinstance(mu, AbsCont):
-        values = ft_compact(mu.density, ks, tol=args.tolerance)
+        values = ft_compact(mu.density, ks)
     else:
         raise InvalidArgument("fourier expects a pure-point or absolutely continuous root")
     _emit_table(args, {"k": ks, "re": values.real, "im": values.imag})
@@ -403,7 +403,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--grid", required=True, help="lo:hi:step")
     p.add_argument("--truncation", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=_cmd_fourier)
 
     p = sub.add_parser(

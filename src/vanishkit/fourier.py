@@ -48,6 +48,9 @@ def sinc(u):
 
 # complex entries per chunk of an exponential matrix
 _CHUNK_ELEMS = 4_000_000
+_CELL_CHUNK = 1 << 16  # (k, cell) entries per chunk of _ft_cells: temporaries near 1 MB
+# g(z) = (sin z - z cos z) / z^3 = sum_n (-1)^n (2n + 2) z^(2n) / (2n + 3)!: below |z| = 0.1, 2e-19 left out
+_G_SERIES = [(-1) ** n * (2 * n + 2) / math.factorial(2 * n + 3) for n in range(4, -1, -1)]
 
 
 def exp_sum(positions, weights, k):
@@ -112,37 +115,45 @@ def _panel_exp_sum(x: np.ndarray, lo: float, h: float, vals: np.ndarray, sign: i
     return out
 
 
-# Taylor terms of the transform of a test function where pi |k| (hi - lo) < 1.
-# Term n is at most sum |s| ((hi - lo) / 2)^2 / (n + 2)!, so the first one
-# left out is below 1e-18 of that.
-_FT_TAYLOR_TERMS = 18
+def _ft_cells(a: np.ndarray, b: np.ndarray, vc: np.ndarray, beta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Exact forward transform of the affine cells (a, b, vc, beta) at each k.
+
+    The cell c +- h, density vc + beta (s - c), gives e^{-i w c} [vc 2h sinc(w h)
+    - 2i beta w h^3 g(w h)] at w = 2 pi k, with g(z) = (sin z - z cos z) / z^3, or
+    its series _G_SERIES where |z| < 0.1 and the quotient cancels.  A chunk of k
+    holds at most _CELL_CHUNK entries or one row of cells.
+    """
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    out = np.empty(k.size, dtype=np.complex128)
+    rows = max(1, _CELL_CHUNK // max(1, c.size))
+    for i in range(0, k.size, rows):
+        w = 2.0 * np.pi * k[i : i + rows, None]
+        z = w * h
+        with np.errstate(all="ignore"):  # sin z / z at 0 and the series past 1e154 go unread; z^3 = inf gives g = 0
+            z2, sin, cos = z * z, np.sin(z), np.cos(z)
+            sinc = np.where(z == 0.0, 1.0, sin / z)
+            g = np.where(np.abs(z) < 0.1, np.polyval(_G_SERIES, z2), (sin - z * cos) / (z2 * z))
+        term = (2.0 * h) * (vc * sinc - 1j * (beta * h) * (z * g))
+        out[i : i + rows] = (np.exp(-1j * (w * c)) * term).sum(axis=1)
+    return out
 
 
 def _ft_testfunction(f: TestFunction, k) -> np.ndarray:
-    """Exact forward transform of the piecewise-linear interpolant, from its kink table.
+    """Exact forward transform of the piecewise-linear interpolant.
 
     f'' is sum_j s_j delta_{c_j}, so f^(k) = -sum_j s_j e^{-2 pi i k c_j} / (4 pi^2 k^2),
     taken about the middle m of the support.  Where pi |k| (hi - lo) < 1 that
-    sum cancels, and the Taylor series e^{-2 pi i k m} sum_n (-2 pi i k)^n mu_n / n!
-    takes over, with the moments mu_n = sum_j s_j (c_j - m)^(n+2) / ((n+1)(n+2))
-    about m and mu_0 the mass of f.
+    sum cancels, and f's cells about m take over (_ft_cells); at k = 0, f.mass.
     """
     karr = np.atleast_1d(np.asarray(k, dtype=float))
-    at, jump = f.kinks
     mid = 0.5 * (f.lo + f.hi)
-    rel = at - mid
     near = np.pi * np.abs(karr) * (f.hi - f.lo) < 1.0
     out = np.empty(karr.size, dtype=np.complex128)
     far = karr[~near]
-    out[~near] = -exp_sum(rel, jump, far) / (4.0 * np.pi**2 * far**2)
-    n = np.arange(_FT_TAYLOR_TERMS)
-    moments = (rel[None, :] ** (n[:, None] + 2) @ jump) / ((n + 1) * (n + 2))
-    moments[0] = f.mass
-    z = -2j * np.pi * karr[near]
-    series = np.zeros(z.size, dtype=np.complex128)
-    for m in n[::-1]:  # Horner in z, with 1/n! folded in
-        series = moments[m] + series * z / (m + 1)
-    out[near] = series
+    out[~near] = -exp_sum(f.kinks[0] - mid, f.kinks[1], far) / (4.0 * np.pi**2 * far**2)
+    x, y = f.knots - mid, f.samples
+    out[near] = _ft_cells(x[:-1], x[1:], 0.5 * (y[:-1] + y[1:]), f._slope, karr[near])
+    out[karr == 0.0] = f.mass
     return np.exp(-2j * np.pi * karr * mid) * out
 
 
@@ -151,67 +162,56 @@ def _ft_testfunction(f: TestFunction, k) -> np.ndarray:
 _MAX_NODES = 10**7
 
 
-def _gl8_panels(spans: list, rate: float, what: str) -> list[int]:
-    """The panel counts max(1, ceil(width * rate)) of the spans at one
-    level, refused with InvalidArgument before any array when their 8 nodes
-    each come to more than _MAX_NODES (or to NaN)."""
-    counts = np.maximum(1.0, np.ceil(np.array([b - a for a, b in spans]) * rate))
-    nodes = 8.0 * counts.sum()
-    if not nodes <= _MAX_NODES:
-        raise InvalidArgument(f"the {what} quadrature needs {nodes:.3g} nodes at one level, more than {_MAX_NODES}")
-    return counts.astype(int).tolist()
+def _gl8_levels(lo: float, hi: float, weight: Callable, xs: np.ndarray, sign: int, rates: list, what: str):
+    """The levels of the integral of weight(t) e^{sign 2 pi i x t} over [lo, hi] at each x, for
+    _refine: level r is GL8 on max(1, ceil((hi - lo) r)) equal panels, one _panel_exp_sum.
+    InvalidArgument refuses a level of more than _MAX_NODES nodes (or NaN) before it is built;
+    no one level can converge, so the first two are counted here, before any is built."""
 
-
-def _gl8_integral(spans: list, weight: Callable, xs: np.ndarray, sign: int, rates: list, tol: float, what: str):
-    """Integral of weight(t) e^{sign 2 pi i x t} over the spans at each x,
-    and the difference between its last two levels (_refine).
-
-    Level r puts GL8 on ceil(width * r) equal panels of each span, sized by
-    _gl8_panels just before it is built; its node sum is one _panel_exp_sum
-    per span.  No one level can converge, so the first two are both sized
-    before the first is built.
-    """
-    for rate in rates[:2]:
-        _gl8_panels(spans, rate, what)
+    def panels(rate: float) -> int:
+        nodes = 8.0 * np.maximum(1.0, np.ceil((hi - lo) * rate))
+        if not nodes <= _MAX_NODES:
+            raise InvalidArgument(f"the {what} quadrature needs {nodes:.3g} nodes at one level, more than {_MAX_NODES}")
+        return int(nodes) // 8
 
     def level(rate: float) -> np.ndarray:
-        total = np.zeros(xs.size, dtype=np.complex128)
-        for (a, b), n_panels in zip(spans, _gl8_panels(spans, rate, what)):
-            h = 0.5 * (b - a) / n_panels
-            nodes = _panel_nodes(a, h, n_panels)
-            vals = (h * _GL["G8"][1]) * weight(nodes.ravel()).reshape(nodes.shape)
-            total += _panel_exp_sum(xs, a, h, vals, sign)
-        return total
+        n_panels = panels(rate)
+        h = 0.5 * (hi - lo) / n_panels
+        nodes = _panel_nodes(lo, h, n_panels)
+        vals = (h * _GL["G8"][1]) * weight(nodes.ravel()).reshape(nodes.shape)
+        return _panel_exp_sum(xs, lo, h, vals, sign)
 
-    return _refine(((v, v) for v in map(level, rates)), tol, what)
+    for rate in rates[:2]:
+        panels(rate)
+    return ((v, v) for v in map(level, rates))
 
 
 def _ft_density(d: DensitySource, k, tol: float) -> np.ndarray:
-    """Transform of a compactly supported density by panelled Gauss rule.
-
-    GL8 on equal panels of each cell between the declared knots (or of the
-    whole support), the panel count doubled three times at most
-    (_gl8_integral).
-    """
+    """Transform of a compactly supported density: exact on the cells between
+    its declared knots (_ft_cells); without knots, GL8 on equal panels of its
+    support, the panel count doubled three times at most (_gl8_levels)."""
     sup = d.support
     if sup is None:
         raise InvalidArgument("ft_compact requires a declared compact support")
     karr = np.atleast_1d(np.asarray(k, dtype=float))
+    kmax = float(np.max(np.abs(karr))) if karr.size else 0.0
+    if not math.isfinite(2.0 * np.pi * kmax * max(abs(sup.lo), abs(sup.hi))):
+        raise InvalidArgument(f"the phase 2 pi k x overflows float64 at |k| = {kmax:.3g} on the support")
     piece = TransformedDensity(d, 1, 0.0, 0, 1.0 + 0.0j)
     cells = _affine_cells(piece, sup)
-    spans = [(sup.lo, sup.hi)] if cells is None else list(zip(cells[0].tolist(), cells[1].tolist()))
-    kmax = float(np.max(np.abs(karr))) if karr.size else 0.0
+    if cells is not None:
+        return _ft_cells(*cells, karr)
     # panels short enough that each sees at most ~half an oscillation
     per_unit = max(2.0 * kmax, 4.0 / max(sup.width, 1e-12))
     rates = [per_unit * scale for scale in (1.0, 2.0, 4.0, 8.0)]
-    return _gl8_integral(spans, piece.evalv, karr, -1, rates, tol, "transform")[0]
+    return _refine(_gl8_levels(sup.lo, sup.hi, piece.evalv, karr, -1, rates, "transform"), tol, "transform")[0]
 
 
 def ft_compact(g, k, direction: str = "forward", tol: float = 1e-8):
     """Fourier transform of a compactly supported function.
 
-    ``g`` is a TestFunction (exact closed form) or a DensitySource with
-    declared support (panelled quadrature with refinement check).
+    ``g`` is a TestFunction or a DensitySource with declared support (exact on
+    its affine cells; without knots, panelled quadrature refined to ``tol``).
     forward: integral of g(s) e^{-2 pi i k s} ds; inverse flips the sign
     of k.  Scalar k returns complex; array k returns an array.
     """
@@ -604,10 +604,10 @@ def rl_crosscheck(
     k_window = float(np.ceil(k_window))
     xmax = float(np.max(np.abs(xs)))
     rate = density.osc_rate + xmax + (f.hi - f.lo)
-    base_rate = max(rate / 2.0, 1.0)
-    spans, rates = [(-k_window, k_window)], [base_rate * mult for mult in (1.0, 2.0, 4.0)]
-    for rate in rates[:2]:  # refuse an oversized first or second level before the autocorrelation
-        _gl8_panels(spans, rate, "spectral")
+    rates = [max(rate / 2.0, 1.0) * mult for mult in (1.0, 2.0, 4.0)]
+    levels = _gl8_levels(  # refuses an oversized first or second level before the autocorrelation
+        -k_window, k_window, lambda k: density(k) * np.abs(_ft_testfunction(f, k)) ** 2, xs, 1, rates, "spectral"
+    )
     g = tf_convolve(f, tf_reflect_conj(f))
     direct = convolve_grid(mu, g, xs)
 
@@ -620,9 +620,7 @@ def rl_crosscheck(
             tail_estimate,
         )
 
-    spectral, quad_estimate = _gl8_integral(
-        spans, lambda k: density(k) * np.abs(_ft_testfunction(f, k)) ** 2, xs, 1, rates, tolerance / 10.0, "spectral"
-    )
+    spectral, quad_estimate = _refine(levels, tolerance / 10.0, "spectral")
     gap = direct - spectral
     # np.hypot rounds as Python's abs does; np.abs of complex128 can be 2 ulps away
     deviation = np.hypot(gap.real, gap.imag)

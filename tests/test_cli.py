@@ -549,22 +549,20 @@ def test_rlcheck_narrow_hat_that_fits_exits_zero():
     assert json.loads(out)["max_deviation"] <= 1e-4
 
 
-@pytest.mark.parametrize(
-    "grid, cause",
-    [("0:1e9:1e8", "3.2e+10 nodes"), ("0:1e6:1e5", "3.2e+07 nodes"), ("0:3e5:1e5", "1.92e+07 nodes")],
-)
-def test_fourier_at_extreme_frequencies_exits_one_before_allocating(grid, cause):
-    # the first transform level of the triangle holds 8 nodes per panel and
-    # 2 k_max panels per unit length, on its two unit cells; at k_max 3e5 it
-    # fits (9.6e6 nodes) and the second does not, so neither is built
+@pytest.mark.parametrize("grid", ["0:1e9:1e8", "0:1e6:1e5", "0:3e5:1e5"])
+def test_fourier_at_extreme_frequencies_exits_zero_in_closed_form(grid):
+    # the triangle's two cells transform in closed form, so frequencies up
+    # to 1e9 cost two terms each and stay small in memory
     tracemalloc.start()
     try:
         code, out, err = run(["fourier", "--spec", TRIANGLE, "--grid", grid])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, out) == (1, "")
-    assert cause + " at one level" in err and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    k, re, im = _table(out).T
+    assert k.tolist() == cli._parse_grid(grid).tolist()
+    assert np.max(np.abs(re + 1j * im - np.sinc(k) ** 2)) <= 1e-12
     assert peak < 1_000_000
 
 
@@ -650,7 +648,6 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "nan"],
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "0"],
         ["convolve", "--spec", J0, "--grid", "0:1:0.5", "--tolerance", "-1"],
-        ["fourier", "--spec", TRIANGLE, "--grid", "0:1:0.5", "--tolerance", "nan"],
         ["bessel", "--grid", "0:1:0.5", "--tolerance", "-1"],
         # recipes whose atom count is checked before any array exists
         _blocks({"recipe": "ex_nu", "n": 10**8}),
@@ -679,6 +676,8 @@ TRIANGLE = '{"expr": {"kind": "ac", "builder": "triangle"}}'
         ["bessel", "--grid", "0:1e12:1e-3"],
         ["rlcheck", "--grid", "0:1e12:1e-3"],
         ["fourier", "--grid", "0:1:1e-12"],
+        # frequencies whose phase 2 pi k x overflows float64 on the support
+        ["fourier", "--spec", TRIANGLE, "--grid", "0:1e308:1e307"],
         # a cell density that overflows once scaled: no numpy warning from its cells either
         ["convolve", "--spec", SCALED_EX_BF, "--grid", "0:16:0.001"],
         ["mean", "--nlist", "10", "--spec", SCALED_EX_BF],
@@ -899,7 +898,7 @@ def test_readme_example_prints_what_the_readme_shows(argv, shown):
 
 
 def test_readme_shows_an_example_of_each_documented_command():
-    assert [argv[0] for argv, _ in _readme_examples()] == ["convolve", "coeffs", "bessel", "blocks", "suite"]
+    assert [argv[0] for argv, _ in _readme_examples()] == ["convolve", "coeffs", "fourier", "bessel", "blocks", "suite"]
 
 
 def test_grid_point_cap_counts_the_points_it_would_allocate(monkeypatch):

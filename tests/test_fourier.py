@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanishkit import cli, fourier, measures
+from vanishkit import cli, constructions, fourier, measures
 from vanishkit.acceptance import run_all
-from vanishkit.constructions import build_example
+from vanishkit.constructions import AlternatingDyadicDensity, build_example
 from vanishkit.errors import InvalidArgument, TruncationTailError
 from vanishkit.fourier import (
     bessel_j0,
@@ -33,7 +33,7 @@ from vanishkit.measures import (
     PurePoint,
     TriangleDensity,
 )
-from vanishkit.testfunctions import tf_convolve, tf_hat, tf_indicator, tf_reflect_conj
+from vanishkit.testfunctions import Window, tf_convolve, tf_hat, tf_indicator, tf_reflect_conj
 
 
 def test_sinc_basics():
@@ -131,10 +131,10 @@ def test_spectral_sums_keep_their_refinement_levels(monkeypatch):
         assert report.k_window == 28.0 and report.quad_estimate <= 1e-5
         assert panels == [686, 1372]
         panels.clear()
-    # the triangle on -5:5:0.01 (two cells): 10 panels a cell, then 20
+    # the triangle on -5:5:0.01 (two cells) is exact in closed form: no panels
     ks = np.linspace(-5.0, 5.0, 1001)
     assert np.max(np.abs(ft_compact(TriangleDensity(0.0, 1.0, 1.0), ks) - sinc(np.pi * ks) ** 2)) <= 1e-14
-    assert panels == [10, 10, 20, 20]
+    assert panels == []
 
 
 def _traced_peak(fn) -> int:
@@ -190,12 +190,100 @@ def _ft_nodal(f, ks):
     ],
 )
 def test_ft_kink_sum_against_nodal_tents(f):
-    # through k = 0, the Taylor range pi |k| (hi - lo) < 1 and its edge
+    # through k = 0, the near range pi |k| (hi - lo) < 1 and its edge
     width = f.hi - f.lo
     ks = np.concatenate((np.linspace(-40.0, 40.0, 20001), [0.0, 1e-9], np.array([0.999, 1.001]) / (np.pi * width)))
     got = ft_compact(f, ks)
     assert np.max(np.abs(got - _ft_nodal(f, ks))) <= 1e-13
     assert ft_compact(f, 0.0) == f.mass
+
+
+def _cell_ft(a, b, ya, yb, k):
+    """The integral over [a, b] of the line through (a, ya) and (b, yb)
+    against e^{-2 pi i k s}, in mpmath's working precision."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b, k, ya, yb = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(k), mpmath.mpc(ya), mpmath.mpc(yb)
+    if k == 0:
+        return (ya + yb) / 2 * (b - a)
+    iw = 2j * mpmath.pi * k
+    ea, eb = mpmath.exp(-iw * a), mpmath.exp(-iw * b)
+    return (ya * ea - yb * eb) / iw + (yb - ya) / (b - a) * (ea - eb) / iw**2
+
+
+def _cells_oracle(cells, ks):
+    """The transform of the cells (a, b, ya, yb) at each k, summed cell by
+    cell at 60 digits (a narrow cell's closed form cancels some 20)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        return np.array([complex(sum(_cell_ft(*cell, k) for cell in cells)) for k in ks])
+
+
+def _near_threshold(h):
+    """Frequencies at which |2 pi k h| sweeps 1e-3 to 1, through 0.1, where g leaves its series."""
+    return np.concatenate((np.geomspace(1e-3, 1.0, 61), [0.0999, 0.1001])) / (2.0 * np.pi * h)
+
+
+def _tents():
+    return [cell for n in range(1, 48) for cell in ((n - 2.0**-n, n, 0, 1), (n, n + 2.0**-n, 1, 0))]
+
+
+def _blocks_to_level_3():
+    return [(n + j / 2**n, n + (j + 1) / 2**n, (-1) ** j, (-1) ** j) for n in range(1, 4) for j in range(2**n)]
+
+
+class _Ramp(measures.DensitySource):
+    """(1 - 2i)(x - 1/2) on [1/2, 2]: one sloped cell, which no other cell balances."""
+
+    support = Window(0.5, 2.0)
+
+    def evalv(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where((xs >= 0.5) & (xs <= 2.0), (1.0 - 2.0j) * (xs - 0.5), 0.0)
+
+    def knots(self, w):
+        return np.empty(0)
+
+
+_DECLARED = {
+    # density, its cells (a, b, ya, yb), the half-widths h of its cells to probe
+    "triangle": (lambda: TriangleDensity(0.0, 1.0, 1.0), lambda: [(-1.0, 0.0, 0, 1), (0.0, 1.0, 1, 0)], (0.5,)),
+    "ex_tent": (lambda: build_example("ex_tent").density, _tents, (0.25,)),
+    "ex_bf": (lambda: build_example("ex_bf").density, _blocks_to_level_3, (0.25, 0.0625)),
+    "ramp": (_Ramp, lambda: [(0.5, 2.0, 0, 1.5 - 3.0j)], (0.75,)),
+    "constant": (lambda: ConstantDensity(0.3 - 1.2j, Window(-0.5, 2.0)), lambda: [(-0.5, 2.0, 0.3 - 1.2j, 0.3 - 1.2j)], (1.25,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLARED))
+def test_declared_cells_transform_within_1e_14_of_an_exact_cell_sum(name, monkeypatch):
+    # every declared density transforms in closed form on its cells, with no
+    # quadrature panel, at k = 0, on both sides of the series' edge and beyond
+    monkeypatch.setattr(constructions, "_BF_MAX_LEVEL", 3)
+    panels = _count_panels(monkeypatch)
+    density, cells, halfwidths = _DECLARED[name]
+    ks = np.concatenate([[0.0, 0.3, -1.7, 4.4], *map(_near_threshold, halfwidths)])
+    got = ft_compact(density(), ks)
+    mass = sum(abs(ya + yb) / 2 * (b - a) for a, b, ya, yb in cells())
+    assert np.max(np.abs(got - _cells_oracle(cells(), ks))) <= 1e-14 * max(1.0, mass)
+    assert panels == []
+
+
+@pytest.mark.parametrize(
+    "f", [tf_hat(0.0, 0.25, 1.0), tf_convolve(tf_hat(0.0, 0.25, 1.0, step=0.075), tf_hat(0.2, 0.125, 1.0j, step=0.075))]
+)
+def test_ft_near_branch_within_1e_14_of_an_exact_cell_sum(f):
+    # where pi |k| (hi - lo) < 1 a test function's own cells transform in closed form
+    h = 0.5 * np.diff(f.knots)
+    ks = np.concatenate([_near_threshold(h.max()), _near_threshold(h.min()), [1e-9, 0.3 / (f.hi - f.lo)]])
+    ks = ks[np.pi * ks * (f.hi - f.lo) < 1.0]
+    cells = list(zip(f.knots[:-1], f.knots[1:], f.samples[:-1].tolist(), f.samples[1:].tolist()))
+    assert np.max(np.abs(ft_compact(f, ks) - _cells_oracle(cells, ks))) <= 1e-14
+
+
+def test_dyadic_blocks_transform_in_chunks_of_about_a_megabyte():
+    # 32,766 cells at 1,001 frequencies; one (k, cell) array would be 524 MB
+    ks = np.linspace(-5.0, 5.0, 1001)
+    assert _traced_peak(lambda: ft_compact(AlternatingDyadicDensity(), ks)) <= 16_000_000
 
 
 def test_ft_translated_hat_picks_up_phase():
